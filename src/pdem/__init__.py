@@ -21,7 +21,6 @@ from .canonical import (
 )
 from .errors import (
     BelowContinuum,
-    ConvergenceFailure,
     DomainError,
     LevelOutOfRange,
     NonConvergence,
@@ -35,7 +34,6 @@ from .model import (
     ContinuousState,
     DiscreteState,
     ModelParams,
-    ReducedConstants,
     WavefunctionForm,
     alpha0,
     apply_lowering,
@@ -50,31 +48,25 @@ from .model import (
     max_level,
     normalization,
     potential,
-    reduced_constants,
     wavefunction,
     wavefunction_derivative,
     wavefunction_with_derivatives,
     well_depth,
 )
 from .oracle import (
-    EigenResult,
     Grid,
     Tridiagonal,
     build_hamiltonian,
     integrate,
-    lowest_eigenpairs,
     lowest_eigenvalues,
     ode_residual,
-    with_fd_derivatives,
 )
 from .specfun import (
-    PolyFamily,
     bessel_poly,
     bessel_poly_with_derivatives,
     hermite,
     kummer_1f1,
     laguerre,
     log_gamma,
-    pochhammer,
 )
-from .types import FunctionPair, SampledFunction
+from .types import FunctionPair

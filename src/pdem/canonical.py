@@ -16,7 +16,8 @@ from .types import FunctionPair
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Mass, frequency and action constants of the reference oscillator."""
+    """Mass, frequency and action constants of the reference oscillator; all
+    positive and finite."""
 
     m0: float = 1.0
     omega: float = 1.0
@@ -26,6 +27,8 @@ class CanonicalParams:
         for name in ("m0", "omega", "hbar"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def lambda0(self):
@@ -60,12 +63,7 @@ def canonical_wavefunction(params, n, x):
         raise DomainError(f"level must be non-negative, got {n}")
     lam0 = params.lambda0
     h = specfun.hermite(n, lam0 * x)
-    if h == 0.0:
-        return 0.0
-    m = _log_norm(params, n) - 0.5 * (lam0 * x) ** 2 + math.log(abs(h))
-    if m < -700.0:
-        return 0.0
-    return math.copysign(math.exp(m), h)
+    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, h)
 
 
 def canonical_wavefunction_derivative(params, n, x):
@@ -74,12 +72,7 @@ def canonical_wavefunction_derivative(params, n, x):
     dpoly = 0.0 if n == 0 else 2.0 * n * specfun.hermite(n - 1, lam0 * x)
     h = specfun.hermite(n, lam0 * x)
     g = lam0 * dpoly - lam0**2 * x * h
-    if g == 0.0:
-        return 0.0
-    m = _log_norm(params, n) - 0.5 * (lam0 * x) ** 2 + math.log(abs(g))
-    if m < -700.0:
-        return 0.0
-    return math.copysign(math.exp(m), g)
+    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, g)
 
 
 def canonical_state_pair(params, n):

@@ -355,42 +355,41 @@ def check_continuum_vanishing(a_values=(2.0, 4.0), q=2.0, x=1.0):
     )
 
 
-DEFAULT_CHECKS = (
-    "level-counts",
-    "ground-state",
-    "spectrum-shape",
-    "orthonormality",
-    "dual-form",
-    "ode-residual",
-    "continuum-residual",
-    "factorization",
-    "eigensolver",
-    "bessel-hermite",
-)
+# Every check by name, as (run, in the default battery); the default battery
+# runs in this order.  run takes the a_values, grid_points and eigen_tol of
+# run_checks by keyword and passes on what its check uses.
+CHECKS = {
+    "level-counts": (lambda **_: check_level_counts(), True),
+    "ground-state": (lambda **_: check_ground_state(), True),
+    "spectrum-shape": (lambda a_values, **_: check_spectrum_shape(a_values), True),
+    "orthonormality": (lambda a_values, **_: check_orthonormality(a_values), True),
+    "dual-form": (lambda a_values, **_: check_dual_form(a_values), True),
+    "ode-residual": (lambda a_values, **_: check_ode_residual(a_values), True),
+    "continuum-residual": (lambda **_: check_continuum_residual(), True),
+    "factorization": (lambda **_: check_factorization(), True),
+    "eigensolver": (
+        lambda grid_points, eigen_tol, **_: check_eigensolver(
+            grid_points=grid_points, tol=eigen_tol
+        ),
+        True,
+    ),
+    "bessel-hermite": (lambda **_: check_bessel_hermite(), True),
+    "convergence": (lambda **_: check_convergence(), False),
+    "wavefunction-limit": (lambda **_: check_wavefunction_limit(), False),
+    "continuum-vanishing": (lambda **_: check_continuum_vanishing(), False),
+}
 
-ALL_CHECKS = DEFAULT_CHECKS + ("convergence", "wavefunction-limit", "continuum-vanishing")
+DEFAULT_CHECKS = tuple(name for name, (_, default) in CHECKS.items() if default)
 
 
 def run_checks(names=None, a_values=(1.0, 2.0), grid_points=32000, eigen_tol=1e-5):
     """Run the named checks (default set if names is None); returns results."""
     if names is None:
         names = DEFAULT_CHECKS
-    available = {
-        "level-counts": check_level_counts,
-        "ground-state": check_ground_state,
-        "spectrum-shape": lambda: check_spectrum_shape(a_values),
-        "orthonormality": lambda: check_orthonormality(a_values),
-        "dual-form": lambda: check_dual_form(a_values),
-        "ode-residual": lambda: check_ode_residual(a_values),
-        "continuum-residual": check_continuum_residual,
-        "factorization": check_factorization,
-        "eigensolver": lambda: check_eigensolver(grid_points=grid_points, tol=eigen_tol),
-        "bessel-hermite": check_bessel_hermite,
-        "convergence": check_convergence,
-        "wavefunction-limit": check_wavefunction_limit,
-        "continuum-vanishing": check_continuum_vanishing,
-    }
-    unknown = [n for n in names if n not in available]
+    unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {sorted(available)}")
-    return [available[n]() for n in names]
+        raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+    return [
+        CHECKS[n][0](a_values=a_values, grid_points=grid_points, eigen_tol=eigen_tol)
+        for n in names
+    ]

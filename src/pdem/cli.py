@@ -134,10 +134,8 @@ def cmd_wavefunction(args):
         args.x_max = params.a + 8.0 / params.lambda0
     xs = _sample_grid(args, params)
     levels = args.n or [0]
-    n_max = model.max_level(params)
     for n in levels:
-        if n < 0 or n > n_max:
-            raise PdemError(f"level n={n} outside 0..{n_max} for a={params.a}")
+        model.require_level(params, n)
     columns = {"x": [float(x) for x in xs]}
     for n in levels:
         psi_col, density_col = [], []
@@ -268,7 +266,7 @@ def build_parser():
     vp.add_argument("--omega", type=float, default=1.0)
     vp.add_argument("--hbar", type=float, default=1.0)
     vp.add_argument("--check", action="append",
-                    help=f"check name (repeatable); available: {', '.join(checks.ALL_CHECKS)}")
+                    help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
     vp.add_argument("--grid-points", type=int, default=32000,
                     help="interior points for the eigensolver check")
     vp.add_argument("--tol", type=float, default=1e-5,

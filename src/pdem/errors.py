@@ -40,10 +40,3 @@ class ToleranceNotMet(PdemError):
             or f"tolerance not met: estimate={estimate!r}, error_bound={error_bound!r}"
         )
 
-
-class ConvergenceFailure(PdemError):
-    """Eigensolver failed to converge; carries the index of the failing pair."""
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"eigenpair {index} failed to converge")

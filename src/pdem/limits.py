@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import canonical, model, oracle
-from .errors import DomainError, LevelOutOfRange
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,7 @@ def scaled_bessel(n, x, nu):
 
 def energy_gap(params, n):
     """Exact closed-form gap E_n - E_n^well = hbar^2 n(n+1) / (2 m0 a^2)."""
-    if n < 0 or n > model.max_level(params):
-        raise LevelOutOfRange(
-            f"level n={n} outside 0..{model.max_level(params)} for a={params.a}"
-        )
+    model.require_level(params, n)
     return params.hbar**2 * n * (n + 1.0) / (2.0 * params.m0 * params.a**2)
 
 
@@ -85,10 +82,7 @@ def wavefunction_distance(params, n, tol=1e-10):
     The overall sign of a bound state is conventional, so the distance is
     minimized over a global sign flip.  Integration runs from just inside the
     wall to a + 12/lambda0, where both states have decayed."""
-    if n < 0 or n > model.max_level(params):
-        raise LevelOutOfRange(
-            f"level n={n} outside 0..{model.max_level(params)} for a={params.a}"
-        )
+    model.require_level(params, n)
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
     lo = -params.a + 1e-3 * params.a
     hi = params.a + 12.0 / params.lambda0

@@ -13,6 +13,7 @@ leave the native float range long before the physics becomes uninteresting.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,17 +25,13 @@ from .types import FunctionPair
 # +inf rather than an exception so oracle grids can probe the wall region.
 WALL = float("inf")
 
-# Values whose log-magnitude falls below this are flushed to exactly 0 to keep
-# denormal noise out of quadrature.
-_LOG_FLOOR = -700.0
-
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants and the semiconfinement length a.
 
-    Requires a > 1/(sqrt(2) lambda0), equivalently (lambda0 a)^2 > 1/2, which
-    guarantees at least one bound state.
+    All four must be finite.  Requires a > 1/(sqrt(2) lambda0), equivalently
+    (lambda0 a)^2 > 1/2, which guarantees at least one bound state.
     """
 
     m0: float = 1.0
@@ -46,6 +43,9 @@ class ModelParams:
         for name in ("m0", "omega", "hbar"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("m0", "omega", "hbar", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         lam0 = math.sqrt(self.m0 * self.omega / self.hbar)
         min_a = 1.0 / (math.sqrt(2.0) * lam0)
         if not self.a > min_a:
@@ -72,21 +72,6 @@ class ModelParams:
     def wall_scale(self):
         """lambda0^2 a^3, the length-scaled wall-layer coefficient."""
         return self.b2 * self.a
-
-
-@dataclass(frozen=True)
-class ReducedConstants:
-    """Dimensionless energy constants of the radial-style equation.
-
-    c0 = 2 m0 a^2 E / hbar^2 and c2 = c0 + (lambda0 a)^4 exactly.  The
-    remaining bookkeeping constants of the separation (the sign choices, the
-    exponent pair A = B = -lambda0^2 a^2 picked so the prefactor vanishes at
-    the wall and at infinity, and the auxiliary root parameter) are resolved
-    algebra, not runtime data.
-    """
-
-    c0: float
-    c2: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +148,12 @@ def max_level(params):
     return math.ceil(params.b2 - 0.5) - 1
 
 
-def _require_level(params, n):
+def require_level(params, n):
+    """Raise LevelOutOfRange unless n is an integer in 0..max_level(params)."""
+    try:
+        operator.index(n)  # ints and numpy integers; floats are refused
+    except TypeError:
+        raise LevelOutOfRange(f"level n={n!r} is not an integer") from None
     if n < 0 or n > max_level(params):
         raise LevelOutOfRange(
             f"level n={n} outside 0..{max_level(params)} for a={params.a}"
@@ -178,7 +168,7 @@ def normalization(params, n):
     for moderate a, so only logs are ever formed.  The constant is taken
     positive (the overall sign of a bound state is conventional).
     """
-    _require_level(params, n)
+    require_level(params, n)
     b2 = params.b2
     return b2 * math.log(2.0 * b2) + 0.5 * (
         math.log(2.0 * b2 - 2.0 * n - 1.0)
@@ -190,7 +180,7 @@ def normalization(params, n):
 
 def energy(params, n):
     """Bound level n: E_n = hbar w (n + 1/2) - hbar^2 n(n+1) / (2 m0 a^2)."""
-    _require_level(params, n)
+    require_level(params, n)
     e = params.hbar * params.omega * (n + 0.5) - params.hbar**2 * n * (n + 1.0) / (
         2.0 * params.m0 * params.a**2
     )
@@ -201,16 +191,6 @@ def energy(params, n):
         mu=2.0 * params.b2 - 2.0 * n,
         gamma=-float(n),
     )
-
-
-def _exp_scaled(log_prefactor, factor):
-    """factor * exp(log_prefactor) with the underflow floor applied."""
-    if factor == 0.0:
-        return 0.0
-    m = log_prefactor + math.log(abs(factor))
-    if m < _LOG_FLOOR:
-        return 0.0
-    return math.copysign(math.exp(m), factor)
 
 
 def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
@@ -230,7 +210,7 @@ def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
     log_pref = state.log_norm - b2 * math.log1p(x / params.a) - w / (x + params.a)
     if form is WavefunctionForm.BESSEL:
         y = specfun.bessel_poly(n, -2.0 * b2, (x + params.a) / w)
-        return _exp_scaled(log_pref, y)
+        return specfun.exp_scaled(log_pref, y)
     if form is WavefunctionForm.LAGUERRE:
         lag = specfun.laguerre(n, 2.0 * b2 - 2.0 * n - 1.0, 2.0 * w / (x + params.a))
         log_pref += (
@@ -239,7 +219,7 @@ def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
             + n * math.log1p(x / params.a)
         )
         signed = lag if n % 2 == 0 else -lag
-        return _exp_scaled(log_pref, signed)
+        return specfun.exp_scaled(log_pref, signed)
     raise ValueError(f"unknown wavefunction form {form!r}")
 
 
@@ -260,9 +240,9 @@ def wavefunction_with_derivatives(params, n, x):
     y, dy, d2y = specfun.bessel_poly_with_derivatives(n, -2.0 * b2, xa / w)
     dy /= w                             # chain rule, t = (x+a)/(l0^2 a^3)
     d2y /= w * w
-    psi = _exp_scaled(log_pref, y)
-    dpsi = _exp_scaled(log_pref, dl * y + dy)
-    d2psi = _exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y)
+    psi = specfun.exp_scaled(log_pref, y)
+    dpsi = specfun.exp_scaled(log_pref, dl * y + dy)
+    d2psi = specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y)
     return psi, dpsi, d2psi
 
 
@@ -270,12 +250,6 @@ def wavefunction_derivative(params, n, x):
     """Analytic d psi_n / dx; matches central finite differences of
     wavefunction() to ~1e-6 relative wherever psi is not vanishingly small."""
     return wavefunction_with_derivatives(params, n, x)[1]
-
-
-def reduced_constants(params, energy_value):
-    """c0 = 2 m0 a^2 E / hbar^2 and c2 = c0 + (lambda0 a)^4."""
-    c0 = 2.0 * params.m0 * params.a**2 * energy_value / params.hbar**2
-    return ReducedConstants(c0=c0, c2=c0 + params.b2**2)
 
 
 def energy_for_wavenumber(params, q):
@@ -302,7 +276,7 @@ def continuum_state(params, energy_value, scale=1.0 + 0.0j):
         raise BelowContinuum(
             f"E={energy_value} does not exceed the well depth {v_inf}"
         )
-    c0 = reduced_constants(params, energy_value).c0
+    c0 = 2.0 * params.m0 * params.a**2 * energy_value / params.hbar**2
     q_sq = 4.0 * c0 - 4.0 * params.b2**2 - 1.0
     if q_sq <= 0.0:
         raise BelowContinuum(
@@ -334,7 +308,7 @@ def _exp_scaled_complex(w_log, factor):
     if factor == 0:
         return 0.0 + 0.0j
     m = w_log.real + math.log(abs(factor))
-    if m < _LOG_FLOOR:
+    if m < specfun._LOG_FLOOR:
         return 0.0 + 0.0j
     return cmath.exp(w_log + cmath.log(factor))
 

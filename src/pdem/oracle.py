@@ -1,20 +1,18 @@
 """Independent numerical machinery that validates the closed forms.
 
 A flux-form finite-difference discretization of the variable-mass kinetic
-operator, a Sturm-sequence bisection / inverse-iteration eigensolver for the
-resulting symmetric tridiagonal matrices, adaptive Gauss-Kronrod quadrature,
-and a pointwise ODE-residual meter.  Nothing in this module reuses the model's
-closed forms, so agreement between the two is a real cross-check.
+operator, a Sturm-sequence bisection eigensolver for the resulting symmetric
+tridiagonal matrices, adaptive Gauss-Kronrod quadrature, and a pointwise
+ODE-residual meter.  Nothing in this module reuses the model's closed forms,
+so agreement between the two is a real cross-check.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, ToleranceNotMet
-from .types import SampledFunction
+from .errors import DomainError, ToleranceNotMet
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
 _KRONROD_NODES = (
@@ -46,7 +44,6 @@ _GAUSS_WEIGHTS = (  # weights of the embedded 7-point rule, nodes 1, 3, 5, 7
 
 _MAX_PANELS = 20_000
 _BISECT_MAX_ITER = 200
-_INVIT_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix, optionally tagged with its grid."""
+    """Symmetric tridiagonal matrix."""
 
     diag: np.ndarray
     off: np.ndarray
-    grid: Grid | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
@@ -95,16 +91,6 @@ class Tridiagonal:
     @property
     def dimension(self):
         return self.diag.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Sorted eigenvalues with eigenvectors normalized to unit L2 norm under
-    trapezoid weights on the grid."""
-
-    eigenvalues: list
-    eigenvectors: list
-    grid: Grid | None
 
 
 def build_hamiltonian(params, grid):
@@ -128,7 +114,7 @@ def build_hamiltonian(params, grid):
     v = params.m0 * params.omega**2 * params.a**2 * x**2 / (2.0 * (params.a + x) ** 2)
     diag = k * (s[:-1] + s[1:]) + v
     off = -k * s[1:-1]
-    return Tridiagonal(diag=diag, off=off, grid=grid)
+    return Tridiagonal(diag=diag, off=off)
 
 
 def _sturm_count(d, e2, lam, pivmin):
@@ -159,55 +145,6 @@ def _bisect_eigenvalue(d, e2, pivmin, index, lo, hi, rel_tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def _factor_tridiagonal(diag, off, shift):
-    """LU factorization of (T - shift I) with partial pivoting.
-
-    Returns (low, main, up1, up2, swapped): the unit-lower multipliers, the
-    three upper diagonals and the pivot-swap flags.
-    """
-    n = diag.shape[0]
-    main = (diag - shift).copy()
-    up1 = np.empty(n)
-    up1[:-1] = off
-    up1[-1] = 0.0
-    up2 = np.zeros(n)
-    low = np.zeros(n - 1)
-    swapped = np.zeros(n - 1, dtype=bool)
-    tiny = 1e-290
-    for i in range(n - 1):
-        sub = off[i]
-        if abs(sub) > abs(main[i]):
-            swapped[i] = True
-            main[i], sub = sub, main[i]
-            up1[i], main[i + 1] = main[i + 1], up1[i]
-            up2[i], up1[i + 1] = up1[i + 1], 0.0
-        if abs(main[i]) < tiny:
-            main[i] = math.copysign(tiny, main[i] if main[i] != 0.0 else 1.0)
-        m = sub / main[i]
-        low[i] = m
-        main[i + 1] -= m * up1[i]
-        up1[i + 1] -= m * up2[i]
-    if abs(main[-1]) < tiny:
-        main[-1] = math.copysign(tiny, main[-1] if main[-1] != 0.0 else 1.0)
-    return low, main, up1, up2, swapped
-
-
-def _solve_factored(factors, rhs):
-    low, main, up1, up2, swapped = factors
-    n = main.shape[0]
-    y = rhs.copy()
-    for i in range(n - 1):
-        if swapped[i]:
-            y[i], y[i + 1] = y[i + 1], y[i]
-        y[i + 1] -= low[i] * y[i]
-    x = np.empty(n)
-    x[-1] = y[-1] / main[-1]
-    x[-2] = (y[-2] - up1[-2] * x[-1]) / main[-2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - up1[i] * x[i + 1] - up2[i] * x[i + 2]) / main[i]
-    return x
-
-
 def lowest_eigenvalues(matrix, k):
     """k smallest eigenvalues by Sturm-sequence bisection, 1e-12 relative."""
     n = matrix.dimension
@@ -231,70 +168,6 @@ def lowest_eigenvalues(matrix, k):
     return eigenvalues
 
 
-def lowest_eigenpairs(matrix, k):
-    """k smallest eigenpairs of a symmetric tridiagonal matrix.
-
-    Eigenvalues by Sturm-sequence bisection to 1e-12 relative tolerance;
-    eigenvectors by inverse iteration with a partial-pivot tridiagonal solve,
-    accepted when ||H v - lambda v|| <= 1e-8 ||v|| * scale.  Deterministic:
-    the start vector comes from a fixed-seed generator.
-
-    Raises ConvergenceFailure with the failing index if an eigenvector does
-    not converge.
-    """
-    n = matrix.dimension
-    diag = matrix.diag
-    off = matrix.off
-    eigenvalues = lowest_eigenvalues(matrix, k)
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    scale = float(np.max(np.abs(diag) + radius))
-
-    grid = matrix.grid
-    if grid is not None:
-        h = grid.spacing
-        xs = grid.points
-        unit = "length"
-    else:
-        h = 1.0
-        xs = np.arange(n, dtype=float)
-        unit = "index"
-
-    rng = np.random.default_rng(20240915)
-    vectors = []
-    for j, lam in enumerate(eigenvalues):
-        factors = _factor_tridiagonal(diag, off, lam)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        ok = False
-        for _ in range(_INVIT_MAX_ITER):
-            v = _solve_factored(factors, v)
-            for prev in vectors:
-                v -= (prev.values @ v) * prev.values / (prev.values @ prev.values)
-            norm = np.linalg.norm(v)
-            if norm == 0.0 or not np.isfinite(norm):
-                v = rng.standard_normal(n)
-                v /= np.linalg.norm(v)
-                continue
-            v /= norm
-            resid = np.empty(n)
-            resid[:] = diag * v - lam * v
-            resid[:-1] += off * v[1:]
-            resid[1:] += off * v[:-1]
-            if np.linalg.norm(resid) <= 1e-8 * scale:
-                ok = True
-                break
-        if not ok:
-            raise ConvergenceFailure(j)
-        if v[np.argmax(np.abs(v))] < 0.0:
-            v = -v
-        v = v / math.sqrt(h * float(v @ v))  # unit norm under trapezoid weights
-        vectors.append(SampledFunction(x=xs, values=v, x_unit=unit))
-
-    return EigenResult(eigenvalues=eigenvalues, eigenvectors=vectors, grid=grid)
-
-
 def _gauss_kronrod_panel(f, a, b):
     """(kronrod, |kronrod - gauss|) on one panel."""
     c = 0.5 * (a + b)
@@ -311,37 +184,17 @@ def _gauss_kronrod_panel(f, a, b):
     return r * kron, abs(r * (kron - gauss))
 
 
-def _integrate_sampled(sf, x_min, x_max, tol):
-    mask = (sf.x >= x_min) & (sf.x <= x_max)
-    xs = sf.x[mask]
-    ys = sf.values[mask]
-    if xs.size < 3:
-        raise ValueError("sampled function has too few points inside the bounds")
-    total = float(np.trapezoid(ys, xs))
-    idx = list(range(0, xs.size, 2))
-    if idx[-1] != xs.size - 1:
-        idx.append(xs.size - 1)
-    coarse = float(np.trapezoid(ys[idx], xs[idx]))
-    err = abs(total - coarse) / 3.0  # Richardson gap of the trapezoid pair
-    if err > tol * (1.0 + abs(total)):
-        raise ToleranceNotMet(total, err)
-    return total
-
-
 def integrate(f, x_min, x_max, tol=1e-10):
     """Adaptive Gauss-Kronrod (7, 15) quadrature of f over [x_min, x_max].
 
     Splits the worst panel until the summed Kronrod-Gauss gap drops below
-    tol * (1 + |integral|).  A SampledFunction is integrated on its own grid
-    by the trapezoid rule instead.  Raises ToleranceNotMet (carrying the best
+    tol * (1 + |integral|).  Raises ToleranceNotMet (carrying the best
     estimate and its error bound) if the panel budget runs out.
     """
     if not x_min < x_max:
         raise ValueError(f"empty integration range [{x_min}, {x_max}]")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if isinstance(f, SampledFunction):
-        return _integrate_sampled(f, x_min, x_max, tol)
 
     val, err = _gauss_kronrod_panel(f, x_min, x_max)
     heap = [(-err, 0, x_min, x_max, val, err)]
@@ -369,31 +222,6 @@ def integrate(f, x_min, x_max, tol=1e-10):
     if total_err > tol * (1.0 + abs(total)):
         raise ToleranceNotMet(total, total_err)
     return total
-
-
-def with_fd_derivatives(f, params, h=None):
-    """Wrap a plain callable as x -> (f, f', f'') using 5-point stencils.
-
-    Step defaults to 1e-4 * a; each derivative is computed at h and h/2 and
-    Richardson-combined, which also serves as an internal consistency check.
-    """
-    if h is None:
-        h = 1e-4 * params.a
-
-    def stencil(x, step):
-        fm2, fm1 = f(x - 2.0 * step), f(x - step)
-        f0 = f(x)
-        fp1, fp2 = f(x + step), f(x + 2.0 * step)
-        d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * step)
-        d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * step**2)
-        return f0, d1, d2
-
-    def wrapped(x):
-        f0, d1a, d2a = stencil(x, h)
-        _, d1b, d2b = stencil(x, 0.5 * h)
-        return f0, d1b + (d1b - d1a) / 15.0, d2b + (d2b - d2a) / 15.0
-
-    return wrapped
 
 
 def ode_residual(params, psi, energy_value, x):

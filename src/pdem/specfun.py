@@ -1,14 +1,14 @@
 """Polynomial families and confluent hypergeometric series used by the well model.
 
 Everything here is scalar and pure: Hermite, generalized Laguerre and Bessel
-polynomials via their three-term recurrences, the Kummer series 1F1, the
-rising factorial, and a Lanczos log-gamma.  Bessel polynomials get a direct
-terminating-series fallback because their recurrence coefficients have poles
-in the alpha parameter.
+polynomials via their three-term recurrences, the Kummer series 1F1, a
+Lanczos log-gamma, and the underflow-floored exponential that turns the
+log-space prefactors of the closed forms into values.  Bessel polynomials get
+a direct terminating-series fallback because their recurrence coefficients
+have poles in the alpha parameter.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergence, PolePivot
 
@@ -41,15 +41,19 @@ _LANCZOS_COEFFS = (
 )
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 
+# Values whose log-magnitude falls below this are flushed to exactly 0 to keep
+# denormal noise out of quadrature.
+_LOG_FLOOR = -700.0
 
-def pochhammer(a, n):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); equals 1 for n = 0."""
-    if n < 0:
-        raise DomainError(f"pochhammer order must be non-negative, got {n}")
-    out = 1.0
-    for i in range(n):
-        out *= a + i
-    return out
+
+def exp_scaled(log_prefactor, factor):
+    """factor * exp(log_prefactor) with the underflow floor applied."""
+    if factor == 0.0:
+        return 0.0
+    m = log_prefactor + math.log(abs(factor))
+    if m < _LOG_FLOOR:
+        return 0.0
+    return math.copysign(math.exp(m), factor)
 
 
 def hermite(n, x):
@@ -212,19 +216,24 @@ def kummer_1f1(a_param, b_param, z):
     for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) / (b + k) * z / (k + 1.0)
         total += term
-        peak = max(peak, abs(total))
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        try:
+            size = abs(total)
+            small = abs(term) < _KUMMER_REL_EPS * size
+        except OverflowError:  # finite parts whose modulus leaves the float range
+            size = math.inf
+        if not math.isfinite(size):
             raise NonConvergence(
                 f"1F1({a_param!r}; {b_param!r}; {z!r}) overflowed after {k + 1} terms"
             )
-        if abs(term) < _KUMMER_REL_EPS * abs(total):
+        peak = max(peak, size)
+        if small:
             small_count += 1
             if small_count >= _KUMMER_CONSECUTIVE:
-                if abs(total) < 1e-13 * peak:
+                if size < 1e-13 * peak:
                     # the sum cancelled down to round-off noise; no digits left
                     raise NonConvergence(
                         f"1F1({a_param!r}; {b_param!r}; {z!r}) lost all precision "
-                        f"to cancellation (peak {peak:.3e}, result {abs(total):.3e})"
+                        f"to cancellation (peak {peak:.3e}, result {size:.3e})"
                     )
                 return total
         else:
@@ -244,49 +253,3 @@ def log_gamma(x):
     t = x + _LANCZOS_G - 0.5
     return _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(s)
 
-
-@dataclass(frozen=True)
-class PolyFamily:
-    """One of the three polynomial families the model is built from.
-
-    kind is "hermite", "laguerre" (with its alpha parameter) or "bessel"
-    (with its alpha parameter).
-    """
-
-    kind: str
-    alpha: float | None = None
-
-    @classmethod
-    def hermite(cls):
-        return cls("hermite")
-
-    @classmethod
-    def generalized_laguerre(cls, alpha):
-        return cls("laguerre", float(alpha))
-
-    @classmethod
-    def bessel(cls, alpha):
-        return cls("bessel", float(alpha))
-
-    def evaluate(self, n, x):
-        if self.kind == "hermite":
-            return hermite(n, x)
-        if self.kind == "laguerre":
-            return laguerre(n, self.alpha, x)
-        if self.kind == "bessel":
-            return bessel_poly(n, self.alpha, x)
-        raise ValueError(f"unknown polynomial family {self.kind!r}")
-
-    def orthogonality_holds(self, max_degree):
-        """Whether the family's orthogonality relation covers degrees <= max_degree.
-
-        Laguerre needs alpha > -1; Bessel needs alpha < -(2N+1); Hermite is
-        unrestricted.
-        """
-        if self.kind == "hermite":
-            return True
-        if self.kind == "laguerre":
-            return self.alpha > -1.0
-        if self.kind == "bessel":
-            return self.alpha < -(2.0 * max_degree + 1.0)
-        raise ValueError(f"unknown polynomial family {self.kind!r}")

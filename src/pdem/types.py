@@ -1,27 +1,7 @@
-"""Small shared value types: sampled grids and (value, derivative) pairs."""
+"""Small shared value type: a function paired with its derivative."""
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Function values on a grid of positions, with the x unit attached."""
-
-    x: np.ndarray
-    values: np.ndarray
-    x_unit: str = "length"
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x))
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if self.x.shape != self.values.shape:
-            raise ValueError(
-                f"grid and values must have matching shapes, "
-                f"got {self.x.shape} and {self.values.shape}"
-            )
 
 
 @dataclass(frozen=True)

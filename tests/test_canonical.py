@@ -16,6 +16,13 @@ def test_energies():
     assert canonical.canonical_energy(CanonicalParams(omega=3.0, hbar=2.0), 1) == 9.0
 
 
+@pytest.mark.parametrize("name", ["m0", "omega", "hbar"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError):
+        CanonicalParams(**{name: value})
+
+
 def test_wavefunction_values_at_origin():
     assert canonical.canonical_wavefunction(UNIT, 0, 0.0) == pytest.approx(
         math.pi ** -0.25, rel=1e-14

@@ -50,6 +50,13 @@ def test_invalid_a_exits_2():
     assert "sqrt(2)" in proc.stderr and "lambda0" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--a", "--m0", "--omega", "--hbar"])
+def test_non_finite_constant_exits_2(flag):
+    proc = run_cli("spectrum", flag, "inf")
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("spectrum", "--bogus", "1")
     assert proc.returncode == 2
@@ -164,11 +171,15 @@ def test_limit_continuum_table():
 
 
 def test_verify_default_passes():
+    from pdem import checks
+
     proc = run_cli("verify")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert all(l.startswith("PASS") for l in lines[:-1])
     assert lines[-1].endswith("checks passed")
+    # run_checks() runs the default battery in DEFAULT_CHECKS order
+    assert [l.split()[1].rstrip(":") for l in lines[:-1]] == list(checks.DEFAULT_CHECKS)
 
 
 def test_verify_coarse_grid_fails():
@@ -188,3 +199,20 @@ def test_verify_check_filter():
 def test_verify_unknown_check():
     proc = run_cli("verify", "--check", "nope")
     assert proc.returncode == 2
+    assert "unknown checks: ['nope']" in proc.stderr
+
+
+def test_verify_help_names_every_check():
+    from pdem import checks
+
+    proc = run_cli("verify", "--help")
+    assert proc.returncode == 0
+    help_text = "".join(proc.stdout.split())  # argparse wraps lines, also at hyphens
+    for name in checks.CHECKS:
+        assert name in help_text
+
+
+def test_verify_non_default_check_runs():
+    proc = run_cli("verify", "--check", "continuum-vanishing")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("PASS continuum-vanishing")

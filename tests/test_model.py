@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdem import checks, model, oracle
+from pdem import checks, limits, model, oracle
 from pdem.errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
 from pdem.model import ModelParams, WavefunctionForm
 
@@ -23,10 +23,11 @@ def test_params_validation():
     assert p.b2 == 4.0
 
 
-def test_reduced_constants(params_a2):
-    rc = model.reduced_constants(params_a2, 3.0)
-    assert rc.c0 == 24.0
-    assert rc.c2 == rc.c0 + params_a2.b2**2
+@pytest.mark.parametrize("name", ["m0", "omega", "hbar", "a"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError):
+        ModelParams(**{name: value})
 
 
 # ---------------------------------------------------------------- profiles
@@ -75,6 +76,20 @@ def test_energies(params_a2):
         model.energy(params_a2, 4)
     with pytest.raises(LevelOutOfRange):
         model.energy(params_a2, -1)
+
+
+@pytest.mark.parametrize("level_fn", [
+    model.energy,
+    model.normalization,
+    lambda p, n: model.wavefunction(p, n, 0.5),
+    limits.energy_gap,
+    limits.wavefunction_distance,
+], ids=["energy", "normalization", "wavefunction", "energy_gap", "wavefunction_distance"])
+def test_level_must_be_an_integer(params_a2, level_fn):
+    for n in (1.5, 1.0, np.float64(2.0)):
+        with pytest.raises(LevelOutOfRange):
+            level_fn(params_a2, n)
+    assert level_fn(params_a2, np.int64(1)) == level_fn(params_a2, 1)
 
 
 def test_discrete_state_fields(params_a2):

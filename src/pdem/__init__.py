@@ -31,12 +31,14 @@ from .errors import (
 from .limits import LimitSweep, continuum_magnitude, energy_gap, scaled_bessel, wavefunction_distance
 from .model import (
     WALL,
+    BoundState,
     ContinuousState,
     DiscreteState,
     ModelParams,
     WavefunctionForm,
     alpha0,
     apply_lowering,
+    bound_state,
     bound_state_pair,
     continuum_state,
     continuum_wavefunction,

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import specfun
 from .errors import DomainError
 from .types import FunctionPair
@@ -58,21 +60,23 @@ def _log_norm(params, n):
 
 def canonical_wavefunction(params, n, x):
     """Normalized psi_n(x) = (2^n n!)^(-1/2) (m0 w/pi hbar)^(1/4)
-    exp(-lambda0^2 x^2/2) H_n(lambda0 x)."""
+    exp(-lambda0^2 x^2/2) H_n(lambda0 x), at a scalar x (giving a float) or
+    elementwise on an array."""
     if n < 0:
         raise DomainError(f"level must be non-negative, got {n}")
+    x = np.asarray(x, dtype=float)
     lam0 = params.lambda0
-    h = specfun.hermite(n, lam0 * x)
-    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, h)
+    exponent, _, h = specfun.hermite_scaled(n, lam0 * x)
+    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, h, exponent)
 
 
 def canonical_wavefunction_derivative(params, n, x):
     """Analytic d psi_n / dx, using H_n' = 2 n H_{n-1}."""
+    x = np.asarray(x, dtype=float)
     lam0 = params.lambda0
-    dpoly = 0.0 if n == 0 else 2.0 * n * specfun.hermite(n - 1, lam0 * x)
-    h = specfun.hermite(n, lam0 * x)
-    g = lam0 * dpoly - lam0**2 * x * h
-    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, g)
+    exponent, hm1, h = specfun.hermite_scaled(n, lam0 * x)
+    g = lam0 * (2.0 * n * hm1) - lam0**2 * x * h
+    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, g, exponent)
 
 
 def canonical_state_pair(params, n):

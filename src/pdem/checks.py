@@ -37,19 +37,30 @@ def bound_overlap(params, m, n, tol=1e-11):
     integrand, so plain adaptive quadrature reaches 1e-10 accuracy.  The
     integrand underflows to exact zero inside the wall layer, so the upper
     cutoff in u only needs to overshoot it.
+
+    Below the lower cutoff u_lo the integrand is f(u) = K u^(p-1) (1 + c u)
+    to first order, with p = 2b^2-m-n-1 > 0 for every pair of levels and
+    c = l0^2 a^3 (m/(m-b^2) + n/(n-b^2) - 2) (from the wall factors and the
+    top two coefficients of y_m and y_n).  That piece is added in closed form,
+    f(u_lo) u_lo / p * (1 - c u_lo / (p+1)).  Near threshold it is far from
+    negligible: 3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n
+    approaches 1/2.  Without the c term it would be off by c u_lo, 2e-8 of
+    the norm for the top level at b^2 = 39.52.
     """
-    a = params.a
-    u_hi = (900.0 + 4.0 * params.b2 * math.log(1e3)) / (2.0 * params.wall_scale)
+    a, b2 = params.a, params.b2
+    u_lo = 1e-12
+    u_hi = (900.0 + 4.0 * b2 * math.log(1e3)) / (2.0 * params.wall_scale)
+    psi_m = model.bound_state(params, m).psi
+    psi_n = model.bound_state(params, n).psi
 
     def integrand(u):
         x = 1.0 / u - a
-        return (
-            model.wavefunction(params, m, x)
-            * model.wavefunction(params, n, x)
-            / (u * u)
-        )
+        return psi_m(x) * psi_n(x) / (u * u)
 
-    return oracle.integrate(integrand, 1e-12, u_hi, tol)
+    p = 2.0 * b2 - m - n - 1.0
+    c = params.wall_scale * (m / (m - b2) + n / (n - b2) - 2.0)
+    tail = integrand(u_lo) * u_lo / p * (1.0 - c * u_lo / (p + 1.0))
+    return oracle.integrate(integrand, u_lo, u_hi, tol) + tail
 
 
 def check_level_counts():
@@ -90,7 +101,7 @@ def check_spectrum_shape(a_values=(1.0, 2.0)):
     return CheckResult("spectrum-shape", True, "ok", "", detail)
 
 
-def check_orthonormality(a_values=(1.0, 2.0), tol=1e-8):
+def check_orthonormality(a_values=(1.0, 2.0), tol=1e-10):
     worst = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
@@ -111,12 +122,13 @@ def check_dual_form(a_values=(1.0, 2.0), tol=1e-10, points=200):
         p = model.ModelParams(a=a)
         xs = np.linspace(-a + 0.02 * a, a + 10.0 / p.lambda0, points)
         for n in range(model.max_level(p) + 1):
-            for x in xs:
-                vb = model.wavefunction(p, n, float(x), model.WavefunctionForm.BESSEL)
-                vl = model.wavefunction(p, n, float(x), model.WavefunctionForm.LAGUERRE)
-                if vb == 0.0 and vl == 0.0:
-                    continue
-                worst = max(worst, abs(vb - vl) / max(abs(vb), abs(vl)))
+            state = model.bound_state(p, n)
+            vb = state.psi(xs, model.WavefunctionForm.BESSEL)
+            vl = state.psi(xs, model.WavefunctionForm.LAGUERRE)
+            scale = np.maximum(np.abs(vb), np.abs(vl))
+            nonzero = scale > 0.0
+            if nonzero.any():
+                worst = max(worst, float(np.max(np.abs(vb - vl)[nonzero] / scale[nonzero])))
     return CheckResult(
         "dual-form", worst <= tol, f"{worst:.3e}", f"{tol:.0e}",
         "Bessel vs Laguerre closed forms on 200-point grids",
@@ -134,10 +146,14 @@ def check_ode_residual(a_values=(1.0, 2.0), tol=1e-6):
         p = model.ModelParams(a=a)
         xs = _interior_grid(-a + 1e-3 * a, a + 12.0 / p.lambda0, 160)
         for n in range(model.max_level(p) + 1):
-            e = model.energy(p, n).energy
-            psi = lambda t: model.wavefunction_with_derivatives(p, n, t)
-            for x in xs:
-                worst = max(worst, oracle.ode_residual(p, psi, e, float(x)))
+            state = model.bound_state(p, n)
+            # the closed form on the whole grid at once; the meter takes one point
+            triples = zip(*(v.tolist() for v in state.psi_with_derivatives(xs)))
+            for x, triple in zip(xs.tolist(), triples):
+                worst = max(
+                    worst,
+                    oracle.ode_residual(p, lambda _, t=triple: t, state.level.energy, x),
+                )
     return CheckResult(
         "ode-residual", worst <= tol, f"{worst:.3e}", f"{tol:.0e}",
         "bound states, analytic derivatives, interior 90% of the domain",
@@ -194,21 +210,18 @@ def check_factorization(a_values=(2.0,), tol_annihilate=1e-12, tol_commutator=1e
     for a in a_values:
         p = model.ModelParams(a=a)
         pair = model.bound_state_pair(p, 0)
-        for x in np.linspace(-a + 0.05 * a, a + 8.0 / p.lambda0, 60):
-            psi = model.wavefunction(p, 0, float(x))
-            if abs(psi) < 1e-280:
-                continue
-            worst_lower = max(worst_lower, abs(model.apply_lowering(p, pair, float(x))) / abs(psi))
+        xs = np.linspace(-a + 0.05 * a, a + 8.0 / p.lambda0, 60)
+        psi = pair.value(xs)
+        keep = np.abs(psi) >= 1e-280
+        lowered = model.apply_lowering(p, pair, xs[keep])
+        worst_lower = max(worst_lower, float(np.max(np.abs(lowered) / np.abs(psi[keep]))))
 
     cp = canonical.CanonicalParams()
-    pair0 = canonical.canonical_state_pair(cp, 0)
-    worst_can = 0.0
-    for x in np.linspace(-3.0, 3.0, 25):
-        psi = canonical.canonical_wavefunction(cp, 0, float(x))
-        worst_can = max(
-            worst_can,
-            abs(canonical.apply_ladder(cp, LadderDirection.LOWER, pair0, float(x))) / abs(psi),
-        )
+    xs = np.linspace(-3.0, 3.0, 25)
+    lowered = canonical.apply_ladder(
+        cp, LadderDirection.LOWER, canonical.canonical_state_pair(cp, 0), xs
+    )
+    worst_can = float(np.max(np.abs(lowered) / np.abs(canonical.canonical_wavefunction(cp, 0, xs))))
 
     lam0 = cp.lambda0
     rt = math.sqrt(2.0) * lam0
@@ -292,11 +305,11 @@ def check_bessel_hermite(rate_nus=(1e4, 4e4, 1.6e5), sup_nu=2e8, sup_tol=0.05,
     from . import specfun
 
     grid = np.linspace(-2.0, 2.0, 17)
+    hermites = {n: specfun.hermite(n, grid).tolist() for n in range(7)}
 
     def err(n, nu):
         return max(
-            abs(limits.scaled_bessel(n, float(x), nu) - specfun.hermite(n, float(x)))
-            for x in grid
+            abs(limits.scaled_bessel(n, float(x), nu) - h) for x, h in zip(grid, hermites[n])
         )
 
     ratios = []
@@ -308,10 +321,9 @@ def check_bessel_hermite(rate_nus=(1e4, 4e4, 1.6e5), sup_nu=2e8, sup_tol=0.05,
     rate_ok = all(window[0] <= r <= window[1] for r in ratios)
 
     sup = max(
-        abs(limits.scaled_bessel(n, float(x), sup_nu) - specfun.hermite(n, float(x)))
-        / max(1.0, abs(specfun.hermite(n, float(x))))
+        abs(limits.scaled_bessel(n, float(x), sup_nu) - h) / max(1.0, abs(h))
         for n in range(7)
-        for x in grid
+        for x, h in zip(grid, hermites[n])
     )
     ok = rate_ok and sup <= sup_tol
     return CheckResult(

@@ -134,28 +134,18 @@ def cmd_wavefunction(args):
         args.x_max = params.a + 8.0 / params.lambda0
     xs = _sample_grid(args, params)
     levels = args.n or [0]
-    for n in levels:
-        model.require_level(params, n)
-    columns = {"x": [float(x) for x in xs]}
-    for n in levels:
-        psi_col, density_col = [], []
-        for x in xs:
-            x = float(x)
-            if x <= -params.a:
-                psi_col.append(None)
-                density_col.append(None)
-            else:
-                v = model.wavefunction(params, n, x)
-                psi_col.append(v)
-                density_col.append(v * v)
+    states = [model.bound_state(params, n) for n in levels]
+    columns = {"x": xs.tolist()}
+    inside = xs > -params.a
+    for n, state in zip(levels, states):
+        values = iter(state.psi(xs[inside]).tolist())
+        psi_col = [next(values) if ok else None for ok in inside]
         columns[f"psi_{n}"] = psi_col
-        columns[f"density_{n}"] = density_col
+        columns[f"density_{n}"] = [None if v is None else v * v for v in psi_col]
     if args.canonical:
         ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
         for n in levels:
-            columns[f"canonical_{n}"] = [
-                canonical.canonical_wavefunction(ref, n, float(x)) for x in xs
-            ]
+            columns[f"canonical_{n}"] = canonical.canonical_wavefunction(ref, n, xs).tolist()
     _emit("wavefunction", _meta_params(params, {"levels": levels}), columns, args)
     return 0
 

@@ -70,7 +70,7 @@ def energy_gap(params, n):
 
 
 def l2_distance(f, g, x_min, x_max, tol=1e-10):
-    """L2 distance between two callables by adaptive quadrature."""
+    """L2 distance between two callables on arrays, by adaptive quadrature."""
     value = oracle.integrate(lambda x: (f(x) - g(x)) ** 2, x_min, x_max, tol)
     return math.sqrt(max(value, 0.0))
 
@@ -82,13 +82,10 @@ def wavefunction_distance(params, n, tol=1e-10):
     The overall sign of a bound state is conventional, so the distance is
     minimized over a global sign flip.  Integration runs from just inside the
     wall to a + 12/lambda0, where both states have decayed."""
-    model.require_level(params, n)
+    well = model.bound_state(params, n).psi
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
     lo = -params.a + 1e-3 * params.a
     hi = params.a + 12.0 / params.lambda0
-
-    def well(x):
-        return model.wavefunction(params, n, x)
 
     def can(x):
         return canonical.canonical_wavefunction(ref, n, x)

@@ -9,6 +9,8 @@ polynomials; above it the states are continuum waves built from 1F1.
 All prefactors are assembled in log space and exponentiated once: for a >= 3
 the wall factor exp(-l0^2 a^3/(x+a)) and the power (x/a+1)^(-l0^2 a^2) both
 leave the native float range long before the physics becomes uninteresting.
+Bound states are evaluated on numpy arrays of positions (bound_state); the
+module-level wavefunction functions wrap that for one position or an array.
 """
 
 import cmath
@@ -16,6 +18,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import specfun
 from .errors import BelowContinuum, DomainError, LevelOutOfRange
@@ -25,13 +29,20 @@ from .types import FunctionPair
 # +inf rather than an exception so oracle grids can probe the wall region.
 WALL = float("inf")
 
+# Most bound levels max_level() admits.  Each level costs a table row and a
+# recurrence step per evaluation, so without a cap a large a (10^16 levels at
+# a = 1e8) would be unbounded work.
+LEVEL_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants and the semiconfinement length a.
 
     All four must be finite.  Requires a > 1/(sqrt(2) lambda0), equivalently
-    (lambda0 a)^2 > 1/2, which guarantees at least one bound state.
+    (lambda0 a)^2 > 1/2, which guarantees at least one bound state, and
+    lambda0^2 = m0 omega / hbar and lambda0^2 a^3 must be positive finite
+    floats (extreme but finite constants can overflow or underflow them).
     """
 
     m0: float = 1.0
@@ -46,12 +57,19 @@ class ModelParams:
         for name in ("m0", "omega", "hbar", "a"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        lam0 = math.sqrt(self.m0 * self.omega / self.hbar)
-        min_a = 1.0 / (math.sqrt(2.0) * lam0)
+        lam0_sq = self.m0 * self.omega / self.hbar
+        if not 0.0 < lam0_sq < math.inf:
+            raise ValueError(
+                f"lambda0^2 = m0*omega/hbar leaves the float range ({lam0_sq!r}) "
+                f"for m0={self.m0}, omega={self.omega}, hbar={self.hbar}"
+            )
+        min_a = 1.0 / (math.sqrt(2.0) * math.sqrt(lam0_sq))
         if not self.a > min_a:
             raise ValueError(
                 f"a must exceed 1/(sqrt(2)*lambda0) = {min_a:.6g}, got {self.a}"
             )
+        if not math.isfinite(lam0_sq * (self.a * self.a) * self.a):
+            raise ValueError(f"lambda0^2 a^3 overflows a float for a={self.a}")
 
     @property
     def lambda0(self):
@@ -118,8 +136,15 @@ class WavefunctionForm(Enum):
 
 
 def _require_inside(params, x):
-    if not x > -params.a:
-        raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
+    """x as a float array; raises DomainError unless every position in it
+    lies strictly inside the wall."""
+    x = np.asarray(x, dtype=float)
+    outside = ~(x > -params.a)
+    if outside.any():
+        raise DomainError(
+            f"position {x[outside].flat[0]} is at or behind the wall x = {-params.a}"
+        )
+    return x
 
 
 def effective_mass(params, x):
@@ -144,8 +169,15 @@ def well_depth(params):
 
 
 def max_level(params):
-    """Largest bound quantum number N: the biggest integer below b^2 - 1/2."""
-    return math.ceil(params.b2 - 0.5) - 1
+    """Largest bound quantum number N: the biggest integer below b^2 - 1/2.
+
+    Raises DomainError when N exceeds LEVEL_CAP."""
+    n = math.ceil(params.b2 - 0.5) - 1
+    if n > LEVEL_CAP:
+        raise DomainError(
+            f"{n} bound levels exceed the cap of {LEVEL_CAP} (b^2 = {params.b2:.6g})"
+        )
+    return n
 
 
 def require_level(params, n):
@@ -193,57 +225,91 @@ def energy(params, n):
     )
 
 
-def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
-    """Bound-state wavefunction psi_n at position x.
+@dataclass(frozen=True)
+class BoundState:
+    """Bound level n of one parameter set, evaluated on arrays of positions.
 
-    The Bessel form is
-        C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2);
-    the Laguerre form carries the extra factor (1+x/a)^n together with
-    L_n^(2b^2-2n-1)(2 l0^2 a^3/(x+a)).  Equating the two polynomial
-    representations through their terminating-series forms fixes the relative
-    constant to (-1)^n n! / (2b^2)^n, so both paths return identical values.
+    The level is checked and its energy and normalization computed once, when
+    bound_state() builds it; psi and psi_with_derivatives then take a scalar
+    (giving floats) or an array (giving arrays) of positions, all strictly
+    inside the wall.
     """
-    _require_inside(params, x)
-    state = energy(params, n)
-    b2 = params.b2
-    w = params.wall_scale
-    log_pref = state.log_norm - b2 * math.log1p(x / params.a) - w / (x + params.a)
-    if form is WavefunctionForm.BESSEL:
-        y = specfun.bessel_poly(n, -2.0 * b2, (x + params.a) / w)
-        return specfun.exp_scaled(log_pref, y)
-    if form is WavefunctionForm.LAGUERRE:
-        lag = specfun.laguerre(n, 2.0 * b2 - 2.0 * n - 1.0, 2.0 * w / (x + params.a))
-        log_pref += (
-            specfun.log_gamma(n + 1.0)
-            - n * math.log(2.0 * b2)
-            + n * math.log1p(x / params.a)
+
+    params: ModelParams
+    level: DiscreteState
+
+    def _log_prefactor(self, x):
+        p = self.params
+        return self.level.log_norm - p.b2 * np.log1p(x / p.a) - p.wall_scale / (x + p.a)
+
+    def psi(self, x, form=WavefunctionForm.BESSEL):
+        """Wavefunction psi_n at x.
+
+        The Bessel form is
+            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2);
+        the Laguerre form carries the extra factor (1+x/a)^n together with
+        L_n^(2b^2-2n-1)(2 l0^2 a^3/(x+a)).  Equating the two polynomial
+        representations through their terminating-series forms fixes the
+        relative constant to (-1)^n n! / (2b^2)^n, so both paths return
+        identical values.
+        """
+        x = _require_inside(self.params, x)
+        p, n = self.params, self.level.n
+        b2, w = p.b2, p.wall_scale
+        log_pref = self._log_prefactor(x)
+        if form is WavefunctionForm.BESSEL:
+            exponent, y, _, _ = specfun.bessel_poly_scaled(n, -2.0 * b2, (x + p.a) / w)
+            return specfun.exp_scaled(log_pref, y, exponent)
+        if form is WavefunctionForm.LAGUERRE:
+            exponent, lag = specfun.laguerre_scaled(
+                n, 2.0 * b2 - 2.0 * n - 1.0, 2.0 * w / (x + p.a)
+            )
+            log_pref = log_pref + (
+                specfun.log_gamma(n + 1.0) - n * math.log(2.0 * b2) + n * np.log1p(x / p.a)
+            )
+            signed = lag if n % 2 == 0 else -lag
+            return specfun.exp_scaled(log_pref, signed, exponent)
+        raise ValueError(f"unknown wavefunction form {form!r}")
+
+    def psi_with_derivatives(self, x):
+        """(psi_n, psi_n', psi_n'') at x with analytic derivatives.
+
+        Logarithmic differentiation of the prefactor plus the differentiated
+        polynomial recurrence; exact up to round-off, no finite differences.
+        """
+        x = _require_inside(self.params, x)
+        p = self.params
+        b2, w = p.b2, p.wall_scale
+        xa = x + p.a
+        log_pref = self._log_prefactor(x)
+        dl = -b2 / xa + w / xa**2          # d/dx of the log prefactor
+        d2l = b2 / xa**2 - 2.0 * w / xa**3
+        exponent, y, dy, d2y = specfun.bessel_poly_scaled(
+            self.level.n, -2.0 * b2, xa / w, derivatives=True
         )
-        signed = lag if n % 2 == 0 else -lag
-        return specfun.exp_scaled(log_pref, signed)
-    raise ValueError(f"unknown wavefunction form {form!r}")
+        dy = dy / w                         # chain rule, t = (x+a)/(l0^2 a^3)
+        d2y = d2y / (w * w)
+        return (
+            specfun.exp_scaled(log_pref, y, exponent),
+            specfun.exp_scaled(log_pref, dl * y + dy, exponent),
+            specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y, exponent),
+        )
+
+
+def bound_state(params, n):
+    """Bound level n of params, ready to evaluate (raises LevelOutOfRange)."""
+    return BoundState(params, energy(params, n))
+
+
+def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
+    """Bound-state wavefunction psi_n at x (see BoundState.psi)."""
+    return bound_state(params, n).psi(x, form)
 
 
 def wavefunction_with_derivatives(params, n, x):
-    """(psi_n, psi_n', psi_n'') with analytic derivatives.
-
-    Logarithmic differentiation of the prefactor plus the differentiated
-    polynomial recurrence; exact up to round-off, no finite differences.
-    """
-    _require_inside(params, x)
-    state = energy(params, n)
-    b2 = params.b2
-    w = params.wall_scale
-    xa = x + params.a
-    log_pref = state.log_norm - b2 * math.log1p(x / params.a) - w / xa
-    dl = -b2 / xa + w / xa**2          # d/dx of the log prefactor
-    d2l = b2 / xa**2 - 2.0 * w / xa**3
-    y, dy, d2y = specfun.bessel_poly_with_derivatives(n, -2.0 * b2, xa / w)
-    dy /= w                             # chain rule, t = (x+a)/(l0^2 a^3)
-    d2y /= w * w
-    psi = specfun.exp_scaled(log_pref, y)
-    dpsi = specfun.exp_scaled(log_pref, dl * y + dy)
-    d2psi = specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y)
-    return psi, dpsi, d2psi
+    """(psi_n, psi_n', psi_n'') with analytic derivatives (see
+    BoundState.psi_with_derivatives)."""
+    return bound_state(params, n).psi_with_derivatives(x)
 
 
 def wavefunction_derivative(params, n, x):
@@ -374,15 +440,17 @@ def apply_lowering(params, f, x):
     """Factorization lowering operator sqrt(rho/hbar w) (d/dx - alpha0) on f.
 
     f supplies value and derivative at x (a FunctionPair or anything with
-    .value/.derivative callables).  Annihilates the ground state identically.
+    .value/.derivative callables), a scalar or an array of positions.
+    Annihilates the ground state identically.
     """
-    coeff = math.sqrt(kinetic_weight(params, x) / (params.hbar * params.omega))
-    return coeff * (f.derivative(x) - alpha0(params, x) * f.value(x))
+    coeff = np.sqrt(kinetic_weight(params, x) / (params.hbar * params.omega))
+    return specfun.shaped_like(x, coeff * (f.derivative(x) - alpha0(params, x) * f.value(x)))
 
 
 def bound_state_pair(params, n):
     """FunctionPair (psi_n, psi_n') with analytic derivatives, for operator tests."""
+    state = bound_state(params, n)
     return FunctionPair(
-        value=lambda x: wavefunction(params, n, x),
-        derivative=lambda x: wavefunction_derivative(params, n, x),
+        value=state.psi,
+        derivative=lambda x: state.psi_with_derivatives(x)[1],
     )

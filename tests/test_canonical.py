@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,19 @@ def test_wavefunction_values_at_origin():
     assert canonical.canonical_wavefunction(UNIT, 2, 0.0) == pytest.approx(
         -2.0 / math.sqrt(8.0) * math.pi ** -0.25, rel=1e-13
     )
+
+
+def test_high_level_against_mpmath():
+    # H_400(1) leaves the float range; the rescaled recurrence keeps its exponent apart
+    n, x = 400, 1.0
+    with mpmath.workdps(50):
+        ref = float(
+            mpmath.hermite(n, x) * mpmath.exp(-x * x / 2)
+            / mpmath.sqrt(2**n * mpmath.factorial(n)) / mpmath.pi ** mpmath.mpf(0.25)
+        )
+    val = canonical.canonical_wavefunction(UNIT, n, x)
+    assert math.isfinite(val)
+    assert abs(val - ref) <= 1e-10 * abs(ref)
 
 
 def test_normalization_by_quadrature():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,6 +58,27 @@ def test_non_finite_constant_exits_2(flag):
     assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--a", "1e200"],
+    ["--hbar", "1e300", "--m0", "1e-30", "--omega", "1e-10"],
+    ["--a", "1e8"],
+], ids=["b2-overflow", "lambda0-underflow", "level-cap"])
+def test_extreme_finite_constants_exit_2(args):
+    proc = run_cli("spectrum", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_level_cap_returns_quickly(capsys):
+    # 10^16 levels at a = 1e8: refused up front instead of written out
+    from pdem import cli
+
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--a", "1e8"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("spectrum", "--bogus", "1")
     assert proc.returncode == 2
@@ -98,6 +120,18 @@ def test_wavefunction_columns(params_a2):
         psi0 = float(row[1])
         assert psi0 == pytest.approx(model.wavefunction(params_a2, 0, x), rel=1e-14)
         assert float(row[2]) == pytest.approx(psi0 * psi0, rel=1e-14)
+
+
+def test_csv_has_no_numpy_scalars():
+    # numpy 2 prints its scalars as np.float64(...); csv cells are repr()s
+    for argv in (
+        ["wavefunction", "--a", "2", "--n", "0", "--n", "3", "--canonical", "--points", "21"],
+        ["limit", "--kind", "bessel-hermite", "--n", "3", "--x", "0.5"],
+        ["limit", "--kind", "wavefunction", "--a-value", "3"],
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0
+        assert "np." not in proc.stdout
 
 
 def test_wavefunction_level_out_of_range():

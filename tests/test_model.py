@@ -30,6 +30,24 @@ def test_params_reject_non_finite(name, value):
         ModelParams(**{name: value})
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(a=1e200),                             # lambda0^2 a^2 overflows
+    dict(hbar=1e300, m0=1e-30, omega=1e-10),   # lambda0^2 underflows to 0
+], ids=["b2-overflow", "lambda0-underflow"])
+def test_params_reject_extreme_finite_constants(kwargs):
+    with pytest.raises(ValueError):
+        ModelParams(**kwargs)
+
+
+def test_level_cap():
+    p = ModelParams(a=1e8)  # 10^16 levels
+    with pytest.raises(DomainError):
+        model.max_level(p)
+    with pytest.raises(DomainError):
+        model.energy(p, 0)
+    assert model.max_level(ModelParams(a=math.sqrt(model.LEVEL_CAP + 1.0))) == model.LEVEL_CAP
+
+
 # ---------------------------------------------------------------- profiles
 
 def test_effective_mass(params_a2):
@@ -156,6 +174,24 @@ def test_wavefunction_domain_and_range(params_a2):
         model.wavefunction(params_a2, 0, -2.0)
     with pytest.raises(LevelOutOfRange):
         model.wavefunction(params_a2, 4, 0.0)
+    with pytest.raises(DomainError, match="position -2.5 "):
+        model.bound_state(params_a2, 0).psi(np.array([0.0, -2.5, 1.0]))
+
+
+def test_scalar_and_array_positions(params_a2):
+    # a scalar position gives Python floats (numpy 2 prints its scalars as
+    # np.float64(...), which must not reach repr-serialized output)
+    assert type(model.wavefunction(params_a2, 1, 0.5)) is float
+    assert all(type(v) is float for v in model.wavefunction_with_derivatives(params_a2, 1, 0.5))
+    xs = np.array([[-1.0, 0.5], [2.0, 7.0]])
+    state = model.bound_state(params_a2, 1)
+    values = state.psi(xs)
+    assert values.shape == xs.shape
+    pointwise = [[model.wavefunction(params_a2, 1, x) for x in row] for row in xs.tolist()]
+    assert values.tolist() == pointwise
+    triples = state.psi_with_derivatives(xs)
+    for x, v, d1, d2 in zip(xs.ravel(), *(t.ravel() for t in triples)):
+        assert (v, d1, d2) == model.wavefunction_with_derivatives(params_a2, 1, float(x))
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
@@ -192,6 +228,35 @@ def test_wavefunction_far_tail_decay(params_a2):
 
 def test_orthonormality_small_case(params_a1):
     assert checks.bound_overlap(params_a1, 0, 0) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(a=3.0, m0=2.5, omega=0.3, hbar=0.7),
+    ModelParams(a=3.105),
+], ids=["a3-m2.5-w0.3-h0.7", "a3.105"])
+def test_near_threshold_normalization(params):
+    # b^2 - N = 0.64: the norm density of the top level goes like u^(-0.72)
+    # toward u = 0, so the stretch below the quadrature's lower cutoff
+    # u = 1e-12 held 3e-3 of its norm
+    n = model.max_level(params)
+    assert params.b2 - n == pytest.approx(0.64, abs=0.01)
+    assert abs(checks.bound_overlap(params, n, n) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [200, 250])
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_high_level_wavefunction_finite(n, x):
+    # y_n overflowed the float range here before the recurrences were rescaled
+    p = ModelParams(a=20.0)
+    vb = model.wavefunction(p, n, x)
+    vl = model.wavefunction(p, n, x, WavefunctionForm.LAGUERRE)
+    assert math.isfinite(vb) and math.isfinite(vl)
+    assert abs(vb - vl) <= 1e-10 * max(abs(vb), abs(vl))
+
+
+def test_high_level_normalization():
+    p = ModelParams(a=20.0)
+    assert abs(checks.bound_overlap(p, 200, 200) - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------- derivatives

@@ -115,17 +115,17 @@ def test_k_bounds():
 # ---------------------------------------------------------------- quadrature
 
 def test_integrate_constant():
-    assert oracle.integrate(lambda x: 1.0, 0.0, 2.0, 1e-6) == pytest.approx(2.0, rel=1e-14)
+    assert oracle.integrate(np.ones_like, 0.0, 2.0, 1e-6) == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_integrate_exponential(tol):
-    val = oracle.integrate(lambda x: math.exp(-x), 0.0, 50.0, tol)
+    val = oracle.integrate(lambda x: np.exp(-x), 0.0, 50.0, tol)
     assert abs(val - 1.0) <= tol * 2.0
 
 
 def test_integrate_against_scipy():
-    f = lambda x: math.sin(3.0 * x) * math.exp(-0.3 * x * x)
+    f = lambda x: np.sin(3.0 * x) * np.exp(-0.3 * x * x)
     ref, _ = scipy.integrate.quad(f, -2.0, 5.0, epsabs=1e-13, epsrel=1e-13)
     assert oracle.integrate(f, -2.0, 5.0, 1e-12) == pytest.approx(ref, abs=1e-11)
 
@@ -153,9 +153,22 @@ def test_integrate_orthogonality_cross_check(params_a2):
 
 def test_integrate_tolerance_not_met():
     with pytest.raises(ToleranceNotMet) as info:
-        oracle.integrate(lambda x: math.sin(1e6 * x), 0.0, 100.0, 1e-12)
+        oracle.integrate(lambda x: np.sin(1e6 * x), 0.0, 100.0, 1e-12)
     assert math.isfinite(info.value.estimate)
     assert info.value.error_bound > 0.0
+
+
+def test_integrate_calls_with_node_arrays():
+    # one call for the first panel's 15 nodes, one per split for both halves
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.exp(-x)
+
+    oracle.integrate(f, 0.0, 50.0, 1e-10)
+    assert shapes[0] == (15,)
+    assert len(shapes) > 1 and set(shapes[1:]) == {(30,)}
 
 
 def test_integrate_rejects_bad_range():

@@ -176,29 +176,41 @@ def check_continuum_residual(a=2.0, fractions=(1.25, 1.5, 2.0), tol=1e-6):
     )
 
 
+def _horner(coeffs, x):
+    """sum(c_k x^k) over the coefficient tuple (c_0, c_1, ...), in floats."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _derivative(coeffs):
+    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+
+
 def _gaussian_battery():
     """Test functions p(x) exp(-x^2/2) with analytic derivative triples."""
     polys = [
-        np.polynomial.Polynomial([1.0]),
-        np.polynomial.Polynomial([0.0, 1.0]),
-        np.polynomial.Polynomial([-1.0, 0.0, 1.0]),
-        np.polynomial.Polynomial([0.0, -0.5, 0.0, 1.0]),
-        np.polynomial.Polynomial([0.3, 0.0, -3.0, 0.0, 1.0]),
+        (1.0,),
+        (0.0, 1.0),
+        (-1.0, 0.0, 1.0),
+        (0.0, -0.5, 0.0, 1.0),
+        (0.3, 0.0, -3.0, 0.0, 1.0),
     ]
     out = []
     for p in polys:
-        dp = p.deriv()
-        d2p = dp.deriv()
+        dp = _derivative(p)
+        d2p = _derivative(dp)
 
         def g(x, p=p):
-            return float(p(x)) * math.exp(-0.5 * x * x)
+            return _horner(p, x) * math.exp(-0.5 * x * x)
 
         def dg(x, p=p, dp=dp):
-            return (float(dp(x)) - x * float(p(x))) * math.exp(-0.5 * x * x)
+            return (_horner(dp, x) - x * _horner(p, x)) * math.exp(-0.5 * x * x)
 
         def d2g(x, p=p, dp=dp, d2p=d2p):
             return (
-                float(d2p(x)) - 2.0 * x * float(dp(x)) + (x * x - 1.0) * float(p(x))
+                _horner(d2p, x) - 2.0 * x * _horner(dp, x) + (x * x - 1.0) * _horner(p, x)
             ) * math.exp(-0.5 * x * x)
 
         out.append((g, dg, d2g))

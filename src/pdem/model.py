@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from .errors import BelowContinuum, DomainError, LevelOutOfRange
+from .errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
 from .types import FunctionPair
 
 # Distinguished return value of potential() at and behind the wall.  A named
@@ -326,8 +326,16 @@ def energy_for_wavenumber(params, q):
     """
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
-    c0 = 0.25 * (q * q + 1.0) + params.b2**2
-    return c0 * params.hbar**2 / (2.0 * params.m0 * params.a**2)
+    try:
+        c0 = 0.25 * (q * q + 1.0) + params.b2**2
+        energy_value = c0 * params.hbar**2 / (2.0 * params.m0 * params.a**2)
+    except OverflowError:  # float ** raises where * would give inf
+        energy_value = math.inf
+    if not math.isfinite(energy_value):  # an infinite c0 makes it inf or NaN
+        raise DomainError(
+            f"the energy for q={q} leaves the float range at (lambda0 a)^2={params.b2}"
+        )
+    return energy_value
 
 
 def continuum_state(params, energy_value, scale=1.0 + 0.0j):
@@ -408,13 +416,28 @@ def continuum_wavefunction_with_derivatives(state, params, x):
     d2z = 2.0 * z / xa**2
     dw = (-g - params.b2) / xa + params.wall_scale / xa**2
     d2w = (g + params.b2) / xa**2 - 2.0 * params.wall_scale / xa**3
-    s = state.scale
-    psi = s * _exp_scaled_complex(w_log, f0)
-    dpsi = s * _exp_scaled_complex(w_log, dw * f0 + f1 * dz)
-    d2psi = s * _exp_scaled_complex(
-        w_log, (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z
-    )
-    return psi, dpsi, d2psi
+
+    def combinations(f0, f1, f2):
+        return (
+            f0,
+            dw * f0 + f1 * dz,
+            (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z,
+        )
+
+    parts = combinations(f0, f1, f2)
+    if not all(map(cmath.isfinite, parts)):
+        # Near the wall 1F1 sits close to the float ceiling and the products
+        # with dz overflow.  Divide the three series by a common power of two
+        # (exact) and fold it into W, as specfun.exp_scaled does.
+        _, shift = math.frexp(max(abs(c) for f in (f0, f1, f2) for c in (f.real, f.imag)))
+        f0, f1, f2 = (math.ldexp(1.0, -shift) * f for f in (f0, f1, f2))
+        w_log += shift * specfun._LN2
+        parts = combinations(f0, f1, f2)
+        if not all(map(cmath.isfinite, parts)):
+            raise NonConvergence(
+                f"continuum derivatives at x={x} leave the float range"
+            )
+    return tuple(state.scale * _exp_scaled_complex(w_log, f) for f in parts)
 
 
 def alpha0(params, x):

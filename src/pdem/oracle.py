@@ -1,13 +1,16 @@
 """Independent numerical machinery that validates the closed forms.
 
 A flux-form finite-difference discretization of the variable-mass kinetic
-operator, a Sturm-sequence bisection eigensolver for the resulting symmetric
-tridiagonal matrices, adaptive Gauss-Kronrod quadrature, and a pointwise
-ODE-residual meter.  Nothing in this module reuses the model's closed forms,
-so agreement between the two is a real cross-check.
+operator, a Sturm-sequence eigensolver for the resulting symmetric
+tridiagonal matrices (bisection isolates each level, Newton steps on the
+characteristic polynomial refine it, and Sturm counts certify a bracket of
+1e-12 relative width around it), adaptive Gauss-Kronrod quadrature, and a
+pointwise ODE-residual meter.  Nothing in this module reuses the model's
+closed forms, so agreement between the two is a real cross-check.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +53,12 @@ _PANEL_GAUSS = np.zeros(15)
 _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
-_BISECT_MAX_ITER = 200
+_REL_TOL = 1e-12  # eigenvalue bracket width, relative to max(1, |lo|, |hi|)
+_MAX_SWEEPS = 200  # Sturm sweeps per eigenvalue
+# Relative Newton step below which a step that fails to halve is taken for
+# rounding noise: the pivots' rounding moves the computed zero of det(H - lam)
+# by up to about 1e-10 relative on the 150000-row test matrix.
+_NEWTON_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,23 +145,147 @@ def _sturm_count(d, e2, lam, pivmin):
     return count
 
 
-def _bisect_eigenvalue(d, e2, pivmin, index, lo, hi, rel_tol=1e-12):
-    """The index-th smallest eigenvalue by bisection on the Sturm count."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _sturm_count(d, e2, mid, pivmin) > index:
-            hi = mid
+def _sturm_newton(d, e2, lam, pivmin):
+    """(count, s): the Sturm count below lam and s = d/dlam log|det(H - lam)|.
+
+    The pivots q_i of H - lam have derivatives q_i' = -1 + e2_i q_{i-1}'/q_{i-1}^2,
+    and s = sum q_i'/q_i.  Carrying t = q'/q forms only ratios, so nothing
+    overflows the way det itself would.  A pivmin nudge makes s NaN.
+    """
+    count = 0
+    q = 1.0
+    t = 0.0
+    s = 0.0
+    for di, e2i in zip(d, e2):
+        r = e2i / q
+        q = di - lam - r
+        if q < 0.0:
+            count += 1
+        elif q < pivmin:
+            q = pivmin
+            s = math.nan  # the nudged pivot has no derivative
+        t = (r * t - 1.0) / q
+        s += t
+    return count, s
+
+
+class _Bracket:
+    """[lo, hi] around eigenvalue j, with the Sturm counts of its ends.
+
+    Starts from the tightest bracket that the (shift, count below shift)
+    pairs in known prove, or from upper, a bound that is not a count, if that
+    is lower.  Every sweep appends its pair to known and moves the end on its
+    side.  At most _MAX_SWEEPS sweeps are made.
+    """
+
+    def __init__(self, d, e2, pivmin, j, known, upper):
+        self.d, self.e2, self.pivmin, self.j, self.known = d, e2, pivmin, j, known
+        self.lo, self.below_lo = max((x, c) for x, c in known if c <= j)
+        self.hi, self.below_hi = min((x, c) for x, c in known if c > j)
+        if upper < self.hi:
+            self.hi, self.below_hi = upper, None
+        self.sweeps = 0
+
+    def tol(self):
+        return _REL_TOL * max(1.0, abs(self.lo), abs(self.hi))
+
+    def done(self):
+        """Is the bracket closed, at adjacent floats, or out of sweeps?"""
+        return (
+            self.hi - self.lo <= self.tol()
+            or not self.inside(self.midpoint())
+            or self.sweeps >= _MAX_SWEEPS
+        )
+
+    def isolated(self):
+        """Do the end counts prove that eigenvalue j is alone in the bracket?"""
+        return self.below_lo == self.j and self.below_hi == self.j + 1
+
+    def inside(self, x):
+        return self.lo < x < self.hi  # False for NaN and for the ends
+
+    def midpoint(self):
+        return 0.5 * (self.lo + self.hi)
+
+    def _move(self, x, below):
+        self.known.append((x, below))
+        self.sweeps += 1
+        if below > self.j:
+            self.hi, self.below_hi = x, below
         else:
-            lo = mid
-        if hi - lo <= rel_tol * max(1.0, abs(lo), abs(hi)):
+            self.lo, self.below_lo = x, below
+
+    def count(self, x):
+        self._move(x, _sturm_count(self.d, self.e2, x, self.pivmin))
+
+    def newton(self, x):
+        """Sweep at x and return the Newton iterate from it (NaN if none)."""
+        below, s = _sturm_newton(self.d, self.e2, x, self.pivmin)
+        self._move(x, below)
+        return x - 1.0 / s if s != 0.0 else math.nan
+
+
+def _bisect(bracket, until_isolated=False):
+    while not bracket.done() and not (until_isolated and bracket.isolated()):
+        bracket.count(bracket.midpoint())
+
+
+def _eigenvalue(d, e2, pivmin, j, known, upper):
+    """Eigenvalue j, the midpoint of a bracket certified by Sturm counts.
+
+    Bisection runs until the bracket holds eigenvalue j alone.  Newton steps
+    on det(H - lam) follow, each sweep also moving an end by its count; a step
+    that leaves the bracket, has no derivative or grows is replaced by the
+    midpoint.  Once a step is below the tolerance, count-only probes at
+    x -/+ w around the last iterate, with w just under half the tolerance,
+    certify it.  Near the rounding floor, where steps stop halving, w is the
+    last step instead.  A window that misses the eigenvalue is widened
+    fourfold, which costs fewer sweeps than bisecting from a far end, and
+    bisection closes what is left of the window.
+    """
+    bracket = _Bracket(d, e2, pivmin, j, known, upper)
+    _bisect(bracket, until_isolated=True)
+    x = bracket.midpoint()
+    step = math.inf
+    while not bracket.done() and bracket.isolated():
+        nxt = bracket.newton(x)
+        if nxt != x and not bracket.inside(nxt):  # overshoot, or no derivative
+            x, step = bracket.midpoint(), math.inf
+            continue
+        last, step, x = step, abs(nxt - x), nxt
+        if step <= bracket.tol():
             break
-    return 0.5 * (lo + hi)
+        if 2.0 * step > last and step <= _NEWTON_FLOOR * max(1.0, abs(x)):
+            break  # rounding noise
+        if step >= last:
+            x, step = bracket.midpoint(), math.inf
+    w = 0.45 * _REL_TOL * max(1.0, abs(x)) if step <= bracket.tol() else step
+    while not bracket.done():
+        if bracket.inside(x - w):
+            bracket.count(x - w)
+        elif bracket.inside(x + w):
+            bracket.count(x + w)
+        elif x - w <= bracket.lo and bracket.hi <= x + w:
+            break
+        else:
+            w *= 4.0
+    _bisect(bracket)
+    return bracket.midpoint()
 
 
 def lowest_eigenvalues(matrix, k):
-    """k smallest eigenvalues by Sturm-sequence bisection, 1e-12 relative."""
+    """The k smallest eigenvalues, ascending, each certified by Sturm counts.
+
+    Eigenvalue j is the midpoint of a bracket [lo, hi] with
+    hi - lo <= 1e-12 max(1, |lo|, |hi|) that provably holds it: each end is a
+    shift whose Sturm count (the number of eigenvalues below it) puts
+    eigenvalue j on the inner side, or a Gershgorin bound, or, for the lowest
+    level, min(diag), a Rayleigh quotient.  Every count is kept, so a level
+    starts from the tightest bracket the earlier levels proved.  Bisection
+    isolates the level; Newton steps on det(H - lam), whose derivative comes
+    from the same pass over the rows, refine it; and count-only probes
+    certify the result.
+    """
     n = matrix.dimension
     if k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -165,13 +297,11 @@ def lowest_eigenvalues(matrix, k):
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     pivmin = max(max(e2), 1.0) * 1e-292
-    lo = float(np.min(diag - radius))
-    hi_bound = float(np.max(diag + radius))
+    known = [(float(np.min(diag - radius)), 0), (float(np.max(diag + radius)), n)]
+    upper = float(np.min(diag))
     eigenvalues = []
     for j in range(k):
-        lam = _bisect_eigenvalue(d, e2, pivmin, j, lo, hi_bound)
-        eigenvalues.append(lam)
-        lo = lam  # the next eigenvalue cannot lie below this one
+        eigenvalues.append(_eigenvalue(d, e2, pivmin, j, known, upper if j == 0 else math.inf))
     return eigenvalues
 
 

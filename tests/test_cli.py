@@ -79,6 +79,16 @@ def test_level_cap_returns_quickly(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_limit_continuum_huge_a_exits_2(capsys):
+    # (lambda0 a)^2 = 1e200 squared leaves the float range
+    from pdem import cli
+
+    argv = ["limit", "--kind", "continuum", "--a-value", "1e100", "--a-value", "2e100"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("spectrum", "--bogus", "1")
     assert proc.returncode == 2

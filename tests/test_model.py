@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -353,6 +354,21 @@ def test_continuum_derivative_consistency(params_a2):
             - model.continuum_wavefunction(st, params_a2, x - h)
         ) / (2.0 * h)
         assert abs(d1 - fd) <= 1e-7 * max(abs(d1), abs(fd))
+
+
+def test_continuum_derivatives_near_the_float_ceiling():
+    # 1F1 is about 1e305 here and dz about -1.2e4: the derivative
+    # combinations overflowed, and inf - inf made psi' and psi'' NaN
+    p = ModelParams(m0=1.1935946360922827, omega=0.904459361662152,
+                    hbar=1.1512635808456528, a=2.9318389391856883)
+    e = 1.9365413279563122 * model.well_depth(p)
+    st = model.continuum_state(p, e)
+    x = -2.8690331019395243
+    values = model.continuum_wavefunction_with_derivatives(st, p, x)
+    assert all(cmath.isfinite(v) for v in values)
+    assert values[0] == pytest.approx(model.continuum_wavefunction(st, p, x), rel=1e-13)
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
+    assert oracle.ode_residual(p, psi, e, x) <= 1e-6
 
 
 # ---------------------------------------------------------------- factorization

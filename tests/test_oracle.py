@@ -74,6 +74,59 @@ def test_against_numpy_dense():
     assert np.allclose(got, ref[:5], atol=1e-10)
 
 
+def dense_eigenvalues(m):
+    return np.linalg.eigvalsh(np.diag(m.diag) + np.diag(m.off, 1) + np.diag(m.off, -1))
+
+
+def test_degenerate_reducible_matrix():
+    # zero off-diagonal: the double eigenvalue 1 is never alone in a bracket,
+    # so levels 0 and 1 finish by bisection
+    m = Tridiagonal(diag=np.array([1.0, 1.0, 3.0]), off=np.zeros(2))
+    assert np.allclose(oracle.lowest_eigenvalues(m, 3), dense_eigenvalues(m), atol=1e-10)
+
+
+def test_wilkinson_w21_plus():
+    # the top pairs of W21+ agree to about 1e-14
+    m = Tridiagonal(diag=np.abs(np.arange(-10.0, 11.0)), off=np.ones(20))
+    assert np.allclose(oracle.lowest_eigenvalues(m, 21), dense_eigenvalues(m), atol=1e-10)
+
+
+def test_negative_spectrum():
+    rng = np.random.default_rng(3)
+    m = Tridiagonal(diag=rng.standard_normal(40) - 50.0, off=rng.standard_normal(39))
+    ref = dense_eigenvalues(m)
+    assert ref[-1] < 0.0
+    assert np.allclose(oracle.lowest_eigenvalues(m, 40), ref, atol=1e-10)
+
+
+def test_every_k_of_a_random_matrix():
+    rng = np.random.default_rng(11)
+    m = Tridiagonal(diag=rng.standard_normal(60), off=rng.standard_normal(59))
+    ref = dense_eigenvalues(m)
+    for k in range(1, 61):
+        assert np.allclose(oracle.lowest_eigenvalues(m, k), ref[:k], atol=1e-10)
+
+
+def test_ground_level_sweep_count(monkeypatch):
+    # passes over the rows for the ground level of an fd-spectrum matrix:
+    # 64 count passes by bisection alone
+    p = ModelParams(a=math.sqrt(12.0))
+    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=p.a + 40.0 / p.lambda0, count=8000)
+    H = oracle.build_hamiltonian(p, grid)
+    passes = []
+    for name in ("_sturm_count", "_sturm_newton"):
+        sweep = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, sweep=sweep: passes.append(1) or sweep(*args)
+        )
+    [lam] = oracle.lowest_eigenvalues(H, 1)
+    assert len(passes) <= 25
+    ref = scipy.linalg.eigh_tridiagonal(
+        H.diag, H.off, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-14
+    )
+    assert lam == pytest.approx(ref[0], rel=1e-11, abs=0.0)
+
+
 def test_eigenvectors_residual_and_normalization():
     # the bisection eigenvalues of a model Hamiltonian against LAPACK's dense solver
     grid = Grid(x_min=-1.9, x_max=30.0, count=2000)

@@ -7,6 +7,7 @@ invocations produce byte-identical output.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,6 +18,10 @@ from . import __version__, canonical, checks, limits, model
 from .errors import PdemError
 
 _WALL_TOKEN = "inf"
+
+# Most sample points --points admits.  Above it the grid alone would take
+# gigabytes, and numpy's MemoryError would escape as a traceback.
+POINTS_CAP = 1_000_000
 
 
 def _add_common(parser):
@@ -87,6 +92,8 @@ def _sample_grid(args, params):
         args.x_max = 3.0 * params.a
     if not args.x_min < args.x_max:
         raise PdemError(f"--x-min must be below --x-max, got [{args.x_min}, {args.x_max}]")
+    if args.points > POINTS_CAP:
+        raise PdemError(f"--points {args.points} exceeds the cap of {POINTS_CAP}")
     return np.linspace(args.x_min, args.x_max, args.points)
 
 
@@ -221,7 +228,11 @@ def cmd_limit(args):
     raise PdemError(f"unknown limit kind {args.kind!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged (every repeatable option defaults to None, so each parse gets a
+    list of its own)."""
     parser = argparse.ArgumentParser(
         prog="pdem",
         description="Semi-infinite step-harmonic quantum well with "

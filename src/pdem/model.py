@@ -403,15 +403,14 @@ def continuum_wavefunction(state, params, x):
 def continuum_wavefunction_with_derivatives(state, params, x):
     """(psi_E, psi_E', psi_E'') with analytic derivatives.
 
-    Uses d/dz 1F1(g; m; z) = (g/m) 1F1(g+1; m+1; z) twice over, plus the
-    logarithmic derivatives of the complex prefactor.
+    1F1 and its first two z-derivatives come from one pass over the Kummer
+    series; the chain rule adds the logarithmic derivatives of the complex
+    prefactor.
     """
     w_log, z = _continuum_parts(state, params, x)
     xa = x + params.a
-    g, mu = state.gamma, state.mu
-    f0 = specfun.kummer_1f1(g, mu, z)
-    f1 = g / mu * specfun.kummer_1f1(g + 1, mu + 1, z)
-    f2 = g * (g + 1) / (mu * (mu + 1)) * specfun.kummer_1f1(g + 2, mu + 2, z)
+    g = state.gamma
+    f0, f1, f2 = specfun.kummer_1f1(g, state.mu, z, derivatives=True)
     dz = -z / xa
     d2z = 2.0 * z / xa**2
     dw = (-g - params.b2) / xa + params.wall_scale / xa**2
@@ -427,7 +426,7 @@ def continuum_wavefunction_with_derivatives(state, params, x):
     parts = combinations(f0, f1, f2)
     if not all(map(cmath.isfinite, parts)):
         # Near the wall 1F1 sits close to the float ceiling and the products
-        # with dz overflow.  Divide the three series by a common power of two
+        # with dz overflow.  Divide the three rows by a common power of two
         # (exact) and fold it into W, as specfun.exp_scaled does.
         _, shift = math.frexp(max(abs(c) for f in (f0, f1, f2) for c in (f.real, f.imag)))
         f0, f1, f2 = (math.ldexp(1.0, -shift) * f for f in (f0, f1, f2))

@@ -53,6 +53,10 @@ _PANEL_GAUSS = np.zeros(15)
 _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
+# Most interior points a Grid admits.  The eigensolver's passes are pure
+# Python over the rows (about 0.25 s per level at 10^5 rows), so a larger
+# grid would be hours of work and its row lists gigabytes.
+GRID_CAP = 1_000_000
 _REL_TOL = 1e-12  # eigenvalue bracket width, relative to max(1, |lo|, |hi|)
 _MAX_SWEEPS = 200  # Sturm sweeps per eigenvalue
 # Relative Newton step below which a step that fails to halve is taken for
@@ -78,6 +82,8 @@ class Grid:
             raise ValueError(f"x_min must be below x_max, got [{self.x_min}, {self.x_max}]")
         if self.count < 3:
             raise ValueError(f"need at least 3 interior points, got {self.count}")
+        if self.count > GRID_CAP:
+            raise ValueError(f"{self.count} interior points exceed the cap of {GRID_CAP}")
 
     @property
     def spacing(self):

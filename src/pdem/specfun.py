@@ -9,8 +9,10 @@ the degree (Gil, Segura and Temme, Numerical Methods for Special Functions,
 SIAM 2007, ch. 4).  The *_scaled forms hand mantissa and exponent to
 exp_scaled, which folds the exponent into a log-space prefactor.  Bessel
 polynomials get a direct terminating-series fallback because their recurrence
-coefficients have poles in the alpha parameter.  The Kummer series 1F1 and the
-Lanczos log-gamma are scalar.
+coefficients have poles in the alpha parameter.  The Kummer series 1F1 takes
+scalar parameters and argument but sums its terms as numpy arrays, chunk by
+chunk, with its first two z-derivatives as extra rows of the same pass; the
+Lanczos log-gamma is scalar.
 """
 
 import math
@@ -38,6 +40,9 @@ _RESCALE_EVERY = 8
 _KUMMER_MAX_TERMS = 100_000
 _KUMMER_REL_EPS = 1e-16
 _KUMMER_CONSECUTIVE = 8
+# Terms per chunk of the Kummer series at most.  The first chunk covers the
+# terms up to a little past their peak near k = z, so most sums take one.
+_KUMMER_CHUNK_CAP = 2048
 _INTEGER_EPS = 1e-12
 
 # Lanczos coefficients, g = 7, 9 terms (double precision).
@@ -255,19 +260,29 @@ def _near_nonpositive_integer(v):
     return None
 
 
-def kummer_1f1(a_param, b_param, z):
-    """Confluent hypergeometric series 1F1(a; b; z) for real argument z.
+def kummer_1f1(a_param, b_param, z, derivatives=False):
+    """Confluent hypergeometric series 1F1(a; b; z) for real argument z, and
+    with derivatives the tuple (F, dF/dz, d^2F/dz^2) from the same pass.
 
-    Sums sum_k (a)_k / (b)_k * z^k / k! until the term stays below
-    1e-16 of the partial sum for 8 consecutive terms.  Parameters may be
-    complex; the result is complex.  If a is a non-positive integer (within
-    1e-12) the series terminates exactly at k = -a.
+    The terms t_k = (a)_k / (b)_k * z^k / k! come in chunks: a chunk forms
+    the ratios (a+k)/(b+k) * z/(k+1), np.cumprod turns them into terms
+    (continuing from the last term of the chunk before) and np.cumsum into
+    partial sums.  The derivatives are the rows sum_k (k/z) t_k and
+    sum_k k(k-1)/z^2 t_k, weighted so that each row stays at the scale of F
+    (plain k and k(k-1) weights overflow near the float ceiling).  The first
+    chunk is sized from z, because the terms peak near k = z; later chunks
+    double, up to _KUMMER_CHUNK_CAP terms.  Parameters may be complex; the
+    results are complex.
 
-    Raises PolePivot when b is a non-positive integer, and NonConvergence if
-    the 1e5-term cap is reached (or the terms overflow) before the stopping
-    criterion is met, or if the converged sum is smaller than 1e-13 of the
+    Each row stops once its term stays below 1e-16 of its partial sum for 8
+    consecutive terms, and is refused with NonConvergence if its partial sum
+    (or a term's modulus) is not finite before then, if the 1e5-term cap is
+    reached first, or if the sum it stops at is smaller than 1e-13 of its
     largest partial sum: such a result would be pure cancellation noise and
-    refusing beats returning it.
+    refusing beats returning it.  If a is a non-positive integer (within
+    1e-12) the series terminates exactly at k = -a, with no stopping rule, and
+    is refused only if it is longer than the cap or not finite.  Raises
+    PolePivot when b is a non-positive integer.
     """
     a = complex(a_param)
     b = complex(b_param)
@@ -275,49 +290,116 @@ def kummer_1f1(a_param, b_param, z):
         raise PolePivot(f"1F1 lower parameter {b_param!r} is a non-positive integer")
     z = float(z)
     if z == 0.0:
-        return complex(1.0)
-
+        values = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))
+        return values if derivatives else values[0]
+    rows = 3 if derivatives else 1
+    call = (a_param, b_param, z)
     terminal = _near_nonpositive_integer(a)
-    if terminal is not None:
-        total = complex(1.0)
-        term = complex(1.0)
-        for k in range(-terminal):
-            term *= (a + k) / (b + k) * z / (k + 1.0)
-            total += term
-        return total
-
-    total = complex(1.0)
-    term = complex(1.0)
-    peak = 1.0
-    small_count = 0
-    for k in range(_KUMMER_MAX_TERMS):
-        term *= (a + k) / (b + k) * z / (k + 1.0)
-        total += term
-        try:
-            size = abs(total)
-            small = abs(term) < _KUMMER_REL_EPS * size
-        except OverflowError:  # finite parts whose modulus leaves the float range
-            size = math.inf
-        if not math.isfinite(size):
-            raise NonConvergence(
-                f"1F1({a_param!r}; {b_param!r}; {z!r}) overflowed after {k + 1} terms"
-            )
-        peak = max(peak, size)
-        if small:
-            small_count += 1
-            if small_count >= _KUMMER_CONSECUTIVE:
-                if size < 1e-13 * peak:
-                    # the sum cancelled down to round-off noise; no digits left
-                    raise NonConvergence(
-                        f"1F1({a_param!r}; {b_param!r}; {z!r}) lost all precision "
-                        f"to cancellation (peak {peak:.3e}, result {size:.3e})"
-                    )
-                return total
+    with np.errstate(all="ignore"):  # overflow and NaN are refused below
+        if terminal is None:
+            sums = _kummer_converged(a, b, z, rows, call)
         else:
-            small_count = 0
-    raise NonConvergence(
-        f"1F1({a_param!r}; {b_param!r}; {z!r}) hit the {_KUMMER_MAX_TERMS}-term cap"
-    )
+            sums = _kummer_terminating(a, b, z, -terminal, rows, call)
+    values = tuple(complex(v) for v in sums)
+    return values if derivatives else values[0]
+
+
+def _kummer_label(call, row=0):
+    """How a refusal names the series (call is kummer_1f1's a, b and z)."""
+    return ("", "d/dz ", "d^2/dz^2 ")[row] + "1F1({!r}; {!r}; {!r})".format(*call)
+
+
+def _kummer_chunks(a, b, z, rows, limit):
+    """Yield (term_moduli, partial_sums), each of shape (rows, n), chunk by
+    chunk over the term indices 1 .. limit; row 0 is the series of 1F1, rows
+    1 and 2 its z-derivatives (see kummer_1f1)."""
+    term = complex(1.0)
+    total = np.zeros(rows, dtype=complex)
+    total[0] = 1.0
+    start = 0
+    reach = abs(z) + 10.0 * math.sqrt(abs(z)) + 16.0  # past the peak of the terms
+    size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
+    while start < limit:
+        k = np.arange(start, min(start + size, limit), dtype=float)
+        k1 = k + 1.0  # the index of the term that k's ratio ends at
+        ratios = (a + k) / (b + k) * z / k1
+        ratios[0] *= term
+        terms = np.empty((rows, len(k)), dtype=complex)
+        np.cumprod(ratios, out=terms[0])
+        term = terms[0, -1]
+        if rows > 1:
+            weight = k1 / z
+            np.multiply(weight, terms[0], out=terms[1])
+            np.multiply(weight * (k / z), terms[0], out=terms[2])
+        moduli = np.abs(terms)
+        # the running total leads the chunk, so the sums add up in series order
+        terms[:, 0] += total
+        sums = np.cumsum(terms, axis=1, out=terms)
+        total = sums[:, -1]
+        yield moduli, sums
+        start += len(k)
+        size = min(2 * size, _KUMMER_CHUNK_CAP)
+
+
+def _kummer_converged(a, b, z, rows, call):
+    """Each row's sum under the stopping and refusal rules of kummer_1f1."""
+    results = [None] * rows
+    peak = [1.0] + [0.0] * (rows - 1)  # |partial sum| before the first term
+    run = np.zeros((rows, 1), dtype=np.int64)  # small terms ending the last chunk
+    start = 0
+    for term_size, sums in _kummer_chunks(a, b, z, rows, _KUMMER_MAX_TERMS):
+        n = sums.shape[1]
+        size = np.abs(sums)
+        finite = np.isfinite(size - term_size)  # both moduli finite
+        index = np.arange(n)
+        # length of the run of consecutive small terms ending at each index
+        last_large = np.maximum.accumulate(
+            np.where(term_size < _KUMMER_REL_EPS * size, -1, index), axis=1
+        )
+        run_length = index - last_large + np.where(last_large < 0, run, 0)
+        stopped = run_length >= _KUMMER_CONSECUTIVE
+        peaks = np.maximum.accumulate(size, axis=1)
+        stop, first_bad = stopped.argmax(axis=1), finite.argmin(axis=1)
+        for row in range(rows):
+            if results[row] is not None:
+                continue
+            done = stopped[row, stop[row]]
+            end = stop[row] if done else n - 1
+            if not finite[row, first_bad[row]] and first_bad[row] <= end:
+                raise NonConvergence(
+                    f"{_kummer_label(call, row)} overflowed after "
+                    f"{start + first_bad[row] + 1} terms"
+                )
+            peak[row] = max(peak[row], peaks[row, end])
+            if not done:
+                continue
+            if size[row, end] < 1e-13 * peak[row]:
+                # the sum cancelled down to round-off noise; no digits left
+                raise NonConvergence(
+                    f"{_kummer_label(call, row)} lost all precision to cancellation "
+                    f"(peak {peak[row]:.3e}, result {size[row, end]:.3e})"
+                )
+            results[row] = sums[row, end]
+        if all(r is not None for r in results):
+            return results
+        run = run_length[:, -1:]
+        start += n
+    raise NonConvergence(f"{_kummer_label(call)} hit the {_KUMMER_MAX_TERMS}-term cap")
+
+
+def _kummer_terminating(a, b, z, degree, rows, call):
+    """The rows of a series that ends at term index degree, summed in full."""
+    if degree > _KUMMER_MAX_TERMS:
+        raise NonConvergence(
+            f"{_kummer_label(call)} terminates beyond the {_KUMMER_MAX_TERMS}-term cap"
+        )
+    sums = np.zeros(rows, dtype=complex)
+    sums[0] = 1.0
+    for _, chunk_sums in _kummer_chunks(a, b, z, rows, degree):
+        sums = chunk_sums[:, -1]
+    if not np.isfinite(sums).all():
+        raise NonConvergence(f"{_kummer_label(call)} overflowed")
+    return sums
 
 
 def log_gamma(x):

@@ -89,6 +89,47 @@ def test_limit_continuum_huge_a_exits_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--points", "1000001"],
+    ["wavefunction", "--points", str(10**15)],
+    ["verify", "--check", "eigensolver", "--grid-points", "1000001"],
+    ["verify", "--check", "eigensolver", "--grid-points", str(10**15)],
+], ids=["profile", "wavefunction", "verify", "verify-huge"])
+def test_grid_size_caps_exit_2(argv, capsys):
+    # refused before any grid is built: numpy's MemoryError would escape
+    # the handler, and a huge eigensolver grid would take hours
+    from pdem import cli
+
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1
+
+
+def test_main_reuses_one_parser(capsys):
+    # main parses with one parser per process; no repeatable option or
+    # default may carry over from one call to the next
+    from pdem import cli
+
+    runs = [
+        ["wavefunction", "--n", "0", "--n", "1", "--points", "7"],
+        ["wavefunction", "--n", "2", "--points", "7"],
+        ["limit", "--kind", "continuum", "--a-value", "2", "--a-value", "4", "--format", "json"],
+    ]
+    shared = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        shared.append(capsys.readouterr())
+    assert cli.build_parser() is cli.build_parser()
+    for argv, output in zip(runs, shared):
+        cli.build_parser.cache_clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == output
+    assert "psi_1" in shared[0].out and "psi_1" not in shared[1].out
+    assert "psi_2" in shared[1].out and "psi_0" not in shared[1].out
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("spectrum", "--bogus", "1")
     assert proc.returncode == 2

@@ -371,6 +371,20 @@ def test_continuum_derivatives_near_the_float_ceiling():
     assert oracle.ode_residual(p, psi, e, x) <= 1e-6
 
 
+def test_continuum_derivatives_where_the_shifted_series_overflows():
+    # 1F1(gamma+2; mu+2; z) passes the float ceiling here, so psi'' cannot
+    # be formed from it; the second-derivative row of the Kummer pass stays
+    # at the scale of 1F1 and is finite
+    p = ModelParams(m0=0.8036636425628807, omega=1.0583284126759975,
+                    hbar=0.8822517611399388, a=6.640185800703747)
+    e = 2.6686308611205227 * model.well_depth(p)
+    st = model.continuum_state(p, e)
+    x = -6.016991990732793
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
+    assert all(cmath.isfinite(v) for v in psi(x))
+    assert oracle.ode_residual(p, psi, e, x) <= 1e-6
+
+
 # ---------------------------------------------------------------- factorization
 
 def test_alpha0_values():

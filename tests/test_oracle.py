@@ -23,6 +23,13 @@ def test_grid_invariants():
         Grid(x_min=0.0, x_max=1.0, count=2)
 
 
+def test_grid_cap():
+    # a Grid holds three numbers, so neither call allocates the points
+    assert Grid(x_min=0.0, x_max=1.0, count=oracle.GRID_CAP).count == oracle.GRID_CAP
+    with pytest.raises(ValueError, match="cap"):
+        Grid(x_min=0.0, x_max=1.0, count=oracle.GRID_CAP + 1)
+
+
 # ---------------------------------------------------------------- hamiltonian build
 
 def test_build_rejects_wall_touching_grid(params_a2):

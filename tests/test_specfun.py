@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -207,6 +208,177 @@ def test_kummer_modulus_overflow_raises():
         specfun.kummer_1f1(
             complex(-8.5, 2.8017851452243816), complex(1.0, 5.603570290448763), 815.2173913043468
         )
+
+
+def _kummer_scalar_loop(a_param, b_param, z):
+    """1F1 summed term by term in a Python loop under the same rules, the
+    reference for kummer_1f1: (sum, largest |partial sum|, terms summed)."""
+    a = complex(a_param)
+    b = complex(b_param)
+    z = float(z)
+    terminal = specfun._near_nonpositive_integer(a)
+    if terminal is not None:
+        total = complex(1.0)
+        term = complex(1.0)
+        peak = 1.0
+        for k in range(-terminal):
+            term *= (a + k) / (b + k) * z / (k + 1.0)
+            total += term
+            peak = max(peak, abs(total))
+        return total, peak, -terminal
+    total = complex(1.0)
+    term = complex(1.0)
+    peak = 1.0
+    small_count = 0
+    for k in range(100_000):
+        term *= (a + k) / (b + k) * z / (k + 1.0)
+        total += term
+        try:
+            size = abs(total)
+            small = abs(term) < 1e-16 * size
+        except OverflowError:
+            size = math.inf
+        if not math.isfinite(size):
+            raise NonConvergence("overflow")
+        peak = max(peak, size)
+        if small:
+            small_count += 1
+            if small_count >= 8:
+                if size < 1e-13 * peak:
+                    raise NonConvergence("cancellation")
+                return total, peak, k + 1
+        else:
+            small_count = 0
+    raise NonConvergence("term cap")
+
+
+def _kummer_sweep():
+    """Seeded (a, b, z): complex parameters with z log-uniform on
+    [1e-3, 8e4], continuum-like parameters, cancelling sums, terminating a,
+    and z = inf."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for _ in range(160):
+        a = complex(rng.uniform(-40.0, 12.0), rng.uniform(-12.0, 12.0))
+        b = complex(rng.uniform(0.2, 6.0), rng.uniform(-25.0, 25.0))
+        cases.append((a, b, float(10.0 ** rng.uniform(-3.0, math.log10(8e4)))))
+    for _ in range(60):  # gamma = (1 - 2 b^2)/2 + i q/2, mu = 1 + i q, as in the continuum
+        b2, q = rng.uniform(1.0, 64.0), rng.uniform(0.5, 12.0)
+        cases.append((complex(0.5 - b2, 0.5 * q), complex(1.0, q), float(rng.uniform(0.5, 900.0))))
+    for _ in range(30):  # large negative a: sums that cancel through many decades
+        a = complex(rng.uniform(-70.0, -25.0), rng.uniform(0.0, 3.0))
+        cases.append((a, complex(1.0, rng.uniform(0.5, 6.0)), float(rng.uniform(40.0, 130.0))))
+    for n in (0, 1, 3, 7, 12, 30):
+        cases.append((-n, complex(rng.uniform(0.5, 4.0), rng.uniform(-3.0, 3.0)), 2.5 + n))
+    for n in (2, 4, 9):  # within 1e-12 of an integer, a + 1 and a + 2 too
+        cases.append((-n + 1e-13, 1.5, -1.0 - n))
+    cases += [(complex(-3.5, 1.0), complex(1.0, 2.0), math.inf), (0.5, 1.5, math.inf)]
+    return cases
+
+
+def _kummer_rows_reference(a, b, z, rows):
+    """(value, peak, terms) of each row from the scalar loop, with
+    d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z) for the derivative rows."""
+    a, b = complex(a), complex(b)
+    results = []
+    factor = complex(1.0)
+    for j in range(rows):
+        value, peak, terms = _kummer_scalar_loop(a + j, b + j, z)
+        results.append((factor * value, abs(factor) * peak, terms))
+        factor *= (a + j) / (b + j)
+    return results
+
+
+def _refused(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), False
+    except NonConvergence:
+        return None, True
+
+
+@pytest.mark.parametrize("chunk_cap", [None, 5])
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_kummer_matches_the_scalar_loop(derivatives, chunk_cap, monkeypatch):
+    # Same refusals, and values within the rounding of the two routes: a
+    # random walk of last-bit differences over n + 1 terms, at the scale of the
+    # largest partial sum.  Chunks of 5 terms put every run of 8 small terms
+    # across a chunk boundary.
+    if chunk_cap is not None:
+        monkeypatch.setattr(specfun, "_KUMMER_CHUNK_CAP", chunk_cap)
+    eps = np.finfo(float).eps
+    refusals = 0
+    for a, b, z in _kummer_sweep():
+        expected, old_refused = _refused(_kummer_rows_reference, a, b, z, 3 if derivatives else 1)
+        got, new_refused = _refused(specfun.kummer_1f1, a, b, z, derivatives=derivatives)
+        assert new_refused == old_refused, (a, b, z)
+        refusals += new_refused
+        if new_refused:
+            continue
+        for value, (ref, peak, terms) in zip(got if derivatives else (got,), expected):
+            assert abs(value - ref) <= 16.0 * eps * math.sqrt(terms + 1) * peak, (a, b, z)
+    assert 0 < refusals < len(_kummer_sweep())
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_kummer_non_finite_argument_raises(z):
+    with pytest.raises(NonConvergence):
+        specfun.kummer_1f1(complex(-3.5, 1.0), complex(1.0, 2.0), z)
+    with pytest.raises(NonConvergence):
+        specfun.kummer_1f1(0.25, 1.75, z, derivatives=True)
+
+
+def test_kummer_term_cap_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 20)
+    with pytest.raises(NonConvergence, match="20-term cap"):
+        specfun.kummer_1f1(0.25, 1.75, 50.0)
+    with pytest.raises(NonConvergence, match="20-term cap"):
+        specfun.kummer_1f1(-30, 1.75, 50.0)
+
+
+def test_kummer_terminating_overflow_raises():
+    # the sum is not finite, which the scalar loop returns as it is
+    assert not cmath.isfinite(_kummer_scalar_loop(-400, 0.5, 1e6)[0])
+    with pytest.raises(NonConvergence):
+        specfun.kummer_1f1(-400, 0.5, 1e6)
+
+
+def test_kummer_derivative_rows_stay_at_the_scale_of_f():
+    # a continuum point 0.62 off the wall: 1F1(a+2; b+2; z) leaves the float
+    # range, so the scalar loop refuses it, but (a)_2/(b)_2 1F1(a+2; b+2; z),
+    # the second derivative, is about 5e307 and its row stays finite
+    a, b, z = complex(-42.00722036172869, 54.90663593733891), complex(1, 109.81327187467782), 905.8364719203213
+    with pytest.raises(NonConvergence):
+        _kummer_scalar_loop(a + 2, b + 2, z)
+    mpmath.mp.dps = 30
+    ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+    for j, value in enumerate(specfun.kummer_1f1(a, b, z, derivatives=True)):
+        ref = complex(mpmath.rf(ma, j) / mpmath.rf(mb, j) * mpmath.hyp1f1(ma + j, mb + j, z))
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_kummer_derivatives_at_zero():
+    a, b = complex(-3.5, 1.0), complex(1.0, 2.0)
+    f, df, d2f = specfun.kummer_1f1(a, b, 0.0, derivatives=True)
+    assert (f, df, d2f) == (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
+
+
+@pytest.mark.parametrize("z", [0.5, 3.0, 12.0, 40.0])
+def test_kummer_derivatives_against_mpmath(z):
+    mpmath.mp.dps = 30
+    cases = [
+        (complex(-3.5, 1.0), complex(1.0, 2.0)),
+        (complex(-7.5, 0.5), complex(1.0, 1.0)),
+        (complex(0.25, 0.0), complex(1.75, 0.0)),
+    ]
+    for a, b in cases:
+        ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+        refs = (
+            mpmath.hyp1f1(ma, mb, z),
+            ma / mb * mpmath.hyp1f1(ma + 1, mb + 1, z),
+            ma * (ma + 1) / (mb * (mb + 1)) * mpmath.hyp1f1(ma + 2, mb + 2, z),
+        )
+        for value, ref in zip(specfun.kummer_1f1(a, b, z, derivatives=True), map(complex, refs)):
+            assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------- log gamma

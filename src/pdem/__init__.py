@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 
 from .canonical import (
     CanonicalParams,
-    LadderDirection,
-    apply_ladder,
     canonical_energy,
-    canonical_state_pair,
     canonical_wavefunction,
     canonical_wavefunction_derivative,
 )
@@ -39,7 +36,6 @@ from .model import (
     alpha0,
     apply_lowering,
     bound_state,
-    bound_state_pair,
     continuum_state,
     continuum_wavefunction,
     continuum_wavefunction_with_derivatives,
@@ -51,7 +47,6 @@ from .model import (
     normalization,
     potential,
     wavefunction,
-    wavefunction_derivative,
     wavefunction_with_derivatives,
     well_depth,
 )
@@ -65,10 +60,8 @@ from .oracle import (
 )
 from .specfun import (
     bessel_poly,
-    bessel_poly_with_derivatives,
     hermite,
     kummer_1f1,
     laguerre,
     log_gamma,
 )
-from .types import FunctionPair

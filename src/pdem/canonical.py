@@ -7,13 +7,11 @@ factorization cross-checks.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .types import FunctionPair
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,6 @@ class CanonicalParams:
     @property
     def lambda0(self):
         return math.sqrt(self.m0 * self.omega / self.hbar)
-
-
-class LadderDirection(Enum):
-    RAISE = "raise"
-    LOWER = "lower"
 
 
 def canonical_energy(params, n):
@@ -79,25 +72,15 @@ def canonical_wavefunction_derivative(params, n, x):
     return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, g, exponent)
 
 
-def canonical_state_pair(params, n):
-    """FunctionPair (psi_n, psi_n') with analytic derivatives."""
-    return FunctionPair(
-        value=lambda x: canonical_wavefunction(params, n, x),
-        derivative=lambda x: canonical_wavefunction_derivative(params, n, x),
-    )
-
-
-def apply_ladder(params, direction, f, x):
-    """Ladder operators (lambda0^2 x -/+ d/dx) / (sqrt(2) lambda0) applied to f.
-
-    RAISE uses the minus sign on the derivative, LOWER the plus sign; LOWER
-    annihilates the ground state.  f supplies value and derivative at x.
-    """
+def apply_raising(params, x, psi, dpsi):
+    """Raising operator (lambda0^2 x - d/dx) / (sqrt(2) lambda0) on a function
+    with values psi and derivatives dpsi at x (scalars or arrays)."""
     lam0 = params.lambda0
-    v = f.value(x)
-    d = f.derivative(x)
-    if direction is LadderDirection.RAISE:
-        return (lam0**2 * x * v - d) / (math.sqrt(2.0) * lam0)
-    if direction is LadderDirection.LOWER:
-        return (lam0**2 * x * v + d) / (math.sqrt(2.0) * lam0)
-    raise ValueError(f"unknown ladder direction {direction!r}")
+    return specfun.shaped_like(x, (lam0**2 * x * psi - dpsi) / (math.sqrt(2.0) * lam0))
+
+
+def apply_lowering(params, x, psi, dpsi):
+    """Lowering operator (lambda0^2 x + d/dx) / (sqrt(2) lambda0) on a function
+    with values psi and derivatives dpsi at x; annihilates the ground state."""
+    lam0 = params.lambda0
+    return specfun.shaped_like(x, (lam0**2 * x * psi + dpsi) / (math.sqrt(2.0) * lam0))

@@ -10,9 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import canonical, limits, model, oracle
-from .canonical import LadderDirection
-from .types import FunctionPair
+from . import canonical, limits, model, oracle, specfun
+
+# Defaults of pdem verify: the a values of the checks run per a, and the
+# grid points and relative tolerance of the eigensolver check.
+A_VALUES = (1.0, 2.0)
+GRID_POINTS = 32000
+EIGEN_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def check_ground_state(a_values=(1.0, 2.0, 3.0, 4.0, 10.0)):
     )
 
 
-def check_spectrum_shape(a_values=(1.0, 2.0)):
+def check_spectrum_shape(a_values=A_VALUES):
     detail = "gaps positive and decreasing; all levels at or below the depth"
     for a in a_values:
         p = model.ModelParams(a=a)
@@ -101,7 +105,7 @@ def check_spectrum_shape(a_values=(1.0, 2.0)):
     return CheckResult("spectrum-shape", True, "ok", "", detail)
 
 
-def check_orthonormality(a_values=(1.0, 2.0), tol=1e-10):
+def check_orthonormality(a_values=A_VALUES, tol=1e-10):
     worst = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
@@ -116,7 +120,7 @@ def check_orthonormality(a_values=(1.0, 2.0), tol=1e-10):
     )
 
 
-def check_dual_form(a_values=(1.0, 2.0), tol=1e-10, points=200):
+def check_dual_form(a_values=A_VALUES, tol=1e-10, points=200):
     worst = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
@@ -140,7 +144,7 @@ def _interior_grid(lo, hi, count):
     return np.linspace(lo + 0.05 * span, hi - 0.05 * span, count)
 
 
-def check_ode_residual(a_values=(1.0, 2.0), tol=1e-6):
+def check_ode_residual(a_values=A_VALUES, tol=1e-6):
     worst = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
@@ -176,20 +180,9 @@ def check_continuum_residual(a=2.0, fractions=(1.25, 1.5, 2.0), tol=1e-6):
     )
 
 
-def _horner(coeffs, x):
-    """sum(c_k x^k) over the coefficient tuple (c_0, c_1, ...), in floats."""
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
-def _derivative(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
-
-
-def _gaussian_battery():
-    """Test functions p(x) exp(-x^2/2) with analytic derivative triples."""
+def _gaussian_battery(x):
+    """Test functions p(x) exp(-x^2/2) and their first two derivatives on the
+    grid x, as three arrays with one row per polynomial p."""
     polys = [
         (1.0,),
         (0.0, 1.0),
@@ -197,70 +190,47 @@ def _gaussian_battery():
         (0.0, -0.5, 0.0, 1.0),
         (0.3, 0.0, -3.0, 0.0, 1.0),
     ]
-    out = []
-    for p in polys:
-        dp = _derivative(p)
-        d2p = _derivative(dp)
-
-        def g(x, p=p):
-            return _horner(p, x) * math.exp(-0.5 * x * x)
-
-        def dg(x, p=p, dp=dp):
-            return (_horner(dp, x) - x * _horner(p, x)) * math.exp(-0.5 * x * x)
-
-        def d2g(x, p=p, dp=dp, d2p=d2p):
-            return (
-                _horner(d2p, x) - 2.0 * x * _horner(dp, x) + (x * x - 1.0) * _horner(p, x)
-            ) * math.exp(-0.5 * x * x)
-
-        out.append((g, dg, d2g))
-    return out
+    gauss = np.exp(-0.5 * x * x)
+    g, dg, d2g = [], [], []
+    for coeffs in polys:
+        p = np.polynomial.Polynomial(coeffs)
+        dp, d2p = p.deriv(), p.deriv(2)
+        g.append(p(x) * gauss)
+        dg.append((dp(x) - x * p(x)) * gauss)
+        d2g.append((d2p(x) - 2.0 * x * dp(x) + (x * x - 1.0) * p(x)) * gauss)
+    return np.array(g), np.array(dg), np.array(d2g)
 
 
 def check_factorization(a_values=(2.0,), tol_annihilate=1e-12, tol_commutator=1e-8):
     worst_lower = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
-        pair = model.bound_state_pair(p, 0)
         xs = np.linspace(-a + 0.05 * a, a + 8.0 / p.lambda0, 60)
-        psi = pair.value(xs)
+        psi, dpsi, _ = model.bound_state(p, 0).psi_with_derivatives(xs)
         keep = np.abs(psi) >= 1e-280
-        lowered = model.apply_lowering(p, pair, xs[keep])
+        lowered = model.apply_lowering(p, xs[keep], psi[keep], dpsi[keep])
         worst_lower = max(worst_lower, float(np.max(np.abs(lowered) / np.abs(psi[keep]))))
 
     cp = canonical.CanonicalParams()
     xs = np.linspace(-3.0, 3.0, 25)
-    lowered = canonical.apply_ladder(
-        cp, LadderDirection.LOWER, canonical.canonical_state_pair(cp, 0), xs
+    psi = canonical.canonical_wavefunction(cp, 0, xs)
+    lowered = canonical.apply_lowering(
+        cp, xs, psi, canonical.canonical_wavefunction_derivative(cp, 0, xs)
     )
-    worst_can = float(np.max(np.abs(lowered) / np.abs(canonical.canonical_wavefunction(cp, 0, xs))))
+    worst_can = float(np.max(np.abs(lowered) / np.abs(psi)))
 
-    lam0 = cp.lambda0
-    rt = math.sqrt(2.0) * lam0
-    worst_comm = 0.0
-    for g, dg, d2g in _gaussian_battery():
-        raise_pair = FunctionPair(
-            value=lambda x, g=g, dg=dg: canonical.apply_ladder(
-                cp, LadderDirection.RAISE, FunctionPair(g, dg), x
-            ),
-            derivative=lambda x, g=g, dg=dg, d2g=d2g: (
-                lam0**2 * g(x) + lam0**2 * x * dg(x) - d2g(x)
-            ) / rt,
-        )
-        lower_pair = FunctionPair(
-            value=lambda x, g=g, dg=dg: canonical.apply_ladder(
-                cp, LadderDirection.LOWER, FunctionPair(g, dg), x
-            ),
-            derivative=lambda x, g=g, dg=dg, d2g=d2g: (
-                lam0**2 * g(x) + lam0**2 * x * dg(x) + d2g(x)
-            ) / rt,
-        )
-        for x in np.linspace(-3.0, 3.0, 25):
-            x = float(x)
-            comm = canonical.apply_ladder(
-                cp, LadderDirection.LOWER, raise_pair, x
-            ) - canonical.apply_ladder(cp, LadderDirection.RAISE, lower_pair, x)
-            worst_comm = max(worst_comm, abs(comm - g(x)) / max(1.0, abs(g(x))))
+    # [lower, raise] g = g, with the derivatives of raise g and lower g by hand
+    lam0_sq = cp.lambda0**2
+    rt = math.sqrt(2.0) * cp.lambda0
+    g, dg, d2g = _gaussian_battery(xs)
+    raised = canonical.apply_raising(cp, xs, g, dg)
+    d_raised = (lam0_sq * g + lam0_sq * xs * dg - d2g) / rt
+    lowered = canonical.apply_lowering(cp, xs, g, dg)
+    d_lowered = (lam0_sq * g + lam0_sq * xs * dg + d2g) / rt
+    comm = canonical.apply_lowering(cp, xs, raised, d_raised) - canonical.apply_raising(
+        cp, xs, lowered, d_lowered
+    )
+    worst_comm = float(np.max(np.abs(comm - g) / np.maximum(1.0, np.abs(g))))
 
     ok = worst_lower <= tol_annihilate and worst_can <= tol_annihilate and worst_comm <= tol_commutator
     return CheckResult(
@@ -271,7 +241,8 @@ def check_factorization(a_values=(2.0,), tol_annihilate=1e-12, tol_commutator=1e
     )
 
 
-def check_eigensolver(a=2.0, grid_points=32000, x_max=140.0, levels=(0, 1), tol=1e-5):
+def check_eigensolver(a=2.0, grid_points=GRID_POINTS, x_max=140.0, levels=(0, 1),
+                      tol=EIGEN_TOL):
     """FD eigenvalues against the closed-form spectrum on an adequate box.
 
     Near-threshold levels converge only polynomially in the box size (their
@@ -314,28 +285,22 @@ def check_convergence(a=2.0, x_max=300.0, counts=(12500, 25000, 50000, 100000),
 
 def check_bessel_hermite(rate_nus=(1e4, 4e4, 1.6e5), sup_nu=2e8, sup_tol=0.05,
                          window=(0.35, 0.65)):
-    from . import specfun
-
     grid = np.linspace(-2.0, 2.0, 17)
-    hermites = {n: specfun.hermite(n, grid).tolist() for n in range(7)}
+    hermites = [specfun.hermite(n, grid) for n in range(7)]
 
-    def err(n, nu):
-        return max(
-            abs(limits.scaled_bessel(n, float(x), nu) - h) for x, h in zip(grid, hermites[n])
-        )
+    def errors(n, nu):
+        return np.abs(limits.scaled_bessel(n, grid, nu) - hermites[n])
 
     ratios = []
     for n in range(1, 7):
         for nu in rate_nus:
-            e1, e4 = err(n, nu), err(n, 4.0 * nu)
+            e1, e4 = float(np.max(errors(n, nu))), float(np.max(errors(n, 4.0 * nu)))
             if e1 > 1e-8:
                 ratios.append(e4 / e1)
     rate_ok = all(window[0] <= r <= window[1] for r in ratios)
 
     sup = max(
-        abs(limits.scaled_bessel(n, float(x), sup_nu) - h) / max(1.0, abs(h))
-        for n in range(7)
-        for x, h in zip(grid, hermites[n])
+        float(np.max(errors(n, sup_nu) / np.maximum(1.0, np.abs(hermites[n])))) for n in range(7)
     )
     ok = rate_ok and sup <= sup_tol
     return CheckResult(
@@ -406,7 +371,7 @@ CHECKS = {
 DEFAULT_CHECKS = tuple(name for name, (_, default) in CHECKS.items() if default)
 
 
-def run_checks(names=None, a_values=(1.0, 2.0), grid_points=32000, eigen_tol=1e-5):
+def run_checks(names=None, a_values=A_VALUES, grid_points=GRID_POINTS, eigen_tol=EIGEN_TOL):
     """Run the named checks (default set if names is None); returns results."""
     if names is None:
         names = DEFAULT_CHECKS

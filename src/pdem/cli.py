@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, checks, limits, model
+from . import __version__, canonical, checks, limits, model, specfun
 from .errors import PdemError
 
 _WALL_TOKEN = "inf"
@@ -22,6 +22,9 @@ _WALL_TOKEN = "inf"
 # Most sample points --points admits.  Above it the grid alone would take
 # gigabytes, and numpy's MemoryError would escape as a traceback.
 POINTS_CAP = 1_000_000
+
+# Default a values of the energy and wavefunction sweeps of pdem limit.
+_SWEEP_A_VALUES = (3.0, 5.0, 10.0, 20.0)
 
 
 def _add_common(parser):
@@ -158,7 +161,7 @@ def cmd_wavefunction(args):
 
 
 def cmd_verify(args):
-    a_values = tuple(args.a_list) if args.a_list else (1.0, 2.0)
+    a_values = tuple(args.a_list) if args.a_list else checks.A_VALUES
     for a in a_values:
         model.ModelParams(m0=args.m0, omega=args.omega, hbar=args.hbar, a=a)
     names = tuple(args.check) if args.check else None
@@ -172,60 +175,73 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def cmd_limit(args):
-    params_kw = dict(m0=args.m0, omega=args.omega, hbar=args.hbar)
-    if args.kind == "bessel-hermite":
-        from . import specfun
-
-        nus = args.nu or [1e4, 4e4, 1.6e5, 6.4e5]
-        n = args.n[0] if args.n else 2
-        target = specfun.hermite(n, args.x)
+def _limit_bessel_hermite(args, params_kw):
+    nus = args.nu or [1e4, 4e4, 1.6e5, 6.4e5]
+    n = args.n[0] if args.n else 2
+    # scaled_bessel runs first: it refuses a degree above its cap before any
+    # recurrence, the Hermite one included, runs.  Overflow is refused below.
+    with np.errstate(over="ignore"):
         scaled = [limits.scaled_bessel(n, args.x, nu) for nu in nus]
-        _emit(
-            "limit",
-            {"kind": args.kind, "n": n, "x": args.x, "hermite": target},
-            {
-                "nu": list(nus),
-                "scaled_bessel": scaled,
-                "abs_error": [abs(s - target) for s in scaled],
-            },
-            args,
-        )
-        return 0
+        target = specfun.hermite(n, args.x)
+    errors = [abs(s - target) for s in scaled]
+    if not all(map(math.isfinite, [target, *scaled, *errors])):
+        raise PdemError(f"H_{n}({args.x}) or its scaled Bessel limit leaves the float range")
+    _emit(
+        "limit",
+        {"kind": args.kind, "n": n, "x": args.x, "hermite": target},
+        {"nu": list(nus), "scaled_bessel": scaled, "abs_error": errors},
+        args,
+    )
 
-    a_values = args.a_list or ([3.0, 5.0, 10.0, 20.0] if args.kind != "continuum" else [2.0, 4.0])
-    if args.kind == "energy":
-        n = args.n[0] if args.n else 1
-        rows = {"a": [], "energy": [], "canonical_energy": [], "gap": []}
-        for a in a_values:
-            p = model.ModelParams(a=a, **params_kw)
-            ref = canonical.CanonicalParams(**params_kw)
-            rows["a"].append(a)
-            rows["energy"].append(model.energy(p, n).energy)
-            rows["canonical_energy"].append(canonical.canonical_energy(ref, n))
-            rows["gap"].append(limits.energy_gap(p, n))
-        _emit("limit", {"kind": args.kind, "n": n}, rows, args)
-        return 0
-    if args.kind == "wavefunction":
-        n = args.n[0] if args.n else 0
-        ds = [
-            limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n, tol=args.tol)
-            for a in a_values
-        ]
-        _emit("limit", {"kind": args.kind, "n": n}, {"a": list(a_values), "l2_distance": ds}, args)
-        return 0
-    if args.kind == "continuum":
-        sweep = limits.continuum_magnitude(
-            [model.ModelParams(a=a, **params_kw) for a in a_values], args.q, args.x
-        )
-        _emit(
-            "limit",
-            {"kind": args.kind, "q": args.q, "x": args.x},
-            {"a": sweep.parameter_values, "magnitude": sweep.metric_values},
-            args,
-        )
-        return 0
-    raise PdemError(f"unknown limit kind {args.kind!r}")
+
+def _limit_energy(args, params_kw):
+    n = args.n[0] if args.n else 1
+    rows = {"a": [], "energy": [], "canonical_energy": [], "gap": []}
+    for a in args.a_list or _SWEEP_A_VALUES:
+        p = model.ModelParams(a=a, **params_kw)
+        ref = canonical.CanonicalParams(**params_kw)
+        rows["a"].append(a)
+        rows["energy"].append(model.energy(p, n).energy)
+        rows["canonical_energy"].append(canonical.canonical_energy(ref, n))
+        rows["gap"].append(limits.energy_gap(p, n))
+    _emit("limit", {"kind": args.kind, "n": n}, rows, args)
+
+
+def _limit_wavefunction(args, params_kw):
+    n = args.n[0] if args.n else 0
+    a_values = args.a_list or _SWEEP_A_VALUES
+    ds = [
+        limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n, tol=args.tol)
+        for a in a_values
+    ]
+    _emit("limit", {"kind": args.kind, "n": n}, {"a": list(a_values), "l2_distance": ds}, args)
+
+
+def _limit_continuum(args, params_kw):
+    a_values = args.a_list or [2.0, 4.0]
+    sweep = limits.continuum_magnitude(
+        [model.ModelParams(a=a, **params_kw) for a in a_values], args.q, args.x
+    )
+    _emit(
+        "limit",
+        {"kind": args.kind, "q": args.q, "x": args.x},
+        {"a": sweep.parameter_values, "magnitude": sweep.metric_values},
+        args,
+    )
+
+
+# Every --kind of pdem limit, by name.
+LIMITS = {
+    "bessel-hermite": _limit_bessel_hermite,
+    "energy": _limit_energy,
+    "wavefunction": _limit_wavefunction,
+    "continuum": _limit_continuum,
+}
+
+
+def cmd_limit(args):
+    LIMITS[args.kind](args, dict(m0=args.m0, omega=args.omega, hbar=args.hbar))
+    return 0
 
 
 @functools.cache
@@ -262,22 +278,21 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="run the verification battery")
     vp.add_argument("--a", type=float, action="append", dest="a_list",
-                    help="semiconfinement length (repeatable; default 1 and 2)")
+                    help=f"semiconfinement length (repeatable; default {checks.A_VALUES})")
     vp.add_argument("--m0", type=float, default=1.0)
     vp.add_argument("--omega", type=float, default=1.0)
     vp.add_argument("--hbar", type=float, default=1.0)
     vp.add_argument("--check", action="append",
                     help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
-    vp.add_argument("--grid-points", type=int, default=32000,
+    vp.add_argument("--grid-points", type=int, default=checks.GRID_POINTS,
                     help="interior points for the eigensolver check")
-    vp.add_argument("--tol", type=float, default=1e-5,
+    vp.add_argument("--tol", type=float, default=checks.EIGEN_TOL,
                     help="relative tolerance for the eigensolver check")
     vp.set_defaults(func=cmd_verify)
 
     lp = sub.add_parser("limit", help="limit-relation sweep tables")
     _add_common(lp)
-    lp.add_argument("--kind", choices=("bessel-hermite", "energy", "wavefunction", "continuum"),
-                    default="bessel-hermite")
+    lp.add_argument("--kind", choices=tuple(LIMITS), default="bessel-hermite")
     lp.add_argument("--n", type=int, action="append", help="level or polynomial degree")
     lp.add_argument("--nu", type=float, action="append", help="scaling parameter (repeatable)")
     lp.add_argument("--q", type=float, default=2.0, help="continuum wavenumber parameter")

@@ -10,7 +10,9 @@ polynomials; it is exercised here directly.
 import math
 from dataclasses import dataclass
 
-from . import canonical, model, oracle
+import numpy as np
+
+from . import canonical, model, oracle, specfun
 from .errors import DomainError
 
 
@@ -20,7 +22,6 @@ class LimitSweep:
 
     parameter_values: list
     metric_values: list
-    metric_name: str
 
     def __post_init__(self):
         if len(self.parameter_values) != len(self.metric_values):
@@ -31,36 +32,28 @@ class LimitSweep:
 
 
 def scaled_bessel(n, x, nu):
-    """(-1)^n (2 nu)^(n/2) y_n(2/nu + (2/nu) sqrt(2/nu) x; -nu).
+    """(-1)^n (2 nu)^(n/2) y_n(2/nu + (2/nu) sqrt(2/nu) x; -nu), at a scalar x
+    (giving a float) or elementwise on an array.
 
-    Tends to H_n(x) as nu -> infinity.  The scaling is folded into the
-    recurrence itself: with Y_k = (-1)^k (2 nu)^(k/2) y_k the step becomes
-        Y_{k+1} = [-sqrt(2 nu) A_k] Y_k + [2 nu B_k] Y_{k-1},
-    whose coefficients tend to 2x and -2n, so every intermediate stays at the
-    Hermite scale and no huge-times-tiny products ever form.
+    Tends to H_n(x) as nu -> infinity.  specfun.bessel_poly_scaled keeps y_n
+    as a mantissa and a base-2 exponent, and the factor (2 nu)^(n/2) joins
+    that exponent in log space, so no huge-times-tiny product ever forms.
+    A degree above model.LEVEL_CAP, the cap on bound levels, is refused
+    before any recurrence runs.
     """
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
-    if not nu > 2.0 * n + 1.0:
+    if n > model.LEVEL_CAP:
+        raise DomainError(f"degree {n} exceeds the cap of {model.LEVEL_CAP}")
+    if not 2.0 * n + 1.0 < nu < math.inf:
         raise DomainError(
-            f"need nu > 2n+1 = {2 * n + 1} to stay inside the orthogonality "
+            f"need a finite nu > 2n+1 = {2 * n + 1} to stay inside the orthogonality "
             f"window and clear of recurrence poles, got nu={nu}"
         )
-    if n == 0:
-        return 1.0
-    alpha = -nu
-    root = math.sqrt(2.0 / nu)
-    z = (2.0 / nu) * (1.0 + root * x)
-    ym1 = 1.0
-    y = -math.sqrt(2.0 * nu) * (1.0 + 0.5 * (2.0 + alpha) * z)
-    for k in range(1, n):
-        denom = 2.0 * (k + alpha + 1.0) * (2.0 * k + alpha)
-        ak = (2.0 * k + alpha + 1.0) * (
-            2.0 * alpha + (2.0 * k + alpha) * (2.0 * k + alpha + 2.0) * z
-        ) / denom
-        bk = 2.0 * k * (2.0 * k + alpha + 2.0) / denom
-        ym1, y = y, (-math.sqrt(2.0 * nu) * ak) * y + (2.0 * nu * bk) * ym1
-    return y
+    x = np.asarray(x, dtype=float)
+    z = (2.0 / nu) * (1.0 + math.sqrt(2.0 / nu) * x)
+    exponent, y, _, _ = specfun.bessel_poly_scaled(n, -nu, z)
+    return specfun.exp_scaled(0.5 * n * math.log(2.0 * nu), -y if n % 2 else y, exponent)
 
 
 def energy_gap(params, n):
@@ -95,7 +88,7 @@ def wavefunction_distance(params, n, tol=1e-10):
     return min(plus, minus)
 
 
-def continuum_magnitude(params_family, q_fixed, x, scale=1.0 + 0.0j):
+def continuum_magnitude(params_family, q_fixed, x):
     """|psi_E(x)| across a family of parameter sets at fixed continuum q.
 
     Members must come in order of strictly increasing a; each energy is the
@@ -105,11 +98,7 @@ def continuum_magnitude(params_family, q_fixed, x, scale=1.0 + 0.0j):
     a_values = []
     for params in params_family:
         e = model.energy_for_wavenumber(params, q_fixed)
-        state = model.continuum_state(params, e, scale=scale)
+        state = model.continuum_state(params, e)
         values.append(abs(model.continuum_wavefunction(state, params, x)))
         a_values.append(params.a)
-    return LimitSweep(
-        parameter_values=a_values,
-        metric_values=values,
-        metric_name=f"|psi_E({x})| at q={q_fixed}",
-    )
+    return LimitSweep(parameter_values=a_values, metric_values=values)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import specfun
 from .errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
-from .types import FunctionPair
 
 # Distinguished return value of potential() at and behind the wall.  A named
 # +inf rather than an exception so oracle grids can probe the wall region.
@@ -116,8 +115,8 @@ class ContinuousState:
 
     q > 0 is the a-independent wavenumber-like parameter with
     q^2 = 4 c0 - 4 (lambda0 a)^4 - 1; mu = 1 + iq and
-    gamma = (1 - 2 lambda0^2 a^2 + iq)/2 are complex.  The overall amplitude
-    is the caller's choice (no delta normalization is attached).
+    gamma = (1 - 2 lambda0^2 a^2 + iq)/2 are complex.  The amplitude is
+    that of the closed form itself (no delta normalization is attached).
     """
 
     energy: float
@@ -125,7 +124,6 @@ class ContinuousState:
     q: float
     gamma: complex
     mu: complex
-    scale: complex = 1.0 + 0.0j
 
 
 class WavefunctionForm(Enum):
@@ -312,12 +310,6 @@ def wavefunction_with_derivatives(params, n, x):
     return bound_state(params, n).psi_with_derivatives(x)
 
 
-def wavefunction_derivative(params, n, x):
-    """Analytic d psi_n / dx; matches central finite differences of
-    wavefunction() to ~1e-6 relative wherever psi is not vanishingly small."""
-    return wavefunction_with_derivatives(params, n, x)[1]
-
-
 def energy_for_wavenumber(params, q):
     """Energy whose continuum parameter equals q (inverts q^2 = 4c0 - 4b^4 - 1).
 
@@ -338,7 +330,7 @@ def energy_for_wavenumber(params, q):
     return energy_value
 
 
-def continuum_state(params, energy_value, scale=1.0 + 0.0j):
+def continuum_state(params, energy_value):
     """Scattering state at energy above the plateau.
 
     Raises BelowContinuum for E <= V_inf, and also for the thin band just
@@ -364,7 +356,6 @@ def continuum_state(params, energy_value, scale=1.0 + 0.0j):
         q=q,
         gamma=complex(0.5 * (1.0 - 2.0 * params.b2), 0.5 * q),
         mu=complex(1.0, q),
-        scale=complex(scale),
     )
 
 
@@ -388,7 +379,7 @@ def _exp_scaled_complex(w_log, factor):
 
 
 def continuum_wavefunction(state, params, x):
-    """psi_E(x) = scale (x/a+1)^(-gamma-b^2) e^(-l0^2 a^3/(x+a)) 1F1(gamma; mu; z)
+    """psi_E(x) = (x/a+1)^(-gamma-b^2) e^(-l0^2 a^3/(x+a)) 1F1(gamma; mu; z)
     with z = 2 l0^2 a^3 / (x+a).
 
     Close to the wall z grows without bound and the Kummer series leaves the
@@ -397,7 +388,7 @@ def continuum_wavefunction(state, params, x):
     """
     w_log, z = _continuum_parts(state, params, x)
     f = specfun.kummer_1f1(state.gamma, state.mu, z)
-    return state.scale * _exp_scaled_complex(w_log, f)
+    return _exp_scaled_complex(w_log, f)
 
 
 def continuum_wavefunction_with_derivatives(state, params, x):
@@ -436,7 +427,7 @@ def continuum_wavefunction_with_derivatives(state, params, x):
             raise NonConvergence(
                 f"continuum derivatives at x={x} leave the float range"
             )
-    return tuple(state.scale * _exp_scaled_complex(w_log, f) for f in parts)
+    return tuple(_exp_scaled_complex(w_log, f) for f in parts)
 
 
 def alpha0(params, x):
@@ -458,21 +449,11 @@ def kinetic_weight(params, x):
     return params.hbar**2 * (params.a + x) ** 2 / (2.0 * params.a**2 * params.m0)
 
 
-def apply_lowering(params, f, x):
-    """Factorization lowering operator sqrt(rho/hbar w) (d/dx - alpha0) on f.
-
-    f supplies value and derivative at x (a FunctionPair or anything with
-    .value/.derivative callables), a scalar or an array of positions.
-    Annihilates the ground state identically.
+def apply_lowering(params, x, psi, dpsi):
+    """Factorization lowering operator sqrt(rho/hbar w) (d/dx - alpha0) on a
+    function with values psi and derivatives dpsi at x, a scalar (giving a
+    float) or an array of positions.  Annihilates the ground state
+    identically.
     """
     coeff = np.sqrt(kinetic_weight(params, x) / (params.hbar * params.omega))
-    return specfun.shaped_like(x, coeff * (f.derivative(x) - alpha0(params, x) * f.value(x)))
-
-
-def bound_state_pair(params, n):
-    """FunctionPair (psi_n, psi_n') with analytic derivatives, for operator tests."""
-    state = bound_state(params, n)
-    return FunctionPair(
-        value=state.psi,
-        derivative=lambda x: state.psi_with_derivatives(x)[1],
-    )
+    return specfun.shaped_like(x, coeff * (dpsi - alpha0(params, x) * psi))

@@ -243,12 +243,6 @@ def bessel_poly(n, alpha, x):
     return shaped_like(x, np.ldexp(y, exponent))
 
 
-def bessel_poly_with_derivatives(n, alpha, x):
-    """y_n(x; alpha) together with its first two x-derivatives."""
-    exponent, *values = bessel_poly_scaled(n, alpha, x, derivatives=True)
-    return tuple(shaped_like(x, np.ldexp(v, exponent)) for v in values)
-
-
 def _near_nonpositive_integer(v):
     """Integer m <= 0 with |v - m| <= 1e-12, or None."""
     z = complex(v)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from pdem import canonical, oracle
-from pdem.canonical import CanonicalParams, LadderDirection
-from pdem.types import FunctionPair
+from pdem.canonical import CanonicalParams
 
 UNIT = CanonicalParams()
 
@@ -71,38 +70,37 @@ def test_orthonormality_by_quadrature():
 
 
 def test_lower_annihilates_ground_state():
-    pair = canonical.canonical_state_pair(UNIT, 0)
-    for x in np.linspace(-3.0, 3.0, 13):
-        x = float(x)
-        out = canonical.apply_ladder(UNIT, LadderDirection.LOWER, pair, x)
-        assert abs(out) <= 1e-12 * abs(canonical.canonical_wavefunction(UNIT, 0, x))
+    xs = np.linspace(-3.0, 3.0, 13)
+    psi = canonical.canonical_wavefunction(UNIT, 0, xs)
+    dpsi = canonical.canonical_wavefunction_derivative(UNIT, 0, xs)
+    out = canonical.apply_lowering(UNIT, xs, psi, dpsi)
+    assert np.all(np.abs(out) <= 1e-12 * np.abs(psi))
 
 
 def test_raise_maps_ground_to_first():
-    pair = canonical.canonical_state_pair(UNIT, 0)
-    for x in np.linspace(-3.0, 3.0, 25):
-        x = float(x)
-        raised = canonical.apply_ladder(UNIT, LadderDirection.RAISE, pair, x)
-        assert raised == pytest.approx(
-            canonical.canonical_wavefunction(UNIT, 1, x), rel=1e-8, abs=1e-10
-        )
+    xs = np.linspace(-3.0, 3.0, 25)
+    psi = canonical.canonical_wavefunction(UNIT, 0, xs)
+    dpsi = canonical.canonical_wavefunction_derivative(UNIT, 0, xs)
+    raised = canonical.apply_raising(UNIT, xs, psi, dpsi)
+    assert raised == pytest.approx(
+        canonical.canonical_wavefunction(UNIT, 1, xs), rel=1e-8, abs=1e-10
+    )
 
 
 def test_lower_on_constant():
-    pair = FunctionPair(value=lambda x: 1.0, derivative=lambda x: 0.0)
-    out = canonical.apply_ladder(UNIT, LadderDirection.LOWER, pair, 1.0)
+    out = canonical.apply_lowering(UNIT, 1.0, 1.0, 0.0)
+    assert type(out) is float
     assert out == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
-def _gaussian_triple(coeffs):
+def _gaussian_triple(coeffs, x):
     p = np.polynomial.Polynomial(coeffs)
     dp = p.deriv()
     d2p = dp.deriv()
-    g = lambda x: float(p(x)) * math.exp(-0.5 * x * x)
-    dg = lambda x: (float(dp(x)) - x * float(p(x))) * math.exp(-0.5 * x * x)
-    d2g = lambda x: (
-        float(d2p(x)) - 2.0 * x * float(dp(x)) + (x * x - 1.0) * float(p(x))
-    ) * math.exp(-0.5 * x * x)
+    gauss = np.exp(-0.5 * x * x)
+    g = p(x) * gauss
+    dg = (dp(x) - x * p(x)) * gauss
+    d2g = (d2p(x) - 2.0 * x * dp(x) + (x * x - 1.0) * p(x)) * gauss
     return g, dg, d2g
 
 
@@ -113,21 +111,16 @@ def _gaussian_triple(coeffs):
 def test_commutator_is_identity(coeffs):
     lam0 = UNIT.lambda0
     rt = math.sqrt(2.0) * lam0
-    g, dg, d2g = _gaussian_triple(coeffs)
-    raised = FunctionPair(
-        value=lambda x: canonical.apply_ladder(UNIT, LadderDirection.RAISE, FunctionPair(g, dg), x),
-        derivative=lambda x: (lam0**2 * g(x) + lam0**2 * x * dg(x) - d2g(x)) / rt,
+    xs = np.linspace(-3.0, 3.0, 25)
+    g, dg, d2g = _gaussian_triple(coeffs, xs)
+    raised = canonical.apply_raising(UNIT, xs, g, dg)
+    d_raised = (lam0**2 * g + lam0**2 * xs * dg - d2g) / rt
+    lowered = canonical.apply_lowering(UNIT, xs, g, dg)
+    d_lowered = (lam0**2 * g + lam0**2 * xs * dg + d2g) / rt
+    comm = canonical.apply_lowering(UNIT, xs, raised, d_raised) - canonical.apply_raising(
+        UNIT, xs, lowered, d_lowered
     )
-    lowered = FunctionPair(
-        value=lambda x: canonical.apply_ladder(UNIT, LadderDirection.LOWER, FunctionPair(g, dg), x),
-        derivative=lambda x: (lam0**2 * g(x) + lam0**2 * x * dg(x) + d2g(x)) / rt,
-    )
-    for x in np.linspace(-3.0, 3.0, 25):
-        x = float(x)
-        comm = canonical.apply_ladder(
-            UNIT, LadderDirection.LOWER, raised, x
-        ) - canonical.apply_ladder(UNIT, LadderDirection.RAISE, lowered, x)
-        assert abs(comm - g(x)) <= 1e-8 * max(1.0, abs(g(x)))
+    assert np.all(np.abs(comm - g) <= 1e-8 * np.maximum(1.0, np.abs(g)))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -137,15 +130,12 @@ def test_hamiltonian_factorization(n):
     rt = math.sqrt(2.0) * lam0
     e_n = canonical.canonical_energy(UNIT, n)
 
-    psi = lambda x: canonical.canonical_wavefunction(UNIT, n, x)
-    dpsi = lambda x: canonical.canonical_wavefunction_derivative(UNIT, n, x)
-    d2psi = lambda x: (lam0**4 * x * x - lam0**2 * (2.0 * n + 1.0)) * psi(x)
+    xs = np.linspace(-3.0, 3.0, 25)
+    psi = canonical.canonical_wavefunction(UNIT, n, xs)
+    dpsi = canonical.canonical_wavefunction_derivative(UNIT, n, xs)
+    d2psi = (lam0**4 * xs * xs - lam0**2 * (2.0 * n + 1.0)) * psi
 
-    lowered = FunctionPair(
-        value=lambda x: canonical.apply_ladder(UNIT, LadderDirection.LOWER, FunctionPair(psi, dpsi), x),
-        derivative=lambda x: (lam0**2 * psi(x) + lam0**2 * x * dpsi(x) + d2psi(x)) / rt,
-    )
-    for x in np.linspace(-3.0, 3.0, 25):
-        x = float(x)
-        h_psi = canonical.apply_ladder(UNIT, LadderDirection.RAISE, lowered, x) + 0.5 * psi(x)
-        assert abs(h_psi - e_n * psi(x)) <= 1e-8 * max(abs(e_n * psi(x)), 1e-12)
+    lowered = canonical.apply_lowering(UNIT, xs, psi, dpsi)
+    d_lowered = (lam0**2 * psi + lam0**2 * xs * dpsi + d2psi) / rt
+    h_psi = canonical.apply_raising(UNIT, xs, lowered, d_lowered) + 0.5 * psi
+    assert np.all(np.abs(h_psi - e_n * psi) <= 1e-8 * np.maximum(np.abs(e_n * psi), 1e-12))

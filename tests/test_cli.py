@@ -229,6 +229,25 @@ def test_limit_bessel_hermite_table():
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
+def test_limit_bessel_hermite_overflow_exits_2():
+    # H_400(0.3) leaves the float range; the table must not fill with nan
+    proc = run_cli("limit", "--kind", "bessel-hermite", "--n", "400", "--x", "0.3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_limit_bessel_hermite_degree_cap_exits_2(capsys):
+    from pdem import cli, model
+
+    start = time.perf_counter()
+    assert cli.main(["limit", "--kind", "bessel-hermite", "--n", "10001", "--nu", "1e13"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cap of {model.LEVEL_CAP}" in err
+
+
 def test_limit_energy_table():
     proc = run_cli("limit", "--kind", "energy", "--n", "1",
                    "--a-value", "2", "--a-value", "10")

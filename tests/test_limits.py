@@ -38,7 +38,21 @@ def test_scaled_bessel_domain():
     with pytest.raises(DomainError):
         limits.scaled_bessel(3, 0.0, 7.0)  # needs nu > 2n+1
     with pytest.raises(DomainError):
+        limits.scaled_bessel(2, 0.0, math.inf)
+    with pytest.raises(DomainError):
         limits.scaled_bessel(-1, 0.0, 100.0)
+    with pytest.raises(DomainError, match="cap"):
+        limits.scaled_bessel(model.LEVEL_CAP + 1, 0.0, 1e13)
+
+
+def test_scaled_bessel_array_matches_points():
+    xs = np.linspace(-2.0, 2.0, 17)
+    for n, nu in [(0, 1e4), (1, 1e4), (4, 4e4), (6, 2e8), (40, 1e6)]:
+        values = limits.scaled_bessel(n, xs, nu)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        points = [limits.scaled_bessel(n, float(x), nu) for x in xs]
+        assert all(type(v) is float for v in points)
+        assert values.tolist() == points
 
 
 def test_degree_two_approaches_hermite_at_origin():
@@ -156,9 +170,9 @@ def test_wavefunction_distance_range_check():
 
 def test_limit_sweep_invariants():
     with pytest.raises(ValueError):
-        LimitSweep([1.0, 2.0], [0.1], "m")
+        LimitSweep([1.0, 2.0], [0.1])
     with pytest.raises(ValueError):
-        LimitSweep([2.0, 1.0], [0.1, 0.2], "m")
+        LimitSweep([2.0, 1.0], [0.1, 0.2])
 
 
 def test_continuum_magnitude_decreases():
@@ -170,11 +184,6 @@ def test_continuum_magnitude_decreases():
     assert v2 == pytest.approx(0.4114357152, abs=1e-7)
     assert v4 == pytest.approx(0.2254856023, abs=1e-6)
     assert v4 < v2
-
-
-def test_continuum_magnitude_scale_zero(params_a2):
-    sweep = limits.continuum_magnitude([params_a2], 2.0, 1.0, scale=0.0)
-    assert sweep.metric_values == [0.0]
 
 
 def test_continuum_magnitude_large_a_exceeds_double_precision():

@@ -265,25 +265,19 @@ def test_high_level_normalization():
 def test_derivative_zero_at_ground_maximum():
     for a in (1.0, 2.0):
         p = ModelParams(a=a)
-        scale = abs(model.wavefunction(p, 0, 0.0))
-        assert abs(model.wavefunction_derivative(p, 0, 0.0)) <= 1e-8 * scale
+        psi, dpsi, _ = model.bound_state(p, 0).psi_with_derivatives(0.0)
+        assert abs(dpsi) <= 1e-8 * abs(psi)
 
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_derivative_matches_finite_differences(params_a2, n):
     h = 1e-5 * params_a2.a
     xs = np.linspace(-1.8, 14.0, 60)
-    peak = max(abs(model.wavefunction(params_a2, n, float(x))) for x in xs)
-    for x in xs:
-        x = float(x)
-        psi = model.wavefunction(params_a2, n, x)
-        if abs(psi) <= 1e-8 * peak:
-            continue
-        fd = (
-            model.wavefunction(params_a2, n, x + h) - model.wavefunction(params_a2, n, x - h)
-        ) / (2.0 * h)
-        d = model.wavefunction_derivative(params_a2, n, x)
-        assert abs(d - fd) <= 1e-6 * max(abs(d), abs(fd))
+    state = model.bound_state(params_a2, n)
+    psi, d, _ = state.psi_with_derivatives(xs)
+    fd = (state.psi(xs + h) - state.psi(xs - h)) / (2.0 * h)
+    keep = np.abs(psi) > 1e-8 * np.max(np.abs(psi))
+    assert np.all(np.abs(d - fd)[keep] <= 1e-6 * np.maximum(np.abs(d), np.abs(fd))[keep])
 
 
 # ---------------------------------------------------------------- continuum
@@ -308,16 +302,6 @@ def test_continuum_rejections(params_a2):
     # thin band above the plateau where q^2 <= 0
     with pytest.raises(BelowContinuum):
         model.continuum_state(params_a2, 2.01)
-
-
-def test_continuum_scale_linearity(params_a2):
-    st0 = model.continuum_state(params_a2, 3.0, scale=0.0)
-    assert model.continuum_wavefunction(st0, params_a2, 1.3) == 0.0
-    st1 = model.continuum_state(params_a2, 3.0, scale=1.0)
-    st2 = model.continuum_state(params_a2, 3.0, scale=2.5j)
-    v1 = model.continuum_wavefunction(st1, params_a2, 1.3)
-    v2 = model.continuum_wavefunction(st2, params_a2, 1.3)
-    assert v2 == pytest.approx(2.5j * v1, rel=1e-14)
 
 
 def test_continuum_domain_error(params_a2):
@@ -401,25 +385,23 @@ def test_kinetic_weight(params_a2):
 
 
 def test_lowering_annihilates_ground_state(params_a2):
-    pair = model.bound_state_pair(params_a2, 0)
-    for x in np.linspace(-1.9, 14.0, 50):
-        x = float(x)
-        psi = model.wavefunction(params_a2, 0, x)
-        if abs(psi) < 1e-280:
-            continue
-        assert abs(model.apply_lowering(params_a2, pair, x)) <= 1e-12 * abs(psi)
+    xs = np.linspace(-1.9, 14.0, 50)
+    psi, dpsi, _ = model.bound_state(params_a2, 0).psi_with_derivatives(xs)
+    keep = np.abs(psi) >= 1e-280
+    lowered = model.apply_lowering(params_a2, xs[keep], psi[keep], dpsi[keep])
+    assert np.all(np.abs(lowered) <= 1e-12 * np.abs(psi[keep]))
 
 
 def test_lowering_on_constant(params_a2):
-    from pdem.types import FunctionPair
-
     c = 0.7
-    pair = FunctionPair(value=lambda x: c, derivative=lambda x: 0.0)
-    x = 1.1
-    expected = -math.sqrt(
-        model.kinetic_weight(params_a2, x) / (params_a2.hbar * params_a2.omega)
-    ) * model.alpha0(params_a2, x) * c
-    assert model.apply_lowering(params_a2, pair, x) == pytest.approx(expected, rel=1e-15)
+    xs = np.array([-1.5, 1.1, 6.0])
+    expected = -np.sqrt(
+        model.kinetic_weight(params_a2, xs) / (params_a2.hbar * params_a2.omega)
+    ) * model.alpha0(params_a2, xs) * c
+    lowered = model.apply_lowering(params_a2, xs, np.full(3, c), np.zeros(3))
+    assert lowered == pytest.approx(expected, rel=1e-15)
+    scalar = model.apply_lowering(params_a2, 1.1, c, 0.0)
+    assert type(scalar) is float and scalar == pytest.approx(expected[1], rel=1e-15)
 
 
 def _alpha0_prime(p, x):
@@ -450,15 +432,10 @@ def test_hamiltonian_factorization(params_a2, n):
 def test_lowering_excited_state_not_proportional(params_a2):
     # the ladder algebra of the variable-mass well does not close: A- psi_1
     # is not a multiple of psi_0 (unlike the canonical oscillator)
-    pair1 = model.bound_state_pair(params_a2, 1)
     xs = np.linspace(-1.5, 10.0, 40)
-    peak = max(abs(model.wavefunction(params_a2, 0, float(x))) for x in xs)
-    ratios = []
-    for x in xs:
-        x = float(x)
-        psi0 = model.wavefunction(params_a2, 0, x)
-        if abs(psi0) < 1e-6 * peak:
-            continue
-        ratios.append(model.apply_lowering(params_a2, pair1, x) / psi0)
+    psi1, dpsi1, _ = model.bound_state(params_a2, 1).psi_with_derivatives(xs)
+    psi0 = model.wavefunction(params_a2, 0, xs)
+    keep = np.abs(psi0) >= 1e-6 * np.max(np.abs(psi0))
+    ratios = model.apply_lowering(params_a2, xs, psi1, dpsi1)[keep] / psi0[keep]
     spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
     assert spread > 0.5

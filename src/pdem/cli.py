@@ -163,7 +163,9 @@ def cmd_wavefunction(args):
 def cmd_verify(args):
     a_values = tuple(args.a_list) if args.a_list else checks.A_VALUES
     for a in a_values:
-        model.ModelParams(m0=args.m0, omega=args.omega, hbar=args.hbar, a=a)
+        model.ModelParams(a=a)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise PdemError(f"--tol must be finite and positive, got {args.tol}")
     names = tuple(args.check) if args.check else None
     results = checks.run_checks(
         names, a_values=a_values, grid_points=args.grid_points, eigen_tol=args.tol
@@ -279,9 +281,6 @@ def build_parser():
     vp = sub.add_parser("verify", help="run the verification battery")
     vp.add_argument("--a", type=float, action="append", dest="a_list",
                     help=f"semiconfinement length (repeatable; default {checks.A_VALUES})")
-    vp.add_argument("--m0", type=float, default=1.0)
-    vp.add_argument("--omega", type=float, default=1.0)
-    vp.add_argument("--hbar", type=float, default=1.0)
     vp.add_argument("--check", action="append",
                     help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
     vp.add_argument("--grid-points", type=int, default=checks.GRID_POINTS,

@@ -2,11 +2,15 @@
 
 A flux-form finite-difference discretization of the variable-mass kinetic
 operator, a Sturm-sequence eigensolver for the resulting symmetric
-tridiagonal matrices (bisection isolates each level, Newton steps on the
-characteristic polynomial refine it, and Sturm counts certify a bracket of
-1e-12 relative width around it), adaptive Gauss-Kronrod quadrature, and a
-pointwise ODE-residual meter.  Nothing in this module reuses the model's
-closed forms, so agreement between the two is a real cross-check.
+tridiagonal matrices, adaptive Gauss-Kronrod quadrature, and a pointwise
+ODE-residual meter.  Nothing in this module reuses the model's closed forms,
+so agreement between the two is a real cross-check.
+
+The eigensolver finds each level by Laguerre's iteration on the
+characteristic polynomial, deflated by the levels already found (Li and
+Zeng, SIAM J. Sci. Comput. 15 (1994) 1145), refines it by Newton steps, and
+certifies a bracket of 1e-12 relative width around it by Sturm counts.
+Bisection is only its fallback.
 """
 
 import heapq
@@ -54,15 +58,24 @@ _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
 # Most interior points a Grid admits.  The eigensolver's passes are pure
-# Python over the rows (about 0.25 s per level at 10^5 rows), so a larger
+# Python over the rows (about 0.15 s per level at 10^5 rows), so a larger
 # grid would be hours of work and its row lists gigabytes.
 GRID_CAP = 1_000_000
 _REL_TOL = 1e-12  # eigenvalue bracket width, relative to max(1, |lo|, |hi|)
 _MAX_SWEEPS = 200  # Sturm sweeps per eigenvalue
-# Relative Newton step below which a step that fails to halve is taken for
-# rounding noise: the pivots' rounding moves the computed zero of det(H - lam)
-# by up to about 1e-10 relative on the 150000-row test matrix.
-_NEWTON_FLOOR = 1e-9
+# Relative Laguerre step below which Newton steps take over.
+_LAGUERRE_HANDOFF = 1e-2
+# Relative Newton step that ends the Newton steps: the error of the iterate it
+# leads to is about C step^2, with C the sum of 1/(lam_i - lam_j) over the
+# other levels (below 10 on the finite-difference matrices), so far below the
+# tolerance.  Past that the pivots' rounding, not the iteration, sets where
+# the computed det(H - lam) vanishes: up to about 1e-10 relative off the
+# count's sign change on the 150000-row test matrix.
+_NEWTON_STOP = 1e-7
+# Level j > 0 starts this far above level j - 1, relative: near enough that
+# the Laguerre steps start below level j, far enough that the deflated pole of
+# level j - 1, known to 1e-12 relative, does not swamp the sums.
+_DEFLATION_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix."""
+    """Symmetric tridiagonal matrix with finite entries."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -108,6 +121,8 @@ class Tridiagonal:
         object.__setattr__(self, "off", np.asarray(self.off, dtype=float))
         if self.off.shape[0] != self.diag.shape[0] - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+            raise ValueError("matrix entries must be finite")
 
     @property
     def dimension(self):
@@ -175,6 +190,36 @@ def _sturm_newton(d, e2, lam, pivmin):
     return count, s
 
 
+def _sturm_laguerre(d, e2, lam, pivmin):
+    """(count, g, h): the Sturm count below lam, g = sum 1/(lam_i - lam) and
+    h = sum 1/(lam_i - lam)^2 over the eigenvalues lam_i.
+
+    g and h are minus the first two derivatives of log|det(H - lam)|.  Beside
+    t = q'/q of _sturm_newton this carries u = q''/q, from
+    q_i'' = e2_i (q_{i-1}''/q_{i-1}^2 - 2 q_{i-1}'^2/q_{i-1}^3), and sums
+    d/dlam t = u - t^2: ratios again.  A pivmin nudge makes g NaN.
+    """
+    count = 0
+    q = 1.0
+    t = 0.0
+    u = 0.0
+    g = 0.0
+    h = 0.0
+    for di, e2i in zip(d, e2):
+        r = e2i / q
+        q = di - lam - r
+        if q < 0.0:
+            count += 1
+        elif q < pivmin:
+            q = pivmin
+            g = math.nan
+        u = r * (u - 2.0 * t * t) / q
+        t = (r * t - 1.0) / q
+        g -= t
+        h += t * t - u
+    return count, g, h
+
+
 class _Bracket:
     """[lo, hi] around eigenvalue j, with the Sturm counts of its ends.
 
@@ -230,42 +275,89 @@ class _Bracket:
         self._move(x, below)
         return x - 1.0 / s if s != 0.0 else math.nan
 
+    def laguerre(self, x, deflate):
+        """Sweep at x and return the Laguerre iterate from it toward
+        eigenvalue j, or NaN if the count puts x above eigenvalue j + 1.
+
+        The iterate is that of det(H - lam) / prod(lam_i - lam) over the
+        eigenvalues lam_i in deflate, the certified levels below j: degree
+        m = n - len(deflate), roots lam_j, lam_{j+1}, ...  From below its
+        smallest root the upward iterate never passes it; from between its
+        two smallest roots the downward iterate never passes the lower one.
+        """
+        below, g, h = _sturm_laguerre(self.d, self.e2, x, self.pivmin)
+        self._move(x, below)
+        for lam in deflate:
+            if lam == x:
+                return math.nan
+            pole = 1.0 / (lam - x)
+            g -= pole
+            h -= pole * pole
+        m = len(self.d) - len(deflate)
+        root = math.sqrt(max(0.0, (m - 1) * (m * h - g * g)))
+        if below <= self.j:
+            den = g + root
+            return x + m / den if den > 0.0 else math.nan
+        if below == self.j + 1:
+            den = root - g
+            return x - m / den if den > 0.0 else math.nan
+        return math.nan
+
 
 def _bisect(bracket, until_isolated=False):
     while not bracket.done() and not (until_isolated and bracket.isolated()):
         bracket.count(bracket.midpoint())
 
 
-def _eigenvalue(d, e2, pivmin, j, known, upper):
+def _restart(bracket):
+    """The midpoint of the bracket once bisection has isolated eigenvalue j."""
+    _bisect(bracket, until_isolated=True)
+    return bracket.midpoint()
+
+
+def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
     """Eigenvalue j, the midpoint of a bracket certified by Sturm counts.
 
-    Bisection runs until the bracket holds eigenvalue j alone.  Newton steps
-    on det(H - lam) follow, each sweep also moving an end by its count; a step
-    that leaves the bracket, has no derivative or grows is replaced by the
-    midpoint.  Once a step is below the tolerance, count-only probes at
-    x -/+ w around the last iterate, with w just under half the tolerance,
-    certify it.  Near the rounding floor, where steps stop halving, w is the
-    last step instead.  A window that misses the eigenvalue is widened
-    fourfold, which costs fewer sweeps than bisecting from a far end, and
-    bisection closes what is left of the window.
+    Laguerre steps on det(H - lam), deflated by the levels in deflate, start
+    at the bracket's lower end for the ground level and just above level
+    j - 1 otherwise.  Once a step is below _LAGUERRE_HANDOFF, Newton steps on
+    det(H - lam) follow until one is below _NEWTON_STOP.  Every sweep also
+    moves an end of the bracket by its count.  A step that leaves the
+    bracket or has no sums, and a Newton step that fails to halve, as near a
+    cluster of levels, give way to the midpoint of a bracket that bisection
+    has isolated.  Count-only probes at x -/+ w around the last iterate,
+    with w just under half the tolerance, then certify it.  A window that
+    misses the eigenvalue, as rounding makes it do on large matrices, is
+    widened fourfold, which costs fewer sweeps than bisecting from a far end,
+    and bisection closes what is left of the window.
     """
     bracket = _Bracket(d, e2, pivmin, j, known, upper)
-    _bisect(bracket, until_isolated=True)
-    x = bracket.midpoint()
+    x = bracket.lo
+    if deflate:
+        x = deflate[-1] + _DEFLATION_GAP * max(1.0, abs(deflate[-1]))
+        if not bracket.inside(x):
+            x = _restart(bracket)
+    while not bracket.done():
+        nxt = bracket.laguerre(x, deflate)
+        if not bracket.inside(nxt):  # above level j + 1, or no sums
+            break
+        step, x = abs(nxt - x), nxt
+        if step <= max(_LAGUERRE_HANDOFF * abs(x), _REL_TOL):
+            break
+    if not bracket.inside(x):
+        x = _restart(bracket)
     step = math.inf
-    while not bracket.done() and bracket.isolated():
+    while not bracket.done():
         nxt = bracket.newton(x)
         if nxt != x and not bracket.inside(nxt):  # overshoot, or no derivative
-            x, step = bracket.midpoint(), math.inf
+            x, step = _restart(bracket), math.inf
             continue
         last, step, x = step, abs(nxt - x), nxt
-        if step <= bracket.tol():
+        if step <= max(_NEWTON_STOP * abs(x), _REL_TOL):
             break
-        if 2.0 * step > last and step <= _NEWTON_FLOOR * max(1.0, abs(x)):
-            break  # rounding noise
-        if step >= last:
-            x, step = bracket.midpoint(), math.inf
-    w = 0.45 * _REL_TOL * max(1.0, abs(x)) if step <= bracket.tol() else step
+        if 2.0 * step > last:
+            x, step = _restart(bracket), math.inf
+    w = 0.45 * _REL_TOL * max(1.0, abs(x))
     while not bracket.done():
         if bracket.inside(x - w):
             bracket.count(x - w)
@@ -287,10 +379,21 @@ def lowest_eigenvalues(matrix, k):
     shift whose Sturm count (the number of eigenvalues below it) puts
     eigenvalue j on the inner side, or a Gershgorin bound, or, for the lowest
     level, min(diag), a Rayleigh quotient.  Every count is kept, so a level
-    starts from the tightest bracket the earlier levels proved.  Bisection
-    isolates the level; Newton steps on det(H - lam), whose derivative comes
-    from the same pass over the rows, refine it; and count-only probes
-    certify the result.
+    starts from the tightest bracket the earlier levels proved.
+
+    Laguerre steps find the level (Li and Zeng, SIAM J. Sci. Comput. 15
+    (1994) 1145).  Level j steps on det(H - lam) / prod(lam_i - lam) over
+    the certified levels i < j, a polynomial of degree n - j whose smallest
+    root is level j, so the ground level starts at the Gershgorin bound and
+    level j just above level j - 1, with no bisection.  From below that root
+    the iterates rise toward it without passing it, from between it and
+    level j + 1 they fall toward it, and either way they converge cubically.
+    Newton steps refine the level, and count-only probes certify it.  The
+    pass over the rows that gives a count also gives the sums the steps
+    need, sum 1/(lam_i - lam) and sum 1/(lam_i - lam)^2, from ratios of the
+    LDL^T pivots and their derivatives, so nothing overflows.  Bisection
+    takes over when a step leaves the bracket or has no sums, and when a
+    Newton step fails to halve, as it does near a cluster of levels.
     """
     n = matrix.dimension
     if k < 1 or k > n:
@@ -307,7 +410,9 @@ def lowest_eigenvalues(matrix, k):
     upper = float(np.min(diag))
     eigenvalues = []
     for j in range(k):
-        eigenvalues.append(_eigenvalue(d, e2, pivmin, j, known, upper if j == 0 else math.inf))
+        eigenvalues.append(
+            _eigenvalue(d, e2, pivmin, j, known, upper if j == 0 else math.inf, eigenvalues)
+        )
     return eigenvalues
 
 
@@ -336,8 +441,8 @@ def integrate(f, x_min, x_max, tol=1e-10):
     """
     if not x_min < x_max:
         raise ValueError(f"empty integration range [{x_min}, {x_max}]")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     [(val, err)] = _gauss_kronrod_panels(f, (x_min, x_max))
     heap = [(-err, 0, x_min, x_max, val, err)]

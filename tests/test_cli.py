@@ -306,6 +306,40 @@ def test_verify_unknown_check():
     assert "unknown checks: ['nope']" in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_limit_non_finite_tolerance_exits_2(tol, capsys):
+    # the quadrature used to accept it and print its one-panel estimate
+    from pdem import cli
+
+    argv = ["limit", "--kind", "wavefunction", "--n", "1", "--a-value", "3", "--tol", tol]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_non_finite_tolerance_exits_2(tol, capsys):
+    # refused before any check runs, instead of a FAIL line with bound=nan
+    from pdem import cli
+
+    assert cli.main(["verify", "--check", "eigensolver", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--m0", "--omega", "--hbar"])
+def test_verify_takes_no_constants(flag, capsys):
+    # every check runs at unit constants, so verify does not offer them
+    from pdem import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--check", "level-counts", flag, "4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_help_names_every_check():
     from pdem import checks
 

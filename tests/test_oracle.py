@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from pdem import model, oracle
+from pdem import checks, model, oracle
 from pdem.errors import DomainError, ToleranceNotMet
 from pdem.model import ModelParams
 from pdem.oracle import Grid, Tridiagonal
@@ -85,6 +85,19 @@ def dense_eigenvalues(m):
     return np.linalg.eigvalsh(np.diag(m.diag) + np.diag(m.off, 1) + np.diag(m.off, -1))
 
 
+def test_laguerre_sums_match_the_spectrum():
+    # one pass gives the count, sum 1/(lam_i - x) and sum 1/(lam_i - x)^2
+    rng = np.random.default_rng(5)
+    m = Tridiagonal(diag=rng.standard_normal(50), off=rng.standard_normal(49))
+    lams = dense_eigenvalues(m)
+    e2 = [0.0] + (m.off**2).tolist()
+    for x in (lams[0] - 1.0, 0.5 * (lams[10] + lams[11]), lams[-1] + 0.3):
+        count, g, h = oracle._sturm_laguerre(m.diag.tolist(), e2, x, 1e-292)
+        assert count == np.count_nonzero(lams < x)
+        assert g == pytest.approx(np.sum(1.0 / (lams - x)), rel=1e-10)
+        assert h == pytest.approx(np.sum(1.0 / (lams - x) ** 2), rel=1e-10)
+
+
 def test_degenerate_reducible_matrix():
     # zero off-diagonal: the double eigenvalue 1 is never alone in a bracket,
     # so levels 0 and 1 finish by bisection
@@ -114,24 +127,82 @@ def test_every_k_of_a_random_matrix():
         assert np.allclose(oracle.lowest_eigenvalues(m, k), ref[:k], atol=1e-10)
 
 
-def test_ground_level_sweep_count(monkeypatch):
-    # passes over the rows for the ground level of an fd-spectrum matrix:
-    # 64 count passes by bisection alone
-    p = ModelParams(a=math.sqrt(12.0))
-    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=p.a + 40.0 / p.lambda0, count=8000)
-    H = oracle.build_hamiltonian(p, grid)
+def count_passes(monkeypatch):
+    """A list that gains one entry per pass over the rows, of any kind."""
     passes = []
-    for name in ("_sturm_count", "_sturm_newton"):
+    for name in ("_sturm_count", "_sturm_newton", "_sturm_laguerre"):
         sweep = getattr(oracle, name)
         monkeypatch.setattr(
             oracle, name, lambda *args, sweep=sweep: passes.append(1) or sweep(*args)
         )
+    return passes
+
+
+def test_ground_level_sweep_count(monkeypatch):
+    # passes over the rows for the ground level of an fd-spectrum matrix:
+    # 3 Laguerre, 1 Newton and 2 count passes, where bisection alone takes 64
+    p = ModelParams(a=math.sqrt(12.0))
+    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=p.a + 40.0 / p.lambda0, count=8000)
+    H = oracle.build_hamiltonian(p, grid)
+    passes = count_passes(monkeypatch)
     [lam] = oracle.lowest_eigenvalues(H, 1)
-    assert len(passes) <= 25
+    assert len(passes) <= 8
     ref = scipy.linalg.eigh_tridiagonal(
         H.diag, H.off, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-14
     )
     assert lam == pytest.approx(ref[0], rel=1e-11, abs=0.0)
+
+
+def test_eigensolver_check_pass_budget(monkeypatch):
+    # the two levels of the default eigensolver check (32000 rows) take 20
+    # passes; Newton steps after bisection took 34
+    p = ModelParams(a=2.0)
+    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=140.0, count=checks.GRID_POINTS)
+    H = oracle.build_hamiltonian(p, grid)
+    passes = count_passes(monkeypatch)
+    lams = oracle.lowest_eigenvalues(H, 2)
+    assert len(passes) <= 24
+    ref = scipy.linalg.eigh_tridiagonal(
+        H.diag, H.off, eigvals_only=True, select="i", select_range=(0, 1), tol=1e-14
+    )
+    # at 32000 rows rounding moves LAPACK's bisection by about 1e-11 relative
+    np.testing.assert_allclose(lams, ref, rtol=1e-10, atol=0.0)
+
+
+def test_level_just_below_the_start_is_approached_from_above(monkeypatch):
+    # level 1 lies 5e-5 below where its Laguerre steps start, 1e-3 above
+    # level 0: the downward step from there takes it in one pass
+    m = Tridiagonal(diag=[0.0, 0.95e-3, 5.0, 6.0], off=[1e-6, 1e-4, 1e-4])
+    passes = count_passes(monkeypatch)
+    lams = oracle.lowest_eigenvalues(m, 2)
+    assert len(passes) <= 9
+    assert np.allclose(lams, dense_eigenvalues(m)[:2], atol=1e-10)
+
+
+def test_clustered_levels_pass_budget(monkeypatch):
+    # three clusters of near-equal levels: Newton steps toward a cluster
+    # converge only linearly, and bisection takes over when one fails to
+    # halve, so no level comes near the cap of 200 sweeps
+    rng = np.random.default_rng(0)
+    diag = rng.choice([-9.0, -6.0, 0.0], 30) + 1e-6 * rng.standard_normal(30)
+    m = Tridiagonal(diag=diag, off=1e-5 * rng.standard_normal(29))
+    passes = count_passes(monkeypatch)
+    starts = []
+    eigenvalue = oracle._eigenvalue
+    monkeypatch.setattr(
+        oracle, "_eigenvalue", lambda *args: starts.append(len(passes)) or eigenvalue(*args)
+    )
+    lams = oracle.lowest_eigenvalues(m, 30)
+    assert max(np.diff(starts + [len(passes)])) <= 80
+    assert np.allclose(lams, dense_eigenvalues(m), atol=1e-10)
+
+
+def test_laguerre_step_at_a_found_level_is_refused():
+    # a shift at a level already found has no deflated sums: the step is
+    # refused, and bisection takes over, instead of dividing by zero
+    d, e2 = [1.0, 2.0, 4.0], [0.0, 0.0, 0.0]
+    bracket = oracle._Bracket(d, e2, 1e-292, 1, [(0.0, 0), (5.0, 3)], math.inf)
+    assert math.isnan(bracket.laguerre(1.5, [1.5]))
 
 
 def test_eigenvectors_residual_and_normalization():
@@ -162,6 +233,16 @@ def test_fd_ground_state_matches_analytic(params_a2):
     psi /= math.sqrt(grid.spacing * float(psi @ psi))
     dist = min(np.max(np.abs(vec - psi)), np.max(np.abs(vec + psi)))
     assert dist <= 1e-4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["diag", "off"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_tridiagonal_rejects_non_finite(bad, where, index):
+    entries = {"diag": [1.0, 1.0, 1.0], "off": [0.5, 0.5]}
+    entries[where][index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Tridiagonal(**entries)
 
 
 def test_k_bounds():
@@ -234,6 +315,13 @@ def test_integrate_calls_with_node_arrays():
 def test_integrate_rejects_bad_range():
     with pytest.raises(ValueError):
         oracle.integrate(lambda x: x, 1.0, 0.0, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_integrate_rejects_bad_tolerance(tol):
+    # a NaN or infinite tolerance would accept the one-panel estimate
+    with pytest.raises(ValueError, match="finite and positive"):
+        oracle.integrate(np.exp, 0.0, 50.0, tol)
 
 
 # ---------------------------------------------------------------- ode residual

@@ -26,7 +26,7 @@ class PolePivot(PdemError):
 
 
 class ToleranceNotMet(PdemError):
-    """Quadrature could not reach the requested tolerance.
+    """Quadrature or the eigensolver could not reach the requested tolerance.
 
     Carries the best estimate and its error bound so callers can decide
     whether the result is still usable.

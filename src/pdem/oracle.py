@@ -63,7 +63,9 @@ _MAX_PANELS = 20_000
 GRID_CAP = 1_000_000
 _REL_TOL = 1e-12  # eigenvalue bracket width, relative to max(1, |lo|, |hi|)
 _MAX_SWEEPS = 200  # Sturm sweeps per eigenvalue
-# Relative Laguerre step below which Newton steps take over.
+# Laguerre step, relative to max(1, |x|) as the tolerance is, below which
+# Newton steps take over; relative to |x| alone it never comes for a level
+# at 0.
 _LAGUERRE_HANDOFF = 1e-2
 # Relative Newton step that ends the Newton steps: the error of the iterate it
 # leads to is about C step^2, with C the sum of 1/(lam_i - lam_j) over the
@@ -240,13 +242,12 @@ class _Bracket:
     def tol(self):
         return _REL_TOL * max(1.0, abs(self.lo), abs(self.hi))
 
+    def closed(self):
+        """Is the bracket within the tolerance, or at adjacent floats?"""
+        return self.hi - self.lo <= self.tol() or not self.inside(self.midpoint())
+
     def done(self):
-        """Is the bracket closed, at adjacent floats, or out of sweeps?"""
-        return (
-            self.hi - self.lo <= self.tol()
-            or not self.inside(self.midpoint())
-            or self.sweeps >= _MAX_SWEEPS
-        )
+        return self.closed() or self.sweeps >= _MAX_SWEEPS
 
     def isolated(self):
         """Do the end counts prove that eigenvalue j is alone in the bracket?"""
@@ -288,8 +289,6 @@ class _Bracket:
         below, g, h = _sturm_laguerre(self.d, self.e2, x, self.pivmin)
         self._move(x, below)
         for lam in deflate:
-            if lam == x:
-                return math.nan
             pole = 1.0 / (lam - x)
             g -= pole
             h -= pole * pole
@@ -323,13 +322,15 @@ def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
     j - 1 otherwise.  Once a step is below _LAGUERRE_HANDOFF, Newton steps on
     det(H - lam) follow until one is below _NEWTON_STOP.  Every sweep also
     moves an end of the bracket by its count.  A step that leaves the
-    bracket or has no sums, and a Newton step that fails to halve, as near a
-    cluster of levels, give way to the midpoint of a bracket that bisection
-    has isolated.  Count-only probes at x -/+ w around the last iterate,
-    with w just under half the tolerance, then certify it.  A window that
-    misses the eigenvalue, as rounding makes it do on large matrices, is
-    widened fourfold, which costs fewer sweeps than bisecting from a far end,
-    and bisection closes what is left of the window.
+    bracket or has no sums, and a step that fails to halve the one before,
+    as toward a multiple level or a cluster of levels, where both iterations
+    converge only linearly, give way to the midpoint of a bracket that
+    bisection has isolated.  Count-only probes at x -/+ w around the last
+    iterate, with w just under half the tolerance, then certify it.  A
+    window that misses the eigenvalue, as rounding makes it do on large
+    matrices, is widened fourfold, which costs fewer sweeps than bisecting
+    from a far end, and bisection closes what is left of the window.  Raises
+    ToleranceNotMet if _MAX_SWEEPS sweeps leave the bracket open.
     """
     bracket = _Bracket(d, e2, pivmin, j, known, upper)
     x = bracket.lo
@@ -337,12 +338,16 @@ def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
         x = deflate[-1] + _DEFLATION_GAP * max(1.0, abs(deflate[-1]))
         if not bracket.inside(x):
             x = _restart(bracket)
+    step = math.inf
     while not bracket.done():
         nxt = bracket.laguerre(x, deflate)
         if not bracket.inside(nxt):  # above level j + 1, or no sums
             break
-        step, x = abs(nxt - x), nxt
-        if step <= max(_LAGUERRE_HANDOFF * abs(x), _REL_TOL):
+        last, step, x = step, abs(nxt - x), nxt
+        if step <= _LAGUERRE_HANDOFF * max(1.0, abs(x)):
+            break
+        if last > step > 0.5 * last:  # linear, as toward a multiple level
+            x = _restart(bracket)
             break
     if not bracket.inside(x):
         x = _restart(bracket)
@@ -368,6 +373,13 @@ def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
         else:
             w *= 4.0
     _bisect(bracket)
+    if not bracket.closed():
+        raise ToleranceNotMet(
+            bracket.midpoint(),
+            0.5 * (bracket.hi - bracket.lo),
+            f"eigenvalue {j} not bracketed within {bracket.tol():.3g} "
+            f"after {_MAX_SWEEPS} sweeps: [{bracket.lo!r}, {bracket.hi!r}]",
+        )
     return bracket.midpoint()
 
 
@@ -393,7 +405,10 @@ def lowest_eigenvalues(matrix, k):
     need, sum 1/(lam_i - lam) and sum 1/(lam_i - lam)^2, from ratios of the
     LDL^T pivots and their derivatives, so nothing overflows.  Bisection
     takes over when a step leaves the bracket or has no sums, and when a
-    Newton step fails to halve, as it does near a cluster of levels.
+    step fails to halve the one before, as it does toward a multiple level
+    or a cluster of levels.  Raises ToleranceNotMet, with the midpoint and
+    the half-width of the bracket, if 200 Sturm sweeps leave a level's
+    bracket wider than the tolerance.
     """
     n = matrix.dimension
     if k < 1 or k > n:

@@ -197,12 +197,30 @@ def test_clustered_levels_pass_budget(monkeypatch):
     assert np.allclose(lams, dense_eigenvalues(m), atol=1e-10)
 
 
-def test_laguerre_step_at_a_found_level_is_refused():
-    # a shift at a level already found has no deflated sums: the step is
-    # refused, and bisection takes over, instead of dividing by zero
-    d, e2 = [1.0, 2.0, 4.0], [0.0, 0.0, 0.0]
-    bracket = oracle._Bracket(d, e2, 1e-292, 1, [(0.0, 0), (5.0, 3)], math.inf)
-    assert math.isnan(bracket.laguerre(1.5, [1.5]))
+def test_multiple_level_at_zero(monkeypatch):
+    # 1000 copies of a 3 x 3 block whose lowest level is 0: a Laguerre step
+    # toward the 1000-fold level shrinks the distance by only about 4%, so
+    # the second step fails to halve the first and bisection takes over
+    m = Tridiagonal(np.full(3000, math.sqrt(2.0)), np.tile([1.0, 1.0, 0.0], 1000)[:-1])
+    passes = count_passes(monkeypatch)
+    lams = oracle.lowest_eigenvalues(m, 2)
+    assert len(passes) <= 45  # 2 Laguerre and 41 count passes
+    d, e2 = m.diag.tolist(), [0.0] + (m.off**2).tolist()
+    for lam in lams:
+        assert abs(lam) <= 1e-12
+        assert oracle._sturm_count(d, e2, lam - 1e-12, 1e-292) == 0
+        assert oracle._sturm_count(d, e2, lam + 1e-12, 1e-292) == 1000
+
+
+def test_open_bracket_raises(monkeypatch):
+    # a level whose bracket the sweep budget leaves open is an error, not an
+    # uncertified midpoint; the estimate and bound still hold the level
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 3)
+    m = Tridiagonal(diag=[0.0, 1.0, 2.0, 3.0], off=[1.0, 1.0, 1.0])
+    with pytest.raises(ToleranceNotMet) as info:
+        oracle.lowest_eigenvalues(m, 1)
+    assert info.value.error_bound > 1e-12
+    assert abs(info.value.estimate - dense_eigenvalues(m)[0]) <= info.value.error_bound
 
 
 def test_eigenvectors_residual_and_normalization():

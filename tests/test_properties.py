@@ -60,9 +60,10 @@ def assert_certified_levels(matrix, k):
 
 @st.composite
 def tridiagonals(draw):
-    """Random, clustered, reducible and negative-spectrum matrices."""
+    """Random, clustered, reducible, multiple-level and negative-spectrum
+    matrices."""
     n = draw(st.integers(2, 30))
-    kind = draw(st.sampled_from(("random", "clustered", "reducible", "negative")))
+    kind = draw(st.sampled_from(("random", "clustered", "reducible", "multiple", "negative")))
     entries = st.floats(-10.0, 10.0)
     diag = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
     off = np.array(draw(st.lists(entries, min_size=n - 1, max_size=n - 1)))
@@ -72,6 +73,10 @@ def tridiagonals(draw):
     elif kind == "reducible":  # zero couplings, repeated diagonal values
         diag = np.round(diag)
         off[:: draw(st.integers(1, 3))] = 0.0
+    elif kind == "multiple":  # copies of one block: each of its levels repeated
+        size = draw(st.integers(1, 3))
+        diag = np.resize(diag[:size], n)
+        off = np.resize(np.append(off[: size - 1], 0.0), n - 1)
     elif kind == "negative":
         diag = diag - 50.0
     return oracle.Tridiagonal(diag, off)

@@ -36,20 +36,23 @@ class CheckResult:
 def bound_overlap(params, m, n, tol=1e-11):
     """<psi_m, psi_n> over the whole domain (-a, infinity).
 
-    Substituting u = 1/(x+a) maps the infinite tail to a compact interval and
-    turns the slow power-law decay of near-threshold states into a bounded
-    integrand, so plain adaptive quadrature reaches 1e-10 accuracy.  The
+    Substituting u = 1/(x+a) maps the infinite tail to a compact interval,
+    and s = ln u spreads the tail end u -> 0 over a finite range, so the
+    integrand is psi_m psi_n / u in s.  Near threshold it goes like u^(p-1)
+    in u, singular at 0, which the quadrature could only resolve by halving
+    about 40 times toward the lower cutoff.  In s it is e^(p s), smooth.  The
     integrand underflows to exact zero inside the wall layer, so the upper
     cutoff in u only needs to overshoot it.
 
-    Below the lower cutoff u_lo the integrand is f(u) = K u^(p-1) (1 + c u)
-    to first order, with p = 2b^2-m-n-1 > 0 for every pair of levels and
-    c = l0^2 a^3 (m/(m-b^2) + n/(n-b^2) - 2) (from the wall factors and the
-    top two coefficients of y_m and y_n).  That piece is added in closed form,
-    f(u_lo) u_lo / p * (1 - c u_lo / (p+1)).  Near threshold it is far from
-    negligible: 3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n
-    approaches 1/2.  Without the c term it would be off by c u_lo, 2e-8 of
-    the norm for the top level at b^2 = 39.52.
+    Below the lower cutoff u_lo the integrand in u is f(u) = K u^(p-1)
+    (1 + c u) to first order, with p = 2b^2-m-n-1 > 0 for every pair of levels
+    and c = l0^2 a^3 (m/(m-b^2) + n/(n-b^2) - 2) (from the wall factors and
+    the top two coefficients of y_m and y_n).  That piece is added in closed
+    form, f(u_lo) u_lo / p * (1 - c u_lo / (p+1)), where f(u_lo) u_lo is the
+    integrand in s at ln u_lo.  Near threshold it is far from negligible:
+    3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n approaches 1/2.
+    Without the c term it would be off by c u_lo, 2e-8 of the norm for the
+    top level at b^2 = 39.52.
     """
     a, b2 = params.a, params.b2
     u_lo = 1e-12
@@ -57,14 +60,16 @@ def bound_overlap(params, m, n, tol=1e-11):
     psi_m = model.bound_state(params, m).psi
     psi_n = model.bound_state(params, n).psi
 
-    def integrand(u):
+    def integrand(s):
+        u = np.exp(s)
         x = 1.0 / u - a
-        return psi_m(x) * psi_n(x) / (u * u)
+        return psi_m(x) * psi_n(x) / u
 
+    s_lo = math.log(u_lo)
     p = 2.0 * b2 - m - n - 1.0
     c = params.wall_scale * (m / (m - b2) + n / (n - b2) - 2.0)
-    tail = integrand(u_lo) * u_lo / p * (1.0 - c * u_lo / (p + 1.0))
-    return oracle.integrate(integrand, u_lo, u_hi, tol) + tail
+    tail = integrand(s_lo) / p * (1.0 - c * u_lo / (p + 1.0))
+    return oracle.integrate(integrand, s_lo, math.log(u_hi), tol) + tail
 
 
 def check_level_counts():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, NonConvergence, ToleranceNotMet
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
 _KRONROD_NODES = (
@@ -57,6 +57,10 @@ _PANEL_GAUSS = np.zeros(15)
 _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
+# Most panels one round of integrate splits: 30 nodes each in one call of the
+# integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
+# 3e5 nodes and their values in memory.
+_MAX_SPLITS = 512
 # Most interior points a Grid admits.  The eigensolver's passes are pure
 # Python over the rows (about 0.15 s per level at 10^5 rows), so a larger
 # grid would be hours of work and its row lists gigabytes.
@@ -431,56 +435,79 @@ def lowest_eigenvalues(matrix, k):
     return eigenvalues
 
 
-def _gauss_kronrod_panels(f, edges):
-    """[(kronrod, |kronrod - gauss|), ...] on the panels between consecutive
-    edges, from one call of f on all their nodes."""
-    edges = np.asarray(edges, dtype=float)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    radii = 0.5 * (edges[1:] - edges[:-1])
+def _gauss_kronrod_panels(f, starts, ends):
+    """(kronrod, |kronrod - gauss|) as lists over the panels
+    [starts[i], ends[i]], from one call of f on all their nodes.
+
+    Raises NonConvergence naming the first panel on which either is not
+    finite, as when f returns NaN or inf there.
+    """
+    centers = 0.5 * (starts + ends)
+    radii = 0.5 * (ends - starts)
     values = f((centers[:, None] + radii[:, None] * _PANEL_NODES).ravel())
     values = np.reshape(values, (radii.size, _PANEL_NODES.size))
-    kron = radii * (values @ _PANEL_KRONROD)
-    gauss = radii * (values @ _PANEL_GAUSS)
-    return list(zip(kron.tolist(), np.abs(kron - gauss).tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        kron = radii * (values @ _PANEL_KRONROD)
+        err = np.abs(kron - radii * (values @ _PANEL_GAUSS))
+    bad = ~(np.isfinite(kron) & np.isfinite(err))
+    if bad.any():
+        a, b = float(starts[bad][0]), float(ends[bad][0])
+        raise NonConvergence(
+            f"quadrature is not finite on the panel [{a!r}, {b!r}]: "
+            "the integrand returned NaN or inf there, or its sum overflowed"
+        )
+    return kron.tolist(), err.tolist()
 
 
 def integrate(f, x_min, x_max, tol=1e-10):
     """Adaptive Gauss-Kronrod (7, 15) quadrature of f over [x_min, x_max].
 
     f is called with a 1-d ndarray of nodes and must return their values as
-    an array of the same length: the 15 nodes of the first panel in one call,
-    then the 30 nodes of the two halves of each split panel in one call.
-    Splits the worst panel until the summed Kronrod-Gauss gap drops below
-    tol * (1 + |integral|).  Raises ToleranceNotMet (carrying the best
-    estimate and its error bound) if the panel budget runs out.
+    an array of the same length.  The first call gets the 15 nodes of the
+    whole range.  Each later call is one round: it splits the worst panels,
+    as many as it takes to bring the error of the panels left unsplit down to
+    tol * (1 + |integral|) (at least one, at most _MAX_SPLITS), and gets the
+    nodes of both halves of all of them, 30 per split panel.  A panel already
+    at float resolution is kept as it is.  Stops when the summed
+    Kronrod-Gauss gap is at or below tol * (1 + |integral|).  Raises
+    ToleranceNotMet (carrying the best estimate and its error bound) if the
+    budget of _MAX_PANELS panels runs out or only panels at float resolution
+    are left to split, and NonConvergence if f gives NaN or inf.
     """
     if not x_min < x_max:
         raise ValueError(f"empty integration range [{x_min}, {x_max}]")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
-    [(val, err)] = _gauss_kronrod_panels(f, (x_min, x_max))
-    heap = [(-err, 0, x_min, x_max, val, err)]
+    [val], [err] = _gauss_kronrod_panels(f, np.array([x_min], float), np.array([x_max], float))
+    heap = [(-err, x_min, x_max, val)]  # the worst panel first
+    settled = []  # panels at float resolution, kept but never split
     total, total_err = val, err
-    counter = 1
-    while total_err > tol * (1.0 + abs(total)) and len(heap) < _MAX_PANELS:
-        _, _, a, b, val, err = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval exhausted at float resolution
-            heapq.heappush(heap, (0.0, counter, a, b, val, err))
-            counter += 1
-            total_err = sum(item[5] for item in heap)
-            continue
-        (v1, e1), (v2, e2) = _gauss_kronrod_panels(f, (a, mid, b))
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, b, v2, e2))
-        counter += 2
-        if counter % 256 == 0:  # drift control for the running error sum
-            total_err = sum(item[5] for item in heap)
-    total = sum(item[4] for item in heap)
-    total_err = sum(item[5] for item in heap)
+    while (
+        total_err > tol * (1.0 + abs(total))
+        and heap
+        and len(heap) + len(settled) < _MAX_PANELS
+    ):
+        room = min(_MAX_SPLITS, _MAX_PANELS - len(heap) - len(settled))
+        excess = total_err - tol * (1.0 + abs(total))
+        split = []
+        while heap and excess > 0.0 and len(split) < room:
+            panel = heapq.heappop(heap)
+            neg_err, a, b, _ = panel
+            excess += neg_err
+            (split if a < 0.5 * (a + b) < b else settled).append(panel)
+        if split:
+            starts = np.array([panel[1] for panel in split])
+            ends = np.array([panel[2] for panel in split])
+            mids = 0.5 * (starts + ends)
+            lo = np.concatenate((starts, mids))
+            hi = np.concatenate((mids, ends))
+            kron, errs = _gauss_kronrod_panels(f, lo, hi)
+            for panel in zip([-e for e in errs], lo.tolist(), hi.tolist(), kron):
+                heapq.heappush(heap, panel)
+        panels = heap + settled
+        total = sum(panel[3] for panel in panels)
+        total_err = -sum(panel[0] for panel in panels)
     if total_err > tol * (1.0 + abs(total)):
         raise ToleranceNotMet(total, total_err)
     return total

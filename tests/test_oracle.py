@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.linalg
 
 from pdem import checks, model, oracle
-from pdem.errors import DomainError, ToleranceNotMet
+from pdem.errors import DomainError, NonConvergence, ToleranceNotMet
 from pdem.model import ModelParams
 from pdem.oracle import Grid, Tridiagonal
 
@@ -311,23 +311,117 @@ def test_integrate_orthogonality_cross_check(params_a2):
 
 
 def test_integrate_tolerance_not_met():
+    # the panel budget runs out; rounds split at most _MAX_SPLITS panels, so
+    # it takes 1 + 9 calls to reach 512 panels and 39 more to reach 20000
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(1e6 * x)
+
     with pytest.raises(ToleranceNotMet) as info:
-        oracle.integrate(lambda x: np.sin(1e6 * x), 0.0, 100.0, 1e-12)
+        oracle.integrate(f, 0.0, 100.0, 1e-12)
     assert math.isfinite(info.value.estimate)
     assert info.value.error_bound > 0.0
+    assert 1 + (sum(sizes) - 15) // 30 <= oracle._MAX_PANELS
+    assert max(sizes) == 30 * oracle._MAX_SPLITS
+    assert len(sizes) <= 49
 
 
 def test_integrate_calls_with_node_arrays():
-    # one call for the first panel's 15 nodes, one per split for both halves
+    # the first call gets the first panel's 15 nodes; each later call gets
+    # both halves of every panel split in that round, 30 nodes per panel, at
+    # most _MAX_SPLITS panels
     shapes = []
 
     def f(x):
         shapes.append(x.shape)
-        return np.exp(-x)
+        return np.sin(40.0 * x) * np.exp(-x)
 
-    oracle.integrate(f, 0.0, 50.0, 1e-10)
+    oracle.integrate(f, 0.0, 50.0, 1e-12)
     assert shapes[0] == (15,)
-    assert len(shapes) > 1 and set(shapes[1:]) == {(30,)}
+    assert len(shapes) > 1 and all(len(shape) == 1 for shape in shapes)
+    sizes = [shape[0] for shape in shapes[1:]]
+    assert all(size % 30 == 0 and 0 < size <= 30 * oracle._MAX_SPLITS for size in sizes)
+    assert max(sizes) > 30  # panels are split in batches
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.full_like(x, np.nan),
+    lambda x: np.where(x > 0.5, np.inf, 1.0),
+], ids=["nan", "inf"])
+def test_integrate_refuses_non_finite_integrand(f):
+    with pytest.raises(NonConvergence, match=r"not finite on the panel \[0\.0, 1\.0\]"):
+        oracle.integrate(f, 0.0, 1.0, 1e-10)
+
+
+def test_integrate_refuses_panels_at_float_resolution():
+    # a panel one ulp wide cannot be split: it is kept with its error, and
+    # with nothing left to split the tolerance is refused instead of looping
+    with pytest.raises(ToleranceNotMet) as info:
+        oracle.integrate(lambda x: np.where(np.arange(x.size) % 2, 1e10, -1e10),
+                         1.0, 1.0 + 2.2e-16, 1e-12)
+    assert info.value.error_bound > 0.0
+
+
+def test_bound_overlap_call_budget(monkeypatch):
+    # in s = ln u the near-threshold integrand is smooth, and a round splits
+    # every panel it has to: measured at most 9 calls per pair
+    calls = []
+    integrate = oracle.integrate
+
+    def counting(f, *args):
+        calls.append(0)
+
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+
+        return integrate(g, *args)
+
+    monkeypatch.setattr(oracle, "integrate", counting)
+    for a in (2.0, 3.0):
+        p = ModelParams(a=a)
+        top = model.max_level(p)
+        for m in range(top + 1):
+            for n in range(m, top + 1):
+                checks.bound_overlap(p, m, n)
+    assert len(calls) == 4 * 5 // 2 + 9 * 10 // 2
+    assert max(calls) <= 12
+
+
+def _overlap_reference(p, m, n):
+    # scipy's QUADPACK in s = ln u on bound_overlap's range, plus its
+    # closed-form piece below u = 1e-12
+    psi_m = model.bound_state(p, m).psi
+    psi_n = model.bound_state(p, n).psi
+
+    def g(s):
+        u = math.exp(s)
+        return psi_m(1.0 / u - p.a) * psi_n(1.0 / u - p.a) / u
+
+    u_lo = 1e-12
+    u_hi = (900.0 + 4.0 * p.b2 * math.log(1e3)) / (2.0 * p.wall_scale)
+    q = 2.0 * p.b2 - m - n - 1.0
+    c = p.wall_scale * (m / (m - p.b2) + n / (n - p.b2) - 2.0)
+    tail = g(math.log(u_lo)) / q * (1.0 - c * u_lo / (q + 1.0))
+    body, _ = scipy.integrate.quad(
+        g, math.log(u_lo), math.log(u_hi), epsabs=1e-14, epsrel=0.0, limit=200
+    )
+    return body + tail
+
+
+@pytest.mark.parametrize("b2, m, n", [
+    (3.5 + 1e-9, 3, 3),
+    (3.5 + 1e-9, 0, 3),
+    (39.52, 39, 39),
+    (39.52, 38, 39),
+], ids=["b2=3.5+1e-9-top", "b2=3.5+1e-9-0-top", "b2=39.52-top", "b2=39.52-pair"])
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bound_overlap_against_quadpack(b2, m, n):
+    # measured at most 2.0e-15 apart
+    p = ModelParams(a=math.sqrt(b2))
+    assert abs(checks.bound_overlap(p, m, n) - _overlap_reference(p, m, n)) <= 1e-14
 
 
 def test_integrate_rejects_bad_range():

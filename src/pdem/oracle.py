@@ -10,7 +10,11 @@ The eigensolver finds each level by Laguerre's iteration on the
 characteristic polynomial, deflated by the levels already found (Li and
 Zeng, SIAM J. Sci. Comput. 15 (1994) 1145), refines it by Newton steps, and
 certifies a bracket of 1e-12 relative width around it by Sturm counts.
-Bisection is only its fallback.
+Bisection is only its fallback.  Each pass over the matrix factors
+P (H - lam) P^T = L D L^T, for a permutation P, by odd-even reduction in
+numpy; P H P^T has the inertia of H, so the signs of the pivots count the
+eigenvalues below lam, as the natural-order factorization's do.  What the
+bracket certifies is these computed counts.
 """
 
 import heapq
@@ -61,10 +65,18 @@ _MAX_PANELS = 20_000
 # integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
 # 3e5 nodes and their values in memory.
 _MAX_SPLITS = 512
-# Most interior points a Grid admits.  The eigensolver's passes are pure
-# Python over the rows (about 0.15 s per level at 10^5 rows), so a larger
-# grid would be hours of work and its row lists gigabytes.
+# Most interior points a Grid admits.  A ground level takes about 0.09 s at
+# 10^5 rows and 1.2 s and 120 MB at 10^6 (8 and 19 passes, measured on a
+# 2-core x86-64 VM), so a larger grid would hold gigabytes of temporaries.
 GRID_CAP = 1_000_000
+# Rows at or below which _sturm_pass stops reducing and finishes in a Python
+# loop: on fewer rows numpy's per-call overhead costs more than the loop.
+_REDUCE_CUTOFF = 192
+# Most e2 / q^2, for a pivot q and either of its squared couplings e2, that
+# a level of the reduction eliminates.  Its entries then grow by at most
+# sqrt(_GROWTH) times the couplings, and so does the rounding that
+# cancellation at the next level can expose.
+_GROWTH = 1e6
 _REL_TOL = 1e-12  # eigenvalue bracket width, relative to max(1, |lo|, |hi|)
 _MAX_SWEEPS = 200  # Sturm sweeps per eigenvalue
 # Laguerre step, relative to max(1, |x|) as the tolerance is, below which
@@ -159,70 +171,133 @@ def build_hamiltonian(params, grid):
     return Tridiagonal(diag=diag, off=off)
 
 
-def _sturm_count(d, e2, lam, pivmin):
-    """Number of eigenvalues strictly below lam (LDL^T sign count)."""
-    count = 0
-    q = 1.0
-    for di, e2i in zip(d, e2):
-        q = di - lam - e2i / q
-        if q < 0.0:
-            count += 1
-        elif q < pivmin:  # q in [0, pivmin): nudge off the breakdown
-            q = pivmin
-    return count
+def _quotient(num, den, inv):
+    """Taylor coefficients of num / den, given inv = 1 / den[0]."""
+    out = []
+    for k, x in enumerate(num):
+        for i in range(k):
+            x = x - out[i] * den[k - i]
+        out.append(x * inv)
+    return out
 
 
-def _sturm_newton(d, e2, lam, pivmin):
-    """(count, s): the Sturm count below lam and s = d/dlam log|det(H - lam)|.
+def _product(x, y):
+    """Taylor coefficients of x * y."""
+    out = []
+    for k in range(len(x)):
+        z = x[0] * y[k]
+        for i in range(1, k + 1):
+            z = z + x[i] * y[k - i]
+        out.append(z)
+    return out
 
-    The pivots q_i of H - lam have derivatives q_i' = -1 + e2_i q_{i-1}'/q_{i-1}^2,
-    and s = sum q_i'/q_i.  Carrying t = q'/q forms only ratios, so nothing
-    overflows the way det itself would.  A pivmin nudge makes s NaN.
+
+def _grows(ratio):
+    """Does e2 / q^2 exceed _GROWTH for a pivot q and one of its couplings?
+    ratio holds those values; NaN, from q = 0, counts as growth."""
+    return not ratio.max() <= _GROWTH
+
+
+def _sturm_pass(d, e2, lam, pivmin, order):
+    """(count, g, h): the number of eigenvalues of H below lam and, as far as
+    order (0, 1 or 2) asks, g = sum 1/(lam_i - lam) and
+    h = sum 1/(lam_i - lam)^2 over the eigenvalues lam_i of H.
+
+    d is the diagonal of H and e2 its squared off-diagonal, both arrays.
+    The pass factors P (H - lam) P^T = L D L^T, for a permutation P, by
+    odd-even (cyclic) reduction: the even rows are not coupled to each
+    other, so a few array operations eliminate them all at once, and what
+    is left on the odd rows is tridiagonal again and is reduced in turn.
+    P H P^T has the inertia of H, so the count is the number of negative
+    pivots over all levels.  det(H - lam) is the product of the pivots, so
+    g = -sum q'/q and h = sum (q'/q)^2 - q''/q over every pivot q, whose
+    derivatives in lam are carried through the reduction as Taylor
+    coefficients of the entries.  Once _REDUCE_CUTOFF rows or fewer are
+    left, or a pivot q is so small next to a squared coupling e2
+    (e2 / q^2 > _GROWTH, as when lam is at a diagonal entry) that
+    eliminating it would swamp the entries it leaves with rounding, one
+    natural-order loop over what is left finishes the pass.  There a pivot
+    in [0, pivmin) becomes pivmin and makes g NaN.  Matrices of at most
+    _REDUCE_CUTOFF rows never touch numpy.
     """
-    count = 0
-    q = 1.0
-    t = 0.0
-    s = 0.0
-    for di, e2i in zip(d, e2):
-        r = e2i / q
-        q = di - lam - r
-        if q < 0.0:
+    count, g, h = 0, 0.0, 0.0
+    n = len(d)
+    a = None
+    if n > _REDUCE_CUTOFF:
+        with np.errstate(all="ignore"):
+            # Level 0: q' = -1 and q'' = 0 on every pivot q, and e2 does not
+            # depend on lam, so e2 / q has the coefficients e2 r^(k+1), with
+            # r = 1 / q.  Its second coefficient, e2 / q^2, is the growth.
+            q = d[0::2] - lam
+            r = 1.0 / q
+            m, nr = n // 2, (n - 1) // 2
+            left = [e2[0::2] * r[:m]]  # coupling to the pivot before each odd row
+            right = [e2[1::2] * r[1 : nr + 1]]  # and to the pivot after it
+            for _ in range(max(order, 1)):
+                left.append(left[-1] * r[:m])
+                right.append(right[-1] * r[1 : nr + 1])
+            if not (_grows(left[1]) or _grows(right[1])):
+                count += int(np.count_nonzero(q < 0.0))
+                if order:
+                    g += float(r.sum())
+                if order == 2:
+                    h += float(r @ r)
+                a = [x - y for x, y in zip((d[1::2] - lam, -1.0, 0.0)[: order + 1], left)]
+                for x, y in zip(a, right):
+                    x[:nr] -= y
+                # the coupling e2_R e2_L r^2 has the coefficients
+                # (k + 1) e2_R e2_L r^(k+2)
+                b = [right[0][: m - 1] * left[0][1:]]
+                for k in range(order):
+                    b.append(b[-1] * r[1:m] * ((k + 2) / (k + 1)))
+            while a is not None and len(a[0]) > _REDUCE_CUTOFF:
+                n = len(a[0])
+                m, nr = n // 2, (n - 1) // 2
+                q = [x[0::2] for x in a]
+                r = 1.0 / q[0]
+                left = _quotient([x[0::2] for x in b], [x[:m] for x in q], r[:m])
+                right = _quotient([x[1::2] for x in b], [x[1 : nr + 1] for x in q], r[1 : nr + 1])
+                if _grows(left[0] * r[:m]) or _grows(right[0] * r[1 : nr + 1]):
+                    break
+                count += int(np.count_nonzero(q[0] < 0.0))
+                if order:
+                    t = q[1] * r
+                    g -= float(t.sum())
+                if order == 2:
+                    h += float(t @ t) - 2.0 * float(q[2] @ r)
+                a = [x[1::2] - y for x, y in zip(a, left)]
+                for x, y in zip(a, right):
+                    x[:nr] -= y
+                b = _product([x[: m - 1] for x in right], [x[1:] for x in left])
+    if a is None:
+        a = [[x - lam for x in d.tolist()], [-1.0] * n, [0.0] * n][: order + 1]
+        b = [[0.0] + e2.tolist(), [0.0] * n, [0.0] * n][: order + 1]
+    else:
+        a = [x.tolist() for x in a]
+        b = [[0.0] + x.tolist() for x in b]
+    # Natural-order LDL^T of what is left, with the Taylor coefficients of
+    # each pivot q and of y = e2 / (the pivot before it).
+    p0, p1, p2 = 1.0, 0.0, 0.0  # the first row has no coupling before it
+    for i, a0 in enumerate(a[0]):
+        y0 = b[0][i] / p0
+        q0 = a0 - y0
+        if q0 < 0.0:
             count += 1
-        elif q < pivmin:
-            q = pivmin
-            s = math.nan  # the nudged pivot has no derivative
-        t = (r * t - 1.0) / q
-        s += t
-    return count, s
-
-
-def _sturm_laguerre(d, e2, lam, pivmin):
-    """(count, g, h): the Sturm count below lam, g = sum 1/(lam_i - lam) and
-    h = sum 1/(lam_i - lam)^2 over the eigenvalues lam_i.
-
-    g and h are minus the first two derivatives of log|det(H - lam)|.  Beside
-    t = q'/q of _sturm_newton this carries u = q''/q, from
-    q_i'' = e2_i (q_{i-1}''/q_{i-1}^2 - 2 q_{i-1}'^2/q_{i-1}^3), and sums
-    d/dlam t = u - t^2: ratios again.  A pivmin nudge makes g NaN.
-    """
-    count = 0
-    q = 1.0
-    t = 0.0
-    u = 0.0
-    g = 0.0
-    h = 0.0
-    for di, e2i in zip(d, e2):
-        r = e2i / q
-        q = di - lam - r
-        if q < 0.0:
-            count += 1
-        elif q < pivmin:
-            q = pivmin
-            g = math.nan
-        u = r * (u - 2.0 * t * t) / q
-        t = (r * t - 1.0) / q
-        g -= t
-        h += t * t - u
+        elif q0 < pivmin:  # q in [0, pivmin): nudge off the breakdown
+            q0 = pivmin
+            g = math.nan  # the nudged pivot has no derivative
+        if order:
+            y1 = (b[1][i] - y0 * p1) / p0
+            q1 = a[1][i] - y1
+            t = q1 / q0
+            g -= t
+            if order == 2:
+                y2 = (b[2][i] - y1 * p1 - y0 * p2) / p0
+                q2 = a[2][i] - y2
+                h += t * t - 2.0 * q2 / q0
+                p2 = q2
+            p1 = q1
+        p0 = q0
     return count, g, h
 
 
@@ -272,13 +347,13 @@ class _Bracket:
             self.lo, self.below_lo = x, below
 
     def count(self, x):
-        self._move(x, _sturm_count(self.d, self.e2, x, self.pivmin))
+        self._move(x, _sturm_pass(self.d, self.e2, x, self.pivmin, 0)[0])
 
     def newton(self, x):
         """Sweep at x and return the Newton iterate from it (NaN if none)."""
-        below, s = _sturm_newton(self.d, self.e2, x, self.pivmin)
+        below, g, _ = _sturm_pass(self.d, self.e2, x, self.pivmin, 1)
         self._move(x, below)
-        return x - 1.0 / s if s != 0.0 else math.nan
+        return x + 1.0 / g if g != 0.0 else math.nan
 
     def laguerre(self, x, deflate):
         """Sweep at x and return the Laguerre iterate from it toward
@@ -290,7 +365,7 @@ class _Bracket:
         smallest root the upward iterate never passes it; from between its
         two smallest roots the downward iterate never passes the lower one.
         """
-        below, g, h = _sturm_laguerre(self.d, self.e2, x, self.pivmin)
+        below, g, h = _sturm_pass(self.d, self.e2, x, self.pivmin, 2)
         self._move(x, below)
         for lam in deflate:
             pole = 1.0 / (lam - x)
@@ -393,7 +468,8 @@ def lowest_eigenvalues(matrix, k):
     Eigenvalue j is the midpoint of a bracket [lo, hi] with
     hi - lo <= 1e-12 max(1, |lo|, |hi|) that provably holds it: each end is a
     shift whose Sturm count (the number of eigenvalues below it) puts
-    eigenvalue j on the inner side, or a Gershgorin bound, or, for the lowest
+    eigenvalue j on the inner side, or a Gershgorin bound (the upper one
+    moved up by the tolerance, as a level can equal it), or, for the lowest
     level, min(diag), a Rayleigh quotient.  Every count is kept, so a level
     starts from the tightest bracket the earlier levels proved.
 
@@ -406,31 +482,43 @@ def lowest_eigenvalues(matrix, k):
     level j + 1 they fall toward it, and either way they converge cubically.
     Newton steps refine the level, and count-only probes certify it.  The
     pass over the rows that gives a count also gives the sums the steps
-    need, sum 1/(lam_i - lam) and sum 1/(lam_i - lam)^2, from ratios of the
-    LDL^T pivots and their derivatives, so nothing overflows.  Bisection
+    need, sum 1/(lam_i - lam) and sum 1/(lam_i - lam)^2, from the LDL^T
+    pivots and their derivatives (_sturm_pass).  It factors a symmetric
+    permutation of H - lam by odd-even reduction, which has the inertia of
+    H - lam, so the counts are Sturm counts; the brackets certify these
+    computed counts, which rounding can move near the level.  Bisection
     takes over when a step leaves the bracket or has no sums, and when a
     step fails to halve the one before, as it does toward a multiple level
     or a cluster of levels.  Raises ToleranceNotMet, with the midpoint and
     the half-width of the bracket, if 200 Sturm sweeps leave a level's
-    bracket wider than the tolerance.
+    bracket wider than the tolerance, and ValueError if k is out of range or
+    a squared off-diagonal entry overflows.
     """
     n = matrix.dimension
     if k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     diag = matrix.diag
     off = matrix.off
-    d = diag.tolist()
-    e2 = [0.0] + (off * off).tolist()
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    pivmin = max(max(e2), 1.0) * 1e-292
-    known = [(float(np.min(diag - radius)), 0), (float(np.max(diag + radius)), n)]
+    with np.errstate(over="ignore"):
+        e2 = off * off
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        bottom = float(np.min(diag - radius))
+        top = float(np.max(diag + radius))
+    if not np.all(np.isfinite(e2)):
+        raise ValueError("squared off-diagonal entries overflow")
+    pivmin = max(float(np.max(e2, initial=0.0)), 1.0) * 1e-292
+    # Every level is strictly below the Gershgorin upper end only once it is
+    # moved up: a level can equal it, as a diagonal entry of a reducible
+    # matrix does.
+    top += _REL_TOL * max(1.0, abs(top))
+    known = [(bottom, 0), (top, n)]
     upper = float(np.min(diag))
     eigenvalues = []
     for j in range(k):
         eigenvalues.append(
-            _eigenvalue(d, e2, pivmin, j, known, upper if j == 0 else math.inf, eigenvalues)
+            _eigenvalue(diag, e2, pivmin, j, known, upper if j == 0 else math.inf, eigenvalues)
         )
     return eigenvalues
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -86,18 +87,37 @@ def dense_eigenvalues(m):
 
 
 def test_laguerre_sums_match_the_spectrum():
-    # one pass gives the count, sum 1/(lam_i - x) and sum 1/(lam_i - x)^2
+    # one pass gives the count, sum 1/(lam_i - x) and sum 1/(lam_i - x)^2,
+    # below the reduction cutoff and above it
     rng = np.random.default_rng(5)
-    m = Tridiagonal(diag=rng.standard_normal(50), off=rng.standard_normal(49))
+    for n in (50, 1000):
+        m = Tridiagonal(diag=rng.standard_normal(n), off=rng.standard_normal(n - 1))
+        lams = dense_eigenvalues(m)
+        for x in (lams[0] - 1.0, 0.5 * (lams[10] + lams[11]), lams[-1] + 0.3):
+            for order in (0, 1, 2):
+                count, g, h = oracle._sturm_pass(m.diag, m.off**2, x, 1e-292, order)
+                assert count == np.count_nonzero(lams < x)
+                if order >= 1:
+                    assert g == pytest.approx(np.sum(1.0 / (lams - x)), rel=1e-10)
+                if order == 2:
+                    assert h == pytest.approx(np.sum(1.0 / (lams - x) ** 2), rel=1e-10)
+
+
+def test_sturm_pass_at_a_diagonal_entry():
+    # a shift at or next to an even diagonal entry makes a pivot of the
+    # reduction zero or tiny; eliminating it would swamp the entries it leaves
+    # with rounding (or inf), so the pass finishes in the natural order
+    rng = np.random.default_rng(3)
+    m = Tridiagonal(diag=np.round(3.0 * rng.standard_normal(400), 1), off=rng.standard_normal(399))
     lams = dense_eigenvalues(m)
-    e2 = [0.0] + (m.off**2).tolist()
-    for x in (lams[0] - 1.0, 0.5 * (lams[10] + lams[11]), lams[-1] + 0.3):
-        count, g, h = oracle._sturm_laguerre(m.diag.tolist(), e2, x, 1e-292)
-        assert count == np.count_nonzero(lams < x)
-        assert g == pytest.approx(np.sum(1.0 / (lams - x)), rel=1e-10)
-        assert h == pytest.approx(np.sum(1.0 / (lams - x) ** 2), rel=1e-10)
+    for x in m.diag[0:40:2]:
+        for shift in (x, x + 1e-12, x - 1e-9):
+            if np.min(np.abs(lams - shift)) > 1e-9:
+                count, _, _ = oracle._sturm_pass(m.diag, m.off**2, shift, 1e-292, 0)
+                assert count == np.count_nonzero(lams < shift)
 
 
+@pytest.mark.filterwarnings("error")
 def test_degenerate_reducible_matrix():
     # zero off-diagonal: the double eigenvalue 1 is never alone in a bracket,
     # so levels 0 and 1 finish by bisection
@@ -105,12 +125,14 @@ def test_degenerate_reducible_matrix():
     assert np.allclose(oracle.lowest_eigenvalues(m, 3), dense_eigenvalues(m), atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_wilkinson_w21_plus():
     # the top pairs of W21+ agree to about 1e-14
     m = Tridiagonal(diag=np.abs(np.arange(-10.0, 11.0)), off=np.ones(20))
     assert np.allclose(oracle.lowest_eigenvalues(m, 21), dense_eigenvalues(m), atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_negative_spectrum():
     rng = np.random.default_rng(3)
     m = Tridiagonal(diag=rng.standard_normal(40) - 50.0, off=rng.standard_normal(39))
@@ -130,11 +152,8 @@ def test_every_k_of_a_random_matrix():
 def count_passes(monkeypatch):
     """A list that gains one entry per pass over the rows, of any kind."""
     passes = []
-    for name in ("_sturm_count", "_sturm_newton", "_sturm_laguerre"):
-        sweep = getattr(oracle, name)
-        monkeypatch.setattr(
-            oracle, name, lambda *args, sweep=sweep: passes.append(1) or sweep(*args)
-        )
+    sweep = oracle._sturm_pass
+    monkeypatch.setattr(oracle, "_sturm_pass", lambda *args: passes.append(1) or sweep(*args))
     return passes
 
 
@@ -151,6 +170,31 @@ def test_ground_level_sweep_count(monkeypatch):
         H.diag, H.off, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-14
     )
     assert lam == pytest.approx(ref[0], rel=1e-11, abs=0.0)
+
+
+def _mpmath_count(matrix, lam):
+    """Eigenvalues below lam, from the LDL^T pivots in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        below, q = 0, mpmath.mpf(1)
+        off = [0.0] + matrix.off.tolist()
+        for d, e in zip(matrix.diag.tolist(), off):
+            q = mpmath.mpf(d) - lam - mpmath.mpf(e) ** 2 / q
+            below += q < 0
+    return below
+
+
+@pytest.mark.parametrize("b2, rows", [(5.3, 2003), (7.0, 4378), (11.7, 2500)])
+def test_fd_ground_level_against_mpmath_counts(b2, rows):
+    # fd-spectrum matrices: exact counts of the float matrix hold the ground
+    # level within 2e-12 relative; measured, 2e-13 holds all three and 1e-13
+    # only b^2 = 5.3
+    p = ModelParams(a=math.sqrt(b2))
+    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=p.a + 40.0 / p.lambda0, count=rows)
+    H = oracle.build_hamiltonian(p, grid)
+    [lam] = oracle.lowest_eigenvalues(H, 1)
+    assert _mpmath_count(H, lam * (1.0 - 2e-12)) == 0
+    assert _mpmath_count(H, lam * (1.0 + 2e-12)) == 1
 
 
 def test_eigensolver_check_pass_budget(monkeypatch):
@@ -198,18 +242,41 @@ def test_clustered_levels_pass_budget(monkeypatch):
 
 
 def test_multiple_level_at_zero(monkeypatch):
-    # 1000 copies of a 3 x 3 block whose lowest level is 0: a Laguerre step
-    # toward the 1000-fold level shrinks the distance by only about 4%, so
-    # the second step fails to halve the first and bisection takes over
-    m = Tridiagonal(np.full(3000, math.sqrt(2.0)), np.tile([1.0, 1.0, 0.0], 1000)[:-1])
+    # copies of a 3 x 3 block whose lowest level is 0, below the reduction
+    # cutoff and above it: a Laguerre step toward the multiple level shrinks
+    # the distance by only a few percent, so the second step fails to halve
+    # the first and bisection takes over
+    for copies in (60, 1000):
+        m = Tridiagonal(np.full(3 * copies, math.sqrt(2.0)), np.tile([1.0, 1.0, 0.0], copies)[:-1])
+        passes = count_passes(monkeypatch)
+        lams = oracle.lowest_eigenvalues(m, 2)
+        assert len(passes) <= 45  # 2 Laguerre and 41 count passes
+        for lam in lams:
+            assert abs(lam) <= 1e-12
+            assert oracle._sturm_pass(m.diag, m.off**2, lam - 1e-12, 1e-292, 0)[0] == 0
+            assert oracle._sturm_pass(m.diag, m.off**2, lam + 1e-12, 1e-292, 0)[0] == copies
+
+
+def test_level_at_the_gershgorin_upper_end(monkeypatch):
+    # level 2 equals the Gershgorin upper end, so that end does not bound it
+    # strictly; taken as a count, it made Newton's iterates land on the
+    # bracket's end, and the level took 20 passes that halved it like bisection
+    m = Tridiagonal([1.0, 1.0, 3.0], [0.0, 0.0])
     passes = count_passes(monkeypatch)
-    lams = oracle.lowest_eigenvalues(m, 2)
-    assert len(passes) <= 45  # 2 Laguerre and 41 count passes
-    d, e2 = m.diag.tolist(), [0.0] + (m.off**2).tolist()
-    for lam in lams:
-        assert abs(lam) <= 1e-12
-        assert oracle._sturm_count(d, e2, lam - 1e-12, 1e-292) == 0
-        assert oracle._sturm_count(d, e2, lam + 1e-12, 1e-292) == 1000
+    oracle.lowest_eigenvalues(m, 2)
+    lower = len(passes)
+    lam = oracle.lowest_eigenvalues(m, 3)[2]
+    assert len(passes) - 2 * lower <= 6
+    e2 = m.off**2
+    assert oracle._sturm_pass(m.diag, e2, lam - 3e-12, 1e-292, 0)[0] == 2
+    assert oracle._sturm_pass(m.diag, e2, lam + 3e-12, 1e-292, 0)[0] == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_off_diagonal_is_refused():
+    # the squares of the couplings are what the passes use
+    with pytest.raises(ValueError, match="overflow"):
+        oracle.lowest_eigenvalues(Tridiagonal([1.0, 2.0, 3.0], [1e200, 1.0]), 1)
 
 
 def test_open_bracket_raises(monkeypatch):

@@ -4,6 +4,7 @@ over drawn parameters and matrices."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,17 @@ def tridiagonals(draw):
 @given(matrix=tridiagonals(), fraction=st.floats(0.0, 1.0))
 def test_lowest_eigenvalues_certified(matrix, fraction):
     assert_certified_levels(matrix, 1 + int(fraction * (matrix.dimension - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(matrix=tridiagonals(), fraction=st.floats(0.0, 1.0))
+@pytest.mark.filterwarnings("error")
+def test_lowest_eigenvalues_certified_through_every_reduction_level(matrix, fraction):
+    # with the cutoff at 2 every drawn matrix is reduced down to 2 rows or
+    # fewer, so every level of the odd-even reduction gives counts and sums
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_REDUCE_CUTOFF", 2)
+        assert_certified_levels(matrix, 1 + int(fraction * (matrix.dimension - 1)))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

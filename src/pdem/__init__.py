@@ -29,6 +29,7 @@ from .limits import LimitSweep, continuum_magnitude, energy_gap, scaled_bessel, 
 from .model import (
     WALL,
     BoundState,
+    BoundStates,
     ContinuousState,
     DiscreteState,
     ModelParams,
@@ -36,6 +37,7 @@ from .model import (
     alpha0,
     apply_lowering,
     bound_state,
+    bound_states,
     continuum_state,
     continuum_wavefunction,
     continuum_wavefunction_with_derivatives,

@@ -53,17 +53,20 @@ def bound_overlap(params, m, n, tol=1e-11):
     3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n approaches 1/2.
     Without the c term it would be off by c u_lo, 2e-8 of the norm for the
     top level at b^2 = 39.52.
+
+    Each integrand call evaluates psi_m and psi_n from one Bessel recurrence
+    (model.bound_states), and oracle.integrate's wide first round leaves most
+    overlaps at 2 to 4 calls.
     """
     a, b2 = params.a, params.b2
     u_lo = 1e-12
     u_hi = (900.0 + 4.0 * b2 * math.log(1e3)) / (2.0 * params.wall_scale)
-    psi_m = model.bound_state(params, m).psi
-    psi_n = model.bound_state(params, n).psi
+    pair = model.bound_states(params, (m, n)).psi
 
     def integrand(s):
         u = np.exp(s)
-        x = 1.0 / u - a
-        return psi_m(x) * psi_n(x) / u
+        psi_m, psi_n = pair(1.0 / u - a)
+        return psi_m * psi_n / u
 
     s_lo = math.log(u_lo)
     p = 2.0 * b2 - m - n - 1.0
@@ -130,10 +133,10 @@ def check_dual_form(a_values=A_VALUES, tol=1e-10, points=200):
     for a in a_values:
         p = model.ModelParams(a=a)
         xs = np.linspace(-a + 0.02 * a, a + 10.0 / p.lambda0, points)
-        for n in range(model.max_level(p) + 1):
-            state = model.bound_state(p, n)
-            vb = state.psi(xs, model.WavefunctionForm.BESSEL)
-            vl = state.psi(xs, model.WavefunctionForm.LAGUERRE)
+        levels = range(model.max_level(p) + 1)
+        bessel = model.bound_states(p, levels).psi(xs)
+        for n, vb in zip(levels, bessel):
+            vl = model.bound_state(p, n).psi(xs, model.WavefunctionForm.LAGUERRE)
             scale = np.maximum(np.abs(vb), np.abs(vl))
             nonzero = scale > 0.0
             if nonzero.any():
@@ -154,14 +157,14 @@ def check_ode_residual(a_values=A_VALUES, tol=1e-6):
     for a in a_values:
         p = model.ModelParams(a=a)
         xs = _interior_grid(-a + 1e-3 * a, a + 12.0 / p.lambda0, 160)
-        for n in range(model.max_level(p) + 1):
-            state = model.bound_state(p, n)
-            # the closed form on the whole grid at once; the meter takes one point
-            triples = zip(*(v.tolist() for v in state.psi_with_derivatives(xs)))
+        states = model.bound_states(p, range(model.max_level(p) + 1))
+        # every level on the whole grid at once; the meter takes one point
+        rows = states.psi_with_derivatives(xs)
+        for i, level in enumerate(states.levels):
+            triples = zip(*(v[i].tolist() for v in rows))
             for x, triple in zip(xs.tolist(), triples):
                 worst = max(
-                    worst,
-                    oracle.ode_residual(p, lambda _, t=triple: t, state.level.energy, x),
+                    worst, oracle.ode_residual(p, lambda _, t=triple: t, level.energy, x)
                 )
     return CheckResult(
         "ode-residual", worst <= tol, f"{worst:.3e}", f"{tol:.0e}",

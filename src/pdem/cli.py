@@ -136,6 +136,14 @@ def cmd_profile(args):
     return 0
 
 
+def _walled(inside, values):
+    """values, one per True of inside, with None where inside is False."""
+    if inside.all():
+        return values
+    it = iter(values)
+    return [next(it) if ok else None for ok in inside.tolist()]
+
+
 def cmd_wavefunction(args):
     params = _params(args)
     if args.x_min is None:
@@ -144,14 +152,13 @@ def cmd_wavefunction(args):
         args.x_max = params.a + 8.0 / params.lambda0
     xs = _sample_grid(args, params)
     levels = args.n or [0]
-    states = [model.bound_state(params, n) for n in levels]
+    states = model.bound_states(params, levels)
     columns = {"x": xs.tolist()}
     inside = xs > -params.a
-    for n, state in zip(levels, states):
-        values = iter(state.psi(xs[inside]).tolist())
-        psi_col = [next(values) if ok else None for ok in inside]
-        columns[f"psi_{n}"] = psi_col
-        columns[f"density_{n}"] = [None if v is None else v * v for v in psi_col]
+    psi = states.psi(xs[inside])
+    for n, row in zip(levels, psi):
+        columns[f"psi_{n}"] = _walled(inside, row.tolist())
+        columns[f"density_{n}"] = _walled(inside, (row * row).tolist())
     if args.canonical:
         ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
         for n in levels:

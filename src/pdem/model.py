@@ -9,7 +9,8 @@ polynomials; above it the states are continuum waves built from 1F1.
 All prefactors are assembled in log space and exponentiated once: for a >= 3
 the wall factor exp(-l0^2 a^3/(x+a)) and the power (x/a+1)^(-l0^2 a^2) both
 leave the native float range long before the physics becomes uninteresting.
-Bound states are evaluated on numpy arrays of positions (bound_state); the
+Bound states are evaluated on numpy arrays of positions, one level
+(bound_state) or several from one Bessel recurrence (bound_states); the
 module-level wavefunction functions wrap that for one position or an array.
 """
 
@@ -223,6 +224,70 @@ def energy(params, n):
     )
 
 
+def _log_prefactor(params, log_norm, x):
+    """ln of C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)), for ln C_n = log_norm."""
+    return log_norm - params.b2 * np.log1p(x / params.a) - params.wall_scale / (x + params.a)
+
+
+@dataclass(frozen=True)
+class BoundStates:
+    """Bound levels of one parameter set, evaluated together on arrays of
+    positions.
+
+    Every level is the Bessel polynomial y_n(t; -2b^2) at the same
+    t = (x+a)/(l0^2 a^3), so one recurrence up to the highest level gives
+    them all.  psi and psi_with_derivatives take a scalar or an array of
+    positions, all strictly inside the wall, and return arrays of shape
+    (len(levels), *x.shape), row i for levels[i]; each row is bit for bit
+    the BoundState value of its level.
+    """
+
+    params: ModelParams
+    levels: tuple  # a DiscreteState per requested level, in request order
+
+    def _parts(self, x, derivatives):
+        """(x + a, log prefactor rows, Bessel rows) at the positions x."""
+        x = _require_inside(self.params, x)
+        p = self.params
+        log_norm = np.reshape([level.log_norm for level in self.levels], (-1,) + (1,) * x.ndim)
+        xa = x + p.a
+        rows = specfun.bessel_poly_rows(
+            [level.n for level in self.levels], -2.0 * p.b2, xa / p.wall_scale, derivatives
+        )
+        return xa, _log_prefactor(p, log_norm, x), rows
+
+    def psi(self, x):
+        """psi_n at x for every level, in the Bessel form
+            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2)."""
+        _, log_pref, (exponent, y, _, _) = self._parts(x, False)
+        return specfun.exp_scaled(log_pref, y, exponent)
+
+    def psi_with_derivatives(self, x):
+        """(psi_n, psi_n', psi_n'') at x for every level, with analytic
+        derivatives.
+
+        Logarithmic differentiation of the prefactor plus the differentiated
+        polynomial recurrence; exact up to round-off, no finite differences.
+        """
+        xa, log_pref, (exponent, y, dy, d2y) = self._parts(x, True)
+        b2, w = self.params.b2, self.params.wall_scale
+        dl = -b2 / xa + w / xa**2          # d/dx of the log prefactor
+        d2l = b2 / xa**2 - 2.0 * w / xa**3
+        dy = dy / w                         # chain rule, t = (x+a)/(l0^2 a^3)
+        d2y = d2y / (w * w)
+        return (
+            specfun.exp_scaled(log_pref, y, exponent),
+            specfun.exp_scaled(log_pref, dl * y + dy, exponent),
+            specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y, exponent),
+        )
+
+
+def bound_states(params, levels):
+    """The bound levels of params, ready to evaluate together (raises
+    LevelOutOfRange); levels may come in any order and may repeat."""
+    return BoundStates(params, tuple(energy(params, n) for n in levels))
+
+
 @dataclass(frozen=True)
 class BoundState:
     """Bound level n of one parameter set, evaluated on arrays of positions.
@@ -230,15 +295,11 @@ class BoundState:
     The level is checked and its energy and normalization computed once, when
     bound_state() builds it; psi and psi_with_derivatives then take a scalar
     (giving floats) or an array (giving arrays) of positions, all strictly
-    inside the wall.
+    inside the wall.  The Bessel form is the one-level case of BoundStates.
     """
 
     params: ModelParams
     level: DiscreteState
-
-    def _log_prefactor(self, x):
-        p = self.params
-        return self.level.log_norm - p.b2 * np.log1p(x / p.a) - p.wall_scale / (x + p.a)
 
     def psi(self, x, form=WavefunctionForm.BESSEL):
         """Wavefunction psi_n at x.
@@ -251,18 +312,16 @@ class BoundState:
         relative constant to (-1)^n n! / (2b^2)^n, so both paths return
         identical values.
         """
-        x = _require_inside(self.params, x)
-        p, n = self.params, self.level.n
-        b2, w = p.b2, p.wall_scale
-        log_pref = self._log_prefactor(x)
         if form is WavefunctionForm.BESSEL:
-            exponent, y, _, _ = specfun.bessel_poly_scaled(n, -2.0 * b2, (x + p.a) / w)
-            return specfun.exp_scaled(log_pref, y, exponent)
+            return specfun.shaped_like(x, BoundStates(self.params, (self.level,)).psi(x)[0])
         if form is WavefunctionForm.LAGUERRE:
+            x = _require_inside(self.params, x)
+            p, n = self.params, self.level.n
+            b2, w = p.b2, p.wall_scale
             exponent, lag = specfun.laguerre_scaled(
                 n, 2.0 * b2 - 2.0 * n - 1.0, 2.0 * w / (x + p.a)
             )
-            log_pref = log_pref + (
+            log_pref = _log_prefactor(p, self.level.log_norm, x) + (
                 specfun.log_gamma(n + 1.0) - n * math.log(2.0 * b2) + n * np.log1p(x / p.a)
             )
             signed = lag if n % 2 == 0 else -lag
@@ -270,28 +329,9 @@ class BoundState:
         raise ValueError(f"unknown wavefunction form {form!r}")
 
     def psi_with_derivatives(self, x):
-        """(psi_n, psi_n', psi_n'') at x with analytic derivatives.
-
-        Logarithmic differentiation of the prefactor plus the differentiated
-        polynomial recurrence; exact up to round-off, no finite differences.
-        """
-        x = _require_inside(self.params, x)
-        p = self.params
-        b2, w = p.b2, p.wall_scale
-        xa = x + p.a
-        log_pref = self._log_prefactor(x)
-        dl = -b2 / xa + w / xa**2          # d/dx of the log prefactor
-        d2l = b2 / xa**2 - 2.0 * w / xa**3
-        exponent, y, dy, d2y = specfun.bessel_poly_scaled(
-            self.level.n, -2.0 * b2, xa / w, derivatives=True
-        )
-        dy = dy / w                         # chain rule, t = (x+a)/(l0^2 a^3)
-        d2y = d2y / (w * w)
-        return (
-            specfun.exp_scaled(log_pref, y, exponent),
-            specfun.exp_scaled(log_pref, dl * y + dy, exponent),
-            specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y, exponent),
-        )
+        """(psi_n, psi_n', psi_n'') at x (see BoundStates.psi_with_derivatives)."""
+        rows = BoundStates(self.params, (self.level,)).psi_with_derivatives(x)
+        return tuple(specfun.shaped_like(x, v[0]) for v in rows)
 
 
 def bound_state(params, n):

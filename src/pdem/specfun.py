@@ -7,9 +7,10 @@ a per-element base-2 exponent and renormalizes them every few steps with
 np.frexp/np.ldexp, which are exact, so no intermediate overflows however high
 the degree (Gil, Segura and Temme, Numerical Methods for Special Functions,
 SIAM 2007, ch. 4).  The *_scaled forms hand mantissa and exponent to
-exp_scaled, which folds the exponent into a log-space prefactor.  Bessel
-polynomials get a direct terminating-series fallback because their recurrence
-coefficients have poles in the alpha parameter.  The Kummer series 1F1 takes
+exp_scaled, which folds the exponent into a log-space prefactor.  One Bessel
+recurrence records every degree a caller asks for as it passes it, and
+Bessel polynomials get a direct terminating-series fallback because their
+recurrence coefficients have poles in the alpha parameter.  The Kummer series 1F1 takes
 scalar parameters and argument but sums its terms as numpy arrays, chunk by
 chunk, with its first two z-derivatives as extra rows of the same pass; the
 Lanczos log-gamma is scalar.
@@ -148,14 +149,16 @@ def laguerre(n, alpha, x):
     return shaped_like(x, np.ldexp(l, exponent))
 
 
-def _bessel_recurrence_safe(n, alpha):
-    """True if no recurrence denominator up to degree n is near a pole."""
+def _bessel_pole_step(n, alpha):
+    """The first recurrence step k in 1 .. n-1 whose denominator
+    (k+alpha+1)(2k+alpha) comes within _BESSEL_POLE_MARGIN of a pole, or n if
+    none does.  The recurrence serves the degrees up to it."""
     for k in range(1, n):
         if abs(k + alpha + 1.0) < _BESSEL_POLE_MARGIN:
-            return False
+            return k
         if abs(2.0 * k + alpha) < _BESSEL_POLE_MARGIN:
-            return False
-    return True
+            return k
+    return n
 
 
 def _bessel_series_coeffs(n, alpha):
@@ -169,48 +172,76 @@ def _bessel_series_coeffs(n, alpha):
     return coeffs
 
 
-def bessel_poly_scaled(n, alpha, x, derivatives=False):
-    """(exponent, y, y', y''): the Bessel polynomial y_n(x; alpha) of the
-    Askey scheme and, with derivatives, its first two x-derivatives, as
-    mantissas sharing one base-2 exponent, elementwise.  Without derivatives
-    the recurrence skips y' and y'' and the caller must ignore them.
+def _bessel_horner(n, alpha, x):
+    """(exponent, y, y', y'') of y_n(x; alpha) by Horner's rule on the
+    terminating series, differentiated termwise."""
+    coeffs = _bessel_series_coeffs(n, alpha)
+    x, exponent = _start(x)
+    y = dy = d2y = np.zeros_like(x)
+    for step, k in enumerate(range(n, -1, -1)):  # highest degree first
+        d2y = d2y * x + 2.0 * dy
+        dy = dy * x + y
+        y = y * x + np.ldexp(coeffs[k], -exponent)
+        if step % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            exponent, y, dy, d2y = _rescaled(exponent, y, dy, d2y)
+    return exponent, y, dy, d2y
 
-    Default path is the three-term recurrence
+
+def bessel_poly_rows(degrees, alpha, x, derivatives=False):
+    """(exponent, y, y', y''): the Bessel polynomials y_n(x; alpha) of the
+    Askey scheme for every degree n in degrees and, with derivatives, their
+    first two x-derivatives, elementwise, as mantissas with a base-2 exponent.
+    Each is an array of shape (len(degrees), *x.shape) whose row i belongs to
+    degrees[i]; degrees may come in any order and may repeat.  Without
+    derivatives y' and y'' are None.
+
+    One three-term recurrence
         y_{n+1} = A_n y_n + B_n y_{n-1},
         A_n = (2n+a+1)[2a + (2n+a)(2n+a+2)x] / [2(n+a+1)(2n+a)],
         B_n = n(2n+a+2) / [(n+a+1)(2n+a)],
-    seeded with y_0 = 1 and y_1 = 1 + (2+a)x/2.  It is differentiated in step:
-    A_n is linear in x with slope q_n = (2n+a+1)(2n+a+2) / [2(n+a+1)], so
+    seeded with y_0 = 1 and y_1 = 1 + (2+a)x/2, runs up to the highest
+    degree and records each requested degree as it passes it, so a row is
+    bit for bit what a recurrence stopping at its degree gives.  It is
+    differentiated in step: A_n is linear in x with slope
+    q_n = (2n+a+1)(2n+a+2) / [2(n+a+1)], so
         y'_{n+1}  = q_n y_n + A_n y'_n + B_n y'_{n-1},
         y''_{n+1} = 2 q_n y'_n + A_n y''_n + B_n y''_{n-1}.
-    When a recurrence denominator (k+a+1)(2k+a) approaches zero the
-    terminating series is evaluated by Horner's rule instead (differentiated
-    termwise), which makes the operation total (see _BESSEL_POLE_MARGIN for
-    where the switch happens and why).
+    A degree whose recurrence would pass a denominator (k+a+1)(2k+a) near
+    zero is evaluated from the terminating series by Horner's rule instead
+    (differentiated termwise), which makes the operation total (see
+    _BESSEL_POLE_MARGIN for where the switch happens and why).
     """
-    if n < 0:
-        raise DomainError(f"bessel_poly degree must be non-negative, got {n}")
+    for n in degrees:
+        if n < 0:
+            raise DomainError(f"bessel_poly degree must be non-negative, got {n}")
     x, exponent = _start(x)
-    zero = np.zeros_like(x)
-    if n == 0:
-        return exponent, np.ones_like(x), zero, zero
-    if not _bessel_recurrence_safe(n, alpha):
-        coeffs = _bessel_series_coeffs(n, alpha)
-        y = dy = d2y = zero
-        for step, k in enumerate(range(n, -1, -1)):  # Horner, highest degree first
-            d2y = d2y * x + 2.0 * dy
-            dy = dy * x + y
-            y = y * x + np.ldexp(coeffs[k], -exponent)
-            if step % _RESCALE_EVERY == _RESCALE_EVERY - 1:
-                exponent, y, dy, d2y = _rescaled(exponent, y, dy, d2y)
-        return exponent, y, dy, d2y
-    ym1 = np.ones_like(x)
-    y = 1.0 + 0.5 * (2.0 + alpha) * x
+    shape = (len(degrees), *x.shape)
+    out = [np.empty(shape, dtype=np.int64), np.empty(shape)]
     if derivatives:
-        dym1, d2ym1 = zero, zero
-        dy = np.full_like(x, 0.5 * (2.0 + alpha))
-        d2y = zero
-    for k in range(1, n):
+        out += [np.empty(shape), np.empty(shape)]
+    rows = {}  # degree -> the rows that want it, until it is recorded
+    for i, n in enumerate(degrees):
+        rows.setdefault(n, []).append(i)
+
+    def record(n, *values):
+        for i in rows.pop(n):
+            for array, value in zip(out, values):
+                array[i] = value
+
+    pole = _bessel_pole_step(max(rows, default=0), alpha)
+    for n in [n for n in rows if n > pole]:
+        record(n, *_bessel_horner(n, alpha, x))
+    zero = np.zeros_like(x)
+    if 0 in rows:
+        record(0, exponent, np.ones_like(x), zero, zero)
+    if rows:
+        ym1 = np.ones_like(x)
+        y = 1.0 + 0.5 * (2.0 + alpha) * x
+        dym1 = d2ym1 = d2y = zero
+        dy = np.full_like(x, 0.5 * (2.0 + alpha)) if derivatives else None
+        if 1 in rows:
+            record(1, exponent, y, dy, d2y)
+    for k in range(1, max(rows, default=1)):
         denom = 2.0 * (k + alpha + 1.0) * (2.0 * k + alpha)
         ak = (2.0 * k + alpha + 1.0) * (
             2.0 * alpha + (2.0 * k + alpha) * (2.0 * k + alpha + 2.0) * x
@@ -231,14 +262,22 @@ def bessel_poly_scaled(n, alpha, x, derivatives=False):
                 )
         elif k % _RESCALE_EVERY == 0:
             exponent, y, ym1 = _rescaled(exponent, y, ym1)
-    if derivatives:
-        return exponent, y, dy, d2y
-    return exponent, y, None, None
+        if k + 1 in rows:
+            record(k + 1, exponent, y, dy, d2y)
+    return tuple(out) if derivatives else (*out, None, None)
+
+
+def bessel_poly_scaled(n, alpha, x, derivatives=False):
+    """(exponent, y, y', y'') of the one degree n: bessel_poly_rows((n,),
+    alpha, x, derivatives) without its leading axis."""
+    return tuple(
+        None if v is None else v[0] for v in bessel_poly_rows((n,), alpha, x, derivatives)
+    )
 
 
 def bessel_poly(n, alpha, x):
     """Bessel polynomial y_n(x; alpha) from the Askey scheme (see
-    bessel_poly_scaled for the recurrence and its pole fallback)."""
+    bessel_poly_rows for the recurrence and its pole fallback)."""
     exponent, y, _, _ = bessel_poly_scaled(n, alpha, x)
     return shaped_like(x, np.ldexp(y, exponent))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -379,7 +380,7 @@ def test_integrate_orthogonality_cross_check(params_a2):
 
 def test_integrate_tolerance_not_met():
     # the panel budget runs out; rounds split at most _MAX_SPLITS panels, so
-    # it takes 1 + 9 calls to reach 512 panels and 39 more to reach 20000
+    # it takes 1 + 4 calls to reach 512 panels and 39 more to reach 20000
     sizes = []
 
     def f(x):
@@ -390,41 +391,69 @@ def test_integrate_tolerance_not_met():
         oracle.integrate(f, 0.0, 100.0, 1e-12)
     assert math.isfinite(info.value.estimate)
     assert info.value.error_bound > 0.0
-    assert 1 + (sum(sizes) - 15) // 30 <= oracle._MAX_PANELS
+    # the first call makes _FIRST_PANELS panels, and a split adds one in 30 nodes
+    first = 15 * oracle._FIRST_PANELS
+    assert oracle._FIRST_PANELS + (sum(sizes) - first) // 30 <= oracle._MAX_PANELS
     assert max(sizes) == 30 * oracle._MAX_SPLITS
     assert len(sizes) <= 49
 
 
 def test_integrate_calls_with_node_arrays():
-    # the first call gets the first panel's 15 nodes; each later call gets
-    # both halves of every panel split in that round, 30 nodes per panel, at
-    # most _MAX_SPLITS panels
+    # the first call gets the 15 nodes of each of the _FIRST_PANELS panels;
+    # each later call gets both halves of every panel split in that round,
+    # 30 nodes per panel, at most _MAX_SPLITS panels
     shapes = []
+    first_nodes = []
 
     def f(x):
         shapes.append(x.shape)
+        if not first_nodes:
+            first_nodes.append(x.copy())
         return np.sin(40.0 * x) * np.exp(-x)
 
     oracle.integrate(f, 0.0, 50.0, 1e-12)
-    assert shapes[0] == (15,)
+    assert shapes[0] == (15 * oracle._FIRST_PANELS,)
+    # equal panels, all inside the range
+    nodes = first_nodes[0].reshape(oracle._FIRST_PANELS, 15)
+    assert 0.0 < nodes.min() and nodes.max() < 50.0
+    assert np.allclose(np.diff(nodes[:, 7]), 50.0 / oracle._FIRST_PANELS, rtol=1e-12)
     assert len(shapes) > 1 and all(len(shape) == 1 for shape in shapes)
     sizes = [shape[0] for shape in shapes[1:]]
     assert all(size % 30 == 0 and 0 < size <= 30 * oracle._MAX_SPLITS for size in sizes)
     assert max(sizes) > 30  # panels are split in batches
 
 
-@pytest.mark.parametrize("f", [
-    lambda x: np.full_like(x, np.nan),
-    lambda x: np.where(x > 0.5, np.inf, 1.0),
+@pytest.mark.parametrize("f, panel", [
+    (lambda x: np.full_like(x, np.nan), r"\[0\.0, 0\.03125\]"),
+    (lambda x: np.where(x > 0.5, np.inf, 1.0), r"\[0\.5, 0\.53125\]"),
 ], ids=["nan", "inf"])
-def test_integrate_refuses_non_finite_integrand(f):
-    with pytest.raises(NonConvergence, match=r"not finite on the panel \[0\.0, 1\.0\]"):
+def test_integrate_refuses_non_finite_integrand(f, panel):
+    # the first non-finite panel of the first round is named
+    with pytest.raises(NonConvergence, match=r"not finite on the panel " + panel):
         oracle.integrate(f, 0.0, 1.0, 1e-10)
 
 
+@pytest.mark.parametrize("x_min, x_max", [
+    (0.0, math.inf),
+    (-math.inf, 0.0),
+    (-1e308, 1e308),
+], ids=["to-inf", "from-inf", "width-overflows"])
+def test_integrate_refuses_infinite_range(x_min, x_max):
+    # refused before the integrand is called, with no RuntimeWarning from the
+    # node arithmetic
+    def f(x):
+        raise AssertionError("the integrand must not be called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite or its width overflows"):
+            oracle.integrate(f, x_min, x_max, 1e-10)
+
+
 def test_integrate_refuses_panels_at_float_resolution():
-    # a panel one ulp wide cannot be split: it is kept with its error, and
-    # with nothing left to split the tolerance is refused instead of looping
+    # panels one ulp wide or of zero width cannot be split: they are kept
+    # with their error, and with nothing left to split the tolerance is
+    # refused instead of looping
     with pytest.raises(ToleranceNotMet) as info:
         oracle.integrate(lambda x: np.where(np.arange(x.size) % 2, 1e10, -1e10),
                          1.0, 1.0 + 2.2e-16, 1e-12)
@@ -432,8 +461,9 @@ def test_integrate_refuses_panels_at_float_resolution():
 
 
 def test_bound_overlap_call_budget(monkeypatch):
-    # in s = ln u the near-threshold integrand is smooth, and a round splits
-    # every panel it has to: measured at most 9 calls per pair
+    # in s = ln u the near-threshold integrand is smooth, a wide first round
+    # covers most of the range, and a round splits every panel it has to:
+    # measured at most 4 calls per pair
     calls = []
     integrate = oracle.integrate
 
@@ -454,7 +484,7 @@ def test_bound_overlap_call_budget(monkeypatch):
             for n in range(m, top + 1):
                 checks.bound_overlap(p, m, n)
     assert len(calls) == 4 * 5 // 2 + 9 * 10 // 2
-    assert max(calls) <= 12
+    assert max(calls) <= 5
 
 
 def _overlap_reference(p, m, n):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdem import checks, model, oracle
+from pdem import checks, model, oracle, specfun
 from pdem.model import ModelParams, WavefunctionForm
 
 constants = st.floats(0.5, 2.0)
@@ -32,6 +32,57 @@ def test_array_core(b2, m0, omega, hbar, level):
     laguerre = state.psi(xs, WavefunctionForm.LAGUERRE)
     assert np.max(np.abs(psi - laguerre)) <= 1e-10 * np.max(np.abs(psi))
     assert abs(checks.bound_overlap(p, n_max, n_max) - 1.0) <= 1e-10
+
+
+def bits(values):
+    """The bytes of a float array or scalar, so that equality is bit for bit."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(b2=st.floats(0.6, 40.0), m0=constants, omega=constants, hbar=constants,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_bound_states_rows_bit_identical(b2, m0, omega, hbar, fractions):
+    # levels unordered and with repeats, as drawn fractions of the level count
+    p = ModelParams(m0=m0, omega=omega, hbar=hbar, a=math.sqrt(b2 * hbar / (m0 * omega)))
+    n_max = model.max_level(p)
+    levels = [min(int(f * (n_max + 1)), n_max) for f in fractions]
+    xs = np.linspace(-p.a * (1.0 - 1e-3), p.a + 8.0 / p.lambda0, 101)
+    states = model.bound_states(p, levels)
+    psi = states.psi(xs)
+    rows = states.psi_with_derivatives(xs)
+    assert psi.shape == (len(levels), xs.size)
+    # one recurrence up to the highest level gives each level bit for bit what
+    # a recurrence stopping at it gives
+    for i, n in enumerate(levels):
+        state = model.bound_state(p, n)
+        assert bits(psi[i]) == bits(state.psi(xs))
+        for got, want in zip(rows, state.psi_with_derivatives(xs)):
+            assert bits(got[i]) == bits(want)
+    # a scalar position gives one value per level
+    x = float(xs[50])
+    assert bits(states.psi(x)) == bits([model.wavefunction(p, n, x) for n in levels])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(step=st.integers(1, 6), twice=st.booleans(),
+       offset=st.floats(-0.9 * specfun._BESSEL_POLE_MARGIN, 0.9 * specfun._BESSEL_POLE_MARGIN),
+       degrees=st.lists(st.integers(0, 14), min_size=1, max_size=10),
+       derivatives=st.booleans())
+def test_bessel_rows_near_a_pole(step, twice, offset, degrees, derivatives):
+    # alpha within the margin of a pole of step k's denominator: the degrees
+    # past the first such step come from Horner's rule, the others from the
+    # recurrence, and every row is the one-degree result bit for bit
+    alpha = (-2.0 * step if twice else -(step + 1.0)) + offset
+    degrees = degrees + [13, 14, 14, 0]
+    x = np.linspace(0.05, 2.0, 9)
+    pole = specfun._bessel_pole_step(max(degrees), alpha)
+    assert len({n for n in degrees if n > pole}) >= 2  # Horner serves several degrees
+    rows = specfun.bessel_poly_rows(degrees, alpha, x, derivatives)
+    for i, n in enumerate(degrees):
+        single = specfun.bessel_poly_scaled(n, alpha, x, derivatives)
+        for got, want in zip(rows[: 4 if derivatives else 2], single):
+            assert bits(got[i]) == bits(want)
 
 
 def sturm_count(matrix, x):

@@ -28,7 +28,6 @@ from .errors import (
 from .limits import LimitSweep, continuum_magnitude, energy_gap, scaled_bessel, wavefunction_distance
 from .model import (
     WALL,
-    BoundState,
     BoundStates,
     ContinuousState,
     DiscreteState,
@@ -36,7 +35,6 @@ from .model import (
     WavefunctionForm,
     alpha0,
     apply_lowering,
-    bound_state,
     bound_states,
     continuum_state,
     continuum_wavefunction,

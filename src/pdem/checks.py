@@ -134,9 +134,9 @@ def check_dual_form(a_values=A_VALUES, tol=1e-10, points=200):
         p = model.ModelParams(a=a)
         xs = np.linspace(-a + 0.02 * a, a + 10.0 / p.lambda0, points)
         levels = range(model.max_level(p) + 1)
-        bessel = model.bound_states(p, levels).psi(xs)
-        for n, vb in zip(levels, bessel):
-            vl = model.bound_state(p, n).psi(xs, model.WavefunctionForm.LAGUERRE)
+        states = model.bound_states(p, levels)
+        laguerre = states.psi(xs, model.WavefunctionForm.LAGUERRE)
+        for vb, vl in zip(states.psi(xs), laguerre):
             scale = np.maximum(np.abs(vb), np.abs(vl))
             nonzero = scale > 0.0
             if nonzero.any():
@@ -214,7 +214,7 @@ def check_factorization(a_values=(2.0,), tol_annihilate=1e-12, tol_commutator=1e
     for a in a_values:
         p = model.ModelParams(a=a)
         xs = np.linspace(-a + 0.05 * a, a + 8.0 / p.lambda0, 60)
-        psi, dpsi, _ = model.bound_state(p, 0).psi_with_derivatives(xs)
+        psi, dpsi, _ = model.wavefunction_with_derivatives(p, 0, xs)
         keep = np.abs(psi) >= 1e-280
         lowered = model.apply_lowering(p, xs[keep], psi[keep], dpsi[keep])
         worst_lower = max(worst_lower, float(np.max(np.abs(lowered) / np.abs(psi[keep]))))

@@ -93,6 +93,10 @@ def _sample_grid(args, params):
         args.x_min = -params.a
     if args.x_max is None:
         args.x_max = 3.0 * params.a
+    if not math.isfinite(args.x_max - args.x_min):  # an infinite limit makes it inf or NaN
+        raise PdemError(
+            f"sample range [{args.x_min}, {args.x_max}] is not finite or its width overflows"
+        )
     if not args.x_min < args.x_max:
         raise PdemError(f"--x-min must be below --x-max, got [{args.x_min}, {args.x_max}]")
     if args.points > POINTS_CAP:

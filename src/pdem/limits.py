@@ -35,11 +35,12 @@ def scaled_bessel(n, x, nu):
     """(-1)^n (2 nu)^(n/2) y_n(2/nu + (2/nu) sqrt(2/nu) x; -nu), at a scalar x
     (giving a float) or elementwise on an array.
 
-    Tends to H_n(x) as nu -> infinity.  specfun.bessel_poly_scaled keeps y_n
+    Tends to H_n(x) as nu -> infinity.  specfun.bessel_poly_rows keeps y_n
     as a mantissa and a base-2 exponent, and the factor (2 nu)^(n/2) joins
     that exponent in log space, so no huge-times-tiny product ever forms.
     A degree above model.LEVEL_CAP, the cap on bound levels, is refused
-    before any recurrence runs.
+    before any recurrence runs; nu > 2n+1 keeps every recurrence step clear
+    of the poles specfun refuses.
     """
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
@@ -52,8 +53,9 @@ def scaled_bessel(n, x, nu):
         )
     x = np.asarray(x, dtype=float)
     z = (2.0 / nu) * (1.0 + math.sqrt(2.0 / nu) * x)
-    exponent, y, _, _ = specfun.bessel_poly_scaled(n, -nu, z)
-    return specfun.exp_scaled(0.5 * n * math.log(2.0 * nu), -y if n % 2 else y, exponent)
+    exponent, y, _, _ = specfun.bessel_poly_rows((n,), -nu, z)
+    y = -y[0] if n % 2 else y[0]
+    return specfun.exp_scaled(0.5 * n * math.log(2.0 * nu), y, exponent[0])
 
 
 def energy_gap(params, n):
@@ -75,10 +77,13 @@ def wavefunction_distance(params, n, tol=1e-10):
     The overall sign of a bound state is conventional, so the distance is
     minimized over a global sign flip.  Integration runs from just inside the
     wall to a + 12/lambda0, where both states have decayed."""
-    well = model.bound_state(params, n).psi
+    states = model.bound_states(params, (n,))
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
     lo = -params.a + 1e-3 * params.a
     hi = params.a + 12.0 / params.lambda0
+
+    def well(x):
+        return states.psi(x)[0]
 
     def can(x):
         return canonical.canonical_wavefunction(ref, n, x)

@@ -9,9 +9,10 @@ polynomials; above it the states are continuum waves built from 1F1.
 All prefactors are assembled in log space and exponentiated once: for a >= 3
 the wall factor exp(-l0^2 a^3/(x+a)) and the power (x/a+1)^(-l0^2 a^2) both
 leave the native float range long before the physics becomes uninteresting.
-Bound states are evaluated on numpy arrays of positions, one level
-(bound_state) or several from one Bessel recurrence (bound_states); the
-module-level wavefunction functions wrap that for one position or an array.
+Bound states are evaluated on numpy arrays of positions, any set of levels at
+once (bound_states): the Bessel form from one recurrence for them all, the
+Laguerre form from one recurrence per level.  The module-level wavefunction
+functions are its one-level case, for one position or an array.
 """
 
 import cmath
@@ -100,14 +101,12 @@ class DiscreteState:
     n - lambda0^2 a^2 < -1/2).  E_n - V_inf = -(b^2-n)(b^2-n-1)/(2b^2) hbar w,
     so for integer b^2 = (lambda0 a)^2 the top level sits exactly at the
     plateau; for fractional b^2 it can even sit slightly above it while
-    staying square-integrable.  mu = 2b^2 - 2n > 1 and gamma = -n.
+    staying square-integrable.
     """
 
     n: int
     energy: float
     log_norm: float
-    mu: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,13 @@ def _require_inside(params, x):
 
 
 def effective_mass(params, x):
-    """Position-dependent mass M(x) = a^2 m0 / (a+x)^2; equals m0 at x = 0."""
+    """Position-dependent mass M(x) = a^2 m0 / (a+x)^2; equals m0 at x = 0
+    and tends to 0 as x -> +inf."""
     _require_inside(params, x)
-    return params.a**2 * params.m0 / (params.a + x) ** 2
+    try:
+        return params.a**2 * params.m0 / (params.a + x) ** 2
+    except (OverflowError, ZeroDivisionError):  # (a+x)^2 leaves the float range
+        return params.m0 * (params.a / (params.a + x)) ** 2
 
 
 def potential(params, x):
@@ -159,7 +162,17 @@ def potential(params, x):
     """
     if not x > -params.a:
         return WALL
-    return params.m0 * params.omega**2 * params.a**2 * x**2 / (2.0 * (params.a + x) ** 2)
+    try:
+        v = params.m0 * params.omega**2 * params.a**2 * x**2 / (2.0 * (params.a + x) ** 2)
+        if math.isfinite(v):
+            return v
+    except (OverflowError, ZeroDivisionError):
+        pass
+    # The squares leave the float range: past x ~ 1e154 (inf/inf), within
+    # ~1e-162 of the wall (x/0), or at extreme constants.  The ratio x/(a+x)
+    # stays in it, and tends to 1 as V tends to its plateau.
+    ratio = x / (params.a + x) if x < math.inf else 1.0
+    return well_depth(params) * ratio * ratio
 
 
 def well_depth(params):
@@ -215,13 +228,7 @@ def energy(params, n):
     e = params.hbar * params.omega * (n + 0.5) - params.hbar**2 * n * (n + 1.0) / (
         2.0 * params.m0 * params.a**2
     )
-    return DiscreteState(
-        n=n,
-        energy=e,
-        log_norm=normalization(params, n),
-        mu=2.0 * params.b2 - 2.0 * n,
-        gamma=-float(n),
-    )
+    return DiscreteState(n=n, energy=e, log_norm=normalization(params, n))
 
 
 def _log_prefactor(params, log_norm, x):
@@ -239,7 +246,7 @@ class BoundStates:
     them all.  psi and psi_with_derivatives take a scalar or an array of
     positions, all strictly inside the wall, and return arrays of shape
     (len(levels), *x.shape), row i for levels[i]; each row is bit for bit
-    the BoundState value of its level.
+    what bound_states(params, (levels[i],)) gives.
     """
 
     params: ModelParams
@@ -256,11 +263,35 @@ class BoundStates:
         )
         return xa, _log_prefactor(p, log_norm, x), rows
 
-    def psi(self, x):
-        """psi_n at x for every level, in the Bessel form
-            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2)."""
-        _, log_pref, (exponent, y, _, _) = self._parts(x, False)
-        return specfun.exp_scaled(log_pref, y, exponent)
+    def psi(self, x, form=WavefunctionForm.BESSEL):
+        """psi_n at x for every level.
+
+        The Bessel form is
+            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2);
+        the Laguerre form carries the extra factor (1+x/a)^n together with
+        L_n^(2b^2-2n-1)(2 l0^2 a^3/(x+a)), whose parameter depends on n, so it
+        runs one Laguerre recurrence per level.  Equating the two polynomial
+        representations through their terminating-series forms fixes the
+        relative constant to (-1)^n n! / (2b^2)^n, so both forms return
+        identical values.
+        """
+        if form is WavefunctionForm.BESSEL:
+            _, log_pref, (exponent, y, _, _) = self._parts(x, False)
+            return specfun.exp_scaled(log_pref, y, exponent)
+        if form is not WavefunctionForm.LAGUERRE:
+            raise ValueError(f"unknown wavefunction form {form!r}")
+        x = _require_inside(self.params, x)
+        p = self.params
+        z = 2.0 * p.wall_scale / (x + p.a)
+        psi = np.empty((len(self.levels), *x.shape))
+        for i, level in enumerate(self.levels):
+            n = level.n
+            exponent, lag = specfun.laguerre_scaled(n, 2.0 * p.b2 - 2.0 * n - 1.0, z)
+            log_pref = _log_prefactor(p, level.log_norm, x) + (
+                specfun.log_gamma(n + 1.0) - n * math.log(2.0 * p.b2) + n * np.log1p(x / p.a)
+            )
+            psi[i] = specfun.exp_scaled(log_pref, lag if n % 2 == 0 else -lag, exponent)
+        return psi
 
     def psi_with_derivatives(self, x):
         """(psi_n, psi_n', psi_n'') at x for every level, with analytic
@@ -288,66 +319,17 @@ def bound_states(params, levels):
     return BoundStates(params, tuple(energy(params, n) for n in levels))
 
 
-@dataclass(frozen=True)
-class BoundState:
-    """Bound level n of one parameter set, evaluated on arrays of positions.
-
-    The level is checked and its energy and normalization computed once, when
-    bound_state() builds it; psi and psi_with_derivatives then take a scalar
-    (giving floats) or an array (giving arrays) of positions, all strictly
-    inside the wall.  The Bessel form is the one-level case of BoundStates.
-    """
-
-    params: ModelParams
-    level: DiscreteState
-
-    def psi(self, x, form=WavefunctionForm.BESSEL):
-        """Wavefunction psi_n at x.
-
-        The Bessel form is
-            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2);
-        the Laguerre form carries the extra factor (1+x/a)^n together with
-        L_n^(2b^2-2n-1)(2 l0^2 a^3/(x+a)).  Equating the two polynomial
-        representations through their terminating-series forms fixes the
-        relative constant to (-1)^n n! / (2b^2)^n, so both paths return
-        identical values.
-        """
-        if form is WavefunctionForm.BESSEL:
-            return specfun.shaped_like(x, BoundStates(self.params, (self.level,)).psi(x)[0])
-        if form is WavefunctionForm.LAGUERRE:
-            x = _require_inside(self.params, x)
-            p, n = self.params, self.level.n
-            b2, w = p.b2, p.wall_scale
-            exponent, lag = specfun.laguerre_scaled(
-                n, 2.0 * b2 - 2.0 * n - 1.0, 2.0 * w / (x + p.a)
-            )
-            log_pref = _log_prefactor(p, self.level.log_norm, x) + (
-                specfun.log_gamma(n + 1.0) - n * math.log(2.0 * b2) + n * np.log1p(x / p.a)
-            )
-            signed = lag if n % 2 == 0 else -lag
-            return specfun.exp_scaled(log_pref, signed, exponent)
-        raise ValueError(f"unknown wavefunction form {form!r}")
-
-    def psi_with_derivatives(self, x):
-        """(psi_n, psi_n', psi_n'') at x (see BoundStates.psi_with_derivatives)."""
-        rows = BoundStates(self.params, (self.level,)).psi_with_derivatives(x)
-        return tuple(specfun.shaped_like(x, v[0]) for v in rows)
-
-
-def bound_state(params, n):
-    """Bound level n of params, ready to evaluate (raises LevelOutOfRange)."""
-    return BoundState(params, energy(params, n))
-
-
 def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
-    """Bound-state wavefunction psi_n at x (see BoundState.psi)."""
-    return bound_state(params, n).psi(x, form)
+    """Bound-state wavefunction psi_n at x, a scalar (giving a float) or an
+    array of positions (see BoundStates.psi)."""
+    return specfun.shaped_like(x, bound_states(params, (n,)).psi(x, form)[0])
 
 
 def wavefunction_with_derivatives(params, n, x):
-    """(psi_n, psi_n', psi_n'') with analytic derivatives (see
-    BoundState.psi_with_derivatives)."""
-    return bound_state(params, n).psi_with_derivatives(x)
+    """(psi_n, psi_n', psi_n'') with analytic derivatives, at a scalar or an
+    array of positions (see BoundStates.psi_with_derivatives)."""
+    rows = bound_states(params, (n,)).psi_with_derivatives(x)
+    return tuple(specfun.shaped_like(x, v[0]) for v in rows)
 
 
 def energy_for_wavenumber(params, q):

@@ -8,12 +8,12 @@ np.frexp/np.ldexp, which are exact, so no intermediate overflows however high
 the degree (Gil, Segura and Temme, Numerical Methods for Special Functions,
 SIAM 2007, ch. 4).  The *_scaled forms hand mantissa and exponent to
 exp_scaled, which folds the exponent into a log-space prefactor.  One Bessel
-recurrence records every degree a caller asks for as it passes it, and
-Bessel polynomials get a direct terminating-series fallback because their
-recurrence coefficients have poles in the alpha parameter.  The Kummer series 1F1 takes
-scalar parameters and argument but sums its terms as numpy arrays, chunk by
-chunk, with its first two z-derivatives as extra rows of the same pass; the
-Lanczos log-gamma is scalar.
+recurrence records every degree a caller asks for as it passes it; its
+coefficients have poles in the alpha parameter, and a step too close to one is
+refused with PolePivot.  The Kummer series 1F1 takes scalar parameters and
+argument but sums its terms as numpy arrays, chunk by chunk, with its first
+two z-derivatives as extra rows of the same pass; the Lanczos log-gamma is
+scalar.
 """
 
 import math
@@ -22,13 +22,14 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PolePivot
 
-# The y_n recurrence is abandoned for the terminating series when any pole
-# factor k+alpha+1 or 2k+alpha comes within this margin of zero.  The margin
-# must be generous: the rounding of alpha alone puts a relative error of
-# eps/|factor| on a near-zero factor, and two consecutive near-pole steps
-# square that amplification (measured 1.6e-3 of lost accuracy at distance
-# 1e-6).  At 1e-3 the recurrence still carries ~1e-10 relative accuracy and
-# the series is exact, so the two routes agree everywhere.
+# The y_n recurrence refuses a step whose pole factor k+alpha+1 or 2k+alpha
+# comes within this margin of zero.  The margin must be generous: the rounding
+# of alpha alone puts a relative error of eps/|factor| on a near-zero factor,
+# and two consecutive near-pole steps square that amplification (measured
+# 1.6e-3 of lost accuracy at distance 1e-6).  At 1e-3 the recurrence still
+# carries ~1e-10 relative accuracy.  No caller in the package comes near:
+# bound levels n < b^2 - 1/2 at alpha = -2b^2, and the Hermite limit's
+# nu > 2n+1 at alpha = -nu, keep every factor a step passes above 3 in size.
 _BESSEL_POLE_MARGIN = 1e-3
 
 # Recurrence steps between renormalizations.  After one, the running values
@@ -149,44 +150,6 @@ def laguerre(n, alpha, x):
     return shaped_like(x, np.ldexp(l, exponent))
 
 
-def _bessel_pole_step(n, alpha):
-    """The first recurrence step k in 1 .. n-1 whose denominator
-    (k+alpha+1)(2k+alpha) comes within _BESSEL_POLE_MARGIN of a pole, or n if
-    none does.  The recurrence serves the degrees up to it."""
-    for k in range(1, n):
-        if abs(k + alpha + 1.0) < _BESSEL_POLE_MARGIN:
-            return k
-        if abs(2.0 * k + alpha) < _BESSEL_POLE_MARGIN:
-            return k
-    return n
-
-
-def _bessel_series_coeffs(n, alpha):
-    """Coefficients c_k of y_n(x; alpha) = sum_k c_k x^k from the terminating
-    2F0 form: c_k = (-n)_k (n+alpha+1)_k / k! * (-1/2)^k."""
-    coeffs = []
-    c = 1.0
-    for k in range(n + 1):
-        coeffs.append(c)
-        c *= (-n + k) * (n + alpha + 1.0 + k) / (k + 1.0) * (-0.5)
-    return coeffs
-
-
-def _bessel_horner(n, alpha, x):
-    """(exponent, y, y', y'') of y_n(x; alpha) by Horner's rule on the
-    terminating series, differentiated termwise."""
-    coeffs = _bessel_series_coeffs(n, alpha)
-    x, exponent = _start(x)
-    y = dy = d2y = np.zeros_like(x)
-    for step, k in enumerate(range(n, -1, -1)):  # highest degree first
-        d2y = d2y * x + 2.0 * dy
-        dy = dy * x + y
-        y = y * x + np.ldexp(coeffs[k], -exponent)
-        if step % _RESCALE_EVERY == _RESCALE_EVERY - 1:
-            exponent, y, dy, d2y = _rescaled(exponent, y, dy, d2y)
-    return exponent, y, dy, d2y
-
-
 def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     """(exponent, y, y', y''): the Bessel polynomials y_n(x; alpha) of the
     Askey scheme for every degree n in degrees and, with derivatives, their
@@ -206,10 +169,8 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     q_n = (2n+a+1)(2n+a+2) / [2(n+a+1)], so
         y'_{n+1}  = q_n y_n + A_n y'_n + B_n y'_{n-1},
         y''_{n+1} = 2 q_n y'_n + A_n y''_n + B_n y''_{n-1}.
-    A degree whose recurrence would pass a denominator (k+a+1)(2k+a) near
-    zero is evaluated from the terminating series by Horner's rule instead
-    (differentiated termwise), which makes the operation total (see
-    _BESSEL_POLE_MARGIN for where the switch happens and why).
+    Raises PolePivot when a step the highest degree needs has a factor k+a+1
+    or 2k+a of its denominator within _BESSEL_POLE_MARGIN of zero.
     """
     for n in degrees:
         if n < 0:
@@ -228,9 +189,6 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
             for array, value in zip(out, values):
                 array[i] = value
 
-    pole = _bessel_pole_step(max(rows, default=0), alpha)
-    for n in [n for n in rows if n > pole]:
-        record(n, *_bessel_horner(n, alpha, x))
     zero = np.zeros_like(x)
     if 0 in rows:
         record(0, exponent, np.ones_like(x), zero, zero)
@@ -242,6 +200,11 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
         if 1 in rows:
             record(1, exponent, y, dy, d2y)
     for k in range(1, max(rows, default=1)):
+        if min(abs(k + alpha + 1.0), abs(2.0 * k + alpha)) < _BESSEL_POLE_MARGIN:
+            raise PolePivot(
+                f"Bessel recurrence step k={k} at alpha={alpha!r} lies within "
+                f"{_BESSEL_POLE_MARGIN} of a pole of its coefficients"
+            )
         denom = 2.0 * (k + alpha + 1.0) * (2.0 * k + alpha)
         ak = (2.0 * k + alpha + 1.0) * (
             2.0 * alpha + (2.0 * k + alpha) * (2.0 * k + alpha + 2.0) * x
@@ -267,19 +230,11 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     return tuple(out) if derivatives else (*out, None, None)
 
 
-def bessel_poly_scaled(n, alpha, x, derivatives=False):
-    """(exponent, y, y', y'') of the one degree n: bessel_poly_rows((n,),
-    alpha, x, derivatives) without its leading axis."""
-    return tuple(
-        None if v is None else v[0] for v in bessel_poly_rows((n,), alpha, x, derivatives)
-    )
-
-
 def bessel_poly(n, alpha, x):
     """Bessel polynomial y_n(x; alpha) from the Askey scheme (see
-    bessel_poly_rows for the recurrence and its pole fallback)."""
-    exponent, y, _, _ = bessel_poly_scaled(n, alpha, x)
-    return shaped_like(x, np.ldexp(y, exponent))
+    bessel_poly_rows for the recurrence and its pole refusal)."""
+    exponent, y, _, _ = bessel_poly_rows((n,), alpha, x)
+    return shaped_like(x, np.ldexp(y[0], exponent[0]))
 
 
 def _near_nonpositive_integer(v):

@@ -1,17 +1,64 @@
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+from pdem import checks, cli, model
 
 PDEM = [sys.executable, "-m", "pdem.cli"]
 
 
 def run_cli(*args):
-    return subprocess.run(
-        PDEM + list(args), capture_output=True, text=True, timeout=300
-    )
+    """cli.main(args) in-process with stdout and stderr captured; a
+    SystemExit (argparse's usage errors and --help) becomes the return code.
+    An exception that escapes main propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+def run_process(command, *args):
+    """The CLI as a separate process, started by command."""
+    return subprocess.run(command + list(args), capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_matches_in_process():
+    argv = ["spectrum", "--a", "2", "--format", "json"]
+    proc = run_process(PDEM, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli(*argv).stdout, "")
+
+
+def test_console_script_matches_in_process():
+    # the installed pdem script, or where it is not installed the code pip
+    # writes for the entry point pyproject.toml declares
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '\npdem = "pdem.cli:main"\n' in pyproject
+    script = [sys.executable, "-c", "import sys; from pdem.cli import main; sys.exit(main())"]
+    argv = ["wavefunction", "--a", "2", "--n", "1", "--points", "9"]
+    proc = run_process(["pdem"] if shutil.which("pdem") else script, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli(*argv).stdout, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--a", "1e200"],
+    ["profile", "--x-max", "inf"],
+    ["wavefunction", "--a", "1", "--n", "1"],
+    ["limit", "--kind", "bessel-hermite", "--n", "400", "--x", "0.3"],
+], ids=["b2-overflow", "infinite-range", "level", "hermite-overflow"])
+def test_process_refusals_exit_2_without_traceback(argv):
+    proc = run_process(PDEM, *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def parse_csv(text):
@@ -71,8 +118,6 @@ def test_extreme_finite_constants_exit_2(args):
 
 def test_level_cap_returns_quickly(capsys):
     # 10^16 levels at a = 1e8: refused up front instead of written out
-    from pdem import cli
-
     start = time.perf_counter()
     assert cli.main(["spectrum", "--a", "1e8"]) == 2
     assert time.perf_counter() - start < 1.0
@@ -81,8 +126,6 @@ def test_level_cap_returns_quickly(capsys):
 
 def test_limit_continuum_huge_a_exits_2(capsys):
     # (lambda0 a)^2 = 1e200 squared leaves the float range
-    from pdem import cli
-
     argv = ["limit", "--kind", "continuum", "--a-value", "1e100", "--a-value", "2e100"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -98,8 +141,6 @@ def test_limit_continuum_huge_a_exits_2(capsys):
 def test_grid_size_caps_exit_2(argv, capsys):
     # refused before any grid is built: numpy's MemoryError would escape
     # the handler, and a huge eigensolver grid would take hours
-    from pdem import cli
-
     start = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -110,8 +151,6 @@ def test_grid_size_caps_exit_2(argv, capsys):
 def test_main_reuses_one_parser(capsys):
     # main parses with one parser per process; no repeatable option or
     # default may carry over from one call to the next
-    from pdem import cli
-
     runs = [
         ["wavefunction", "--n", "0", "--n", "1", "--points", "7"],
         ["wavefunction", "--n", "2", "--points", "7"],
@@ -148,6 +187,36 @@ def test_profile_values_and_wall_token():
     assert float(rows[2][vi]) == 0.5 and float(rows[2][mi]) == 0.25
 
 
+def test_profile_where_squares_leave_the_float_range():
+    # (a+x)^2 overflows past x ~ 1e154: V tends to V_inf = 2 and M to 0
+    # there, instead of a traceback or nan
+    proc = run_cli("profile", "--a", "2", "--x-min", "1e150", "--x-max", "1e200", "--points", "3")
+    assert proc.returncode == 0, proc.stderr
+    _, header, rows = parse_csv(proc.stdout)
+    assert [r[header.index("potential")] for r in rows] == ["2.0"] * 3
+    assert [float(r[header.index("mass")]) for r in rows] == [4e-300, 0.0, 0.0]
+    # and it underflows to 0 within about 1e-162 of a wall at a = 1e-149
+    proc = run_cli("profile", "--hbar", "1e-300", "--a", "1e-149",
+                   "--x-min=-9.9999999999999e-150", "--x-max=-9.99e-150", "--points", "3")
+    assert proc.returncode == 0, proc.stderr
+    _, header, rows = parse_csv(proc.stdout)
+    assert float(rows[0][header.index("potential")]) == pytest.approx(5.014984526558655e-271, rel=1e-15)
+    assert float(rows[0][header.index("mass")]) == pytest.approx(1.002996905311751e+28, rel=1e-15)
+
+
+@pytest.mark.parametrize("command", ["profile", "wavefunction"])
+@pytest.mark.parametrize("limits", [
+    ["--x-max", "inf"],
+    ["--x-min=-inf"],
+    ["--x-max", "nan"],
+    ["--x-min=-1e308", "--x-max", "1e308"],
+], ids=["inf", "minus-inf", "nan", "width-overflow"])
+def test_non_finite_sample_range_exits_2(command, limits):
+    proc = run_cli(command, *limits, "--format", "json")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: sample range") and proc.stderr.count("\n") == 1
+
+
 def test_profile_json_wall_is_null():
     proc = run_cli("profile", "--a", "1", "--x-min", "-1.5", "--x-max", "0",
                    "--points", "4", "--format", "json")
@@ -164,8 +233,6 @@ def test_wavefunction_columns(params_a2):
     _, header, rows = parse_csv(proc.stdout)
     assert header == ["x", "psi_0", "density_0", "psi_1", "density_1",
                       "canonical_0", "canonical_1"]
-    from pdem import model
-
     for row in rows:
         x = float(row[0])
         psi0 = float(row[1])
@@ -238,8 +305,6 @@ def test_limit_bessel_hermite_overflow_exits_2():
 
 
 def test_limit_bessel_hermite_degree_cap_exits_2(capsys):
-    from pdem import cli, model
-
     start = time.perf_counter()
     assert cli.main(["limit", "--kind", "bessel-hermite", "--n", "10001", "--nu", "1e13"]) == 2
     assert time.perf_counter() - start < 1.0
@@ -275,8 +340,6 @@ def test_limit_continuum_table():
 
 
 def test_verify_default_passes():
-    from pdem import checks
-
     proc = run_cli("verify")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
@@ -309,8 +372,6 @@ def test_verify_unknown_check():
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_limit_non_finite_tolerance_exits_2(tol, capsys):
     # the quadrature used to accept it and print its one-panel estimate
-    from pdem import cli
-
     argv = ["limit", "--kind", "wavefunction", "--n", "1", "--a-value", "3", "--tol", tol]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -321,8 +382,6 @@ def test_limit_non_finite_tolerance_exits_2(tol, capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_verify_non_finite_tolerance_exits_2(tol, capsys):
     # refused before any check runs, instead of a FAIL line with bound=nan
-    from pdem import cli
-
     assert cli.main(["verify", "--check", "eigensolver", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -332,8 +391,6 @@ def test_verify_non_finite_tolerance_exits_2(tol, capsys):
 @pytest.mark.parametrize("flag", ["--m0", "--omega", "--hbar"])
 def test_verify_takes_no_constants(flag, capsys):
     # every check runs at unit constants, so verify does not offer them
-    from pdem import cli
-
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--check", "level-counts", flag, "4"])
     assert info.value.code == 2
@@ -341,8 +398,6 @@ def test_verify_takes_no_constants(flag, capsys):
 
 
 def test_verify_help_names_every_check():
-    from pdem import checks
-
     proc = run_cli("verify", "--help")
     assert proc.returncode == 0
     help_text = "".join(proc.stdout.split())  # argparse wraps lines, also at hyphens

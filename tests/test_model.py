@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +77,37 @@ def test_potential(params_a2):
     )
 
 
+@pytest.mark.parametrize("m0,hbar,a,x", [
+    (1.0, 1.0, 2.0, 1e154),
+    (1.0, 1.0, 2.0, 1e155),
+    (1.0, 1.0, 2.0, 1e200),
+    (1.0, 1.0, 2.0, 1.7976931348623157e308),
+    (1e300, 1.0, 2.0, 1e4),  # m0 w^2 a^2 x^2 overflows
+    (1.0, 1e-300, 1e-149, -9.9999999999999e-150),  # (a+x)^2 underflows to 0
+], ids=["1e154", "1e155", "1e200", "max", "huge-m0", "at-the-wall"])
+def test_profile_where_its_squares_leave_the_float_range(m0, hbar, a, x):
+    # V and M against exact rational arithmetic, where the float expressions
+    # give NaN, inf, OverflowError or ZeroDivisionError; far out V is at its
+    # plateau and M at 0 to double precision
+    p = ModelParams(m0=m0, hbar=hbar, a=a)
+    mass = Fraction(p.m0) * Fraction(p.a) ** 2 / (Fraction(p.a) + Fraction(x)) ** 2
+    v = mass * Fraction(p.omega) ** 2 * Fraction(x) ** 2 / 2
+    assert model.effective_mass(p, x) == pytest.approx(float(mass), rel=1e-15, abs=1e-307)
+    assert model.potential(p, x) == pytest.approx(float(v), rel=1e-15)
+
+
+def test_profile_at_infinity(params_a2):
+    assert model.potential(params_a2, math.inf) == model.well_depth(params_a2)
+    assert model.effective_mass(params_a2, math.inf) == 0.0
+
+
+def test_potential_keeps_its_expression_where_finite(params_a2):
+    # the profile's own expression, bit for bit, wherever it is finite
+    for x in np.linspace(-1.9, 1e153, 7).tolist():
+        expected = params_a2.m0 * params_a2.omega**2 * 4.0 * x**2 / (2.0 * (2.0 + x) ** 2)
+        assert model.potential(params_a2, x) == expected
+
+
 def test_well_depth():
     assert model.well_depth(ModelParams(a=1.0)) == 0.5
     assert model.well_depth(ModelParams(a=4.0)) == 8.0
@@ -113,9 +146,9 @@ def test_level_must_be_an_integer(params_a2, level_fn):
 
 def test_discrete_state_fields(params_a2):
     st = model.energy(params_a2, 1)
-    assert st.mu == 2.0 * params_a2.b2 - 2.0
-    assert st.gamma == -1.0
-    assert st.mu > 1.0
+    assert [f.name for f in dataclasses.fields(st)] == ["n", "energy", "log_norm"]
+    assert st.n == 1
+    assert st.log_norm == model.normalization(params_a2, 1)
     assert st.energy <= model.well_depth(params_a2)
 
 
@@ -176,7 +209,7 @@ def test_wavefunction_domain_and_range(params_a2):
     with pytest.raises(LevelOutOfRange):
         model.wavefunction(params_a2, 4, 0.0)
     with pytest.raises(DomainError, match="position -2.5 "):
-        model.bound_state(params_a2, 0).psi(np.array([0.0, -2.5, 1.0]))
+        model.bound_states(params_a2, (0,)).psi(np.array([0.0, -2.5, 1.0]))
 
 
 def test_scalar_and_array_positions(params_a2):
@@ -185,12 +218,12 @@ def test_scalar_and_array_positions(params_a2):
     assert type(model.wavefunction(params_a2, 1, 0.5)) is float
     assert all(type(v) is float for v in model.wavefunction_with_derivatives(params_a2, 1, 0.5))
     xs = np.array([[-1.0, 0.5], [2.0, 7.0]])
-    state = model.bound_state(params_a2, 1)
-    values = state.psi(xs)
+    state = model.bound_states(params_a2, (1,))
+    values = state.psi(xs)[0]
     assert values.shape == xs.shape
     pointwise = [[model.wavefunction(params_a2, 1, x) for x in row] for row in xs.tolist()]
     assert values.tolist() == pointwise
-    triples = state.psi_with_derivatives(xs)
+    triples = [v[0] for v in state.psi_with_derivatives(xs)]
     for x, v, d1, d2 in zip(xs.ravel(), *(t.ravel() for t in triples)):
         assert (v, d1, d2) == model.wavefunction_with_derivatives(params_a2, 1, float(x))
 
@@ -267,7 +300,7 @@ def test_high_level_normalization():
 def test_derivative_zero_at_ground_maximum():
     for a in (1.0, 2.0):
         p = ModelParams(a=a)
-        psi, dpsi, _ = model.bound_state(p, 0).psi_with_derivatives(0.0)
+        psi, dpsi, _ = model.wavefunction_with_derivatives(p, 0, 0.0)
         assert abs(dpsi) <= 1e-8 * abs(psi)
 
 
@@ -275,9 +308,9 @@ def test_derivative_zero_at_ground_maximum():
 def test_derivative_matches_finite_differences(params_a2, n):
     h = 1e-5 * params_a2.a
     xs = np.linspace(-1.8, 14.0, 60)
-    state = model.bound_state(params_a2, n)
-    psi, d, _ = state.psi_with_derivatives(xs)
-    fd = (state.psi(xs + h) - state.psi(xs - h)) / (2.0 * h)
+    psi, d, _ = model.wavefunction_with_derivatives(params_a2, n, xs)
+    psi_plus, psi_minus = (model.wavefunction(params_a2, n, xs + s) for s in (h, -h))
+    fd = (psi_plus - psi_minus) / (2.0 * h)
     keep = np.abs(psi) > 1e-8 * np.max(np.abs(psi))
     assert np.all(np.abs(d - fd)[keep] <= 1e-6 * np.maximum(np.abs(d), np.abs(fd))[keep])
 
@@ -388,7 +421,7 @@ def test_kinetic_weight(params_a2):
 
 def test_lowering_annihilates_ground_state(params_a2):
     xs = np.linspace(-1.9, 14.0, 50)
-    psi, dpsi, _ = model.bound_state(params_a2, 0).psi_with_derivatives(xs)
+    psi, dpsi, _ = model.wavefunction_with_derivatives(params_a2, 0, xs)
     keep = np.abs(psi) >= 1e-280
     lowered = model.apply_lowering(params_a2, xs[keep], psi[keep], dpsi[keep])
     assert np.all(np.abs(lowered) <= 1e-12 * np.abs(psi[keep]))
@@ -435,7 +468,7 @@ def test_lowering_excited_state_not_proportional(params_a2):
     # the ladder algebra of the variable-mass well does not close: A- psi_1
     # is not a multiple of psi_0 (unlike the canonical oscillator)
     xs = np.linspace(-1.5, 10.0, 40)
-    psi1, dpsi1, _ = model.bound_state(params_a2, 1).psi_with_derivatives(xs)
+    psi1, dpsi1, _ = model.wavefunction_with_derivatives(params_a2, 1, xs)
     psi0 = model.wavefunction(params_a2, 0, xs)
     keep = np.abs(psi0) >= 1e-6 * np.max(np.abs(psi0))
     ratios = model.apply_lowering(params_a2, xs, psi1, dpsi1)[keep] / psi0[keep]

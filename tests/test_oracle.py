@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -490,8 +491,8 @@ def test_bound_overlap_call_budget(monkeypatch):
 def _overlap_reference(p, m, n):
     # scipy's QUADPACK in s = ln u on bound_overlap's range, plus its
     # closed-form piece below u = 1e-12
-    psi_m = model.bound_state(p, m).psi
-    psi_n = model.bound_state(p, n).psi
+    psi_m = functools.partial(model.wavefunction, p, m)
+    psi_n = functools.partial(model.wavefunction, p, n)
 
     def g(s):
         u = math.exp(s)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdem import checks, model, oracle, specfun
+from pdem import checks, limits, model, oracle, specfun
+from pdem.errors import PolePivot
 from pdem.model import ModelParams, WavefunctionForm
 
 constants = st.floats(0.5, 2.0)
@@ -21,15 +22,15 @@ def test_array_core(b2, m0, omega, hbar, level):
     p = ModelParams(m0=m0, omega=omega, hbar=hbar, a=math.sqrt(b2 * hbar / (m0 * omega)))
     n_max = model.max_level(p)
     n = min(int(level * (n_max + 1)), n_max)
-    state = model.bound_state(p, n)
+    state = model.bound_states(p, (n,))
     # the default grid of `pdem wavefunction`
     xs = np.linspace(-p.a * (1.0 - 1e-3), p.a + 8.0 / p.lambda0, 201)
-    psi = state.psi(xs)
+    psi = state.psi(xs)[0]
     # the scalar wrapper runs the same core: equal bit for bit (NaN would fail)
     assert psi.tolist() == [model.wavefunction(p, n, x) for x in xs.tolist()]
     # pointwise relative error is ill-posed at the nodes of psi, so the two
     # closed forms are compared on the scale of the grid's largest value
-    laguerre = state.psi(xs, WavefunctionForm.LAGUERRE)
+    laguerre = state.psi(xs, WavefunctionForm.LAGUERRE)[0]
     assert np.max(np.abs(psi - laguerre)) <= 1e-10 * np.max(np.abs(psi))
     assert abs(checks.bound_overlap(p, n_max, n_max) - 1.0) <= 1e-10
 
@@ -50,18 +51,29 @@ def test_bound_states_rows_bit_identical(b2, m0, omega, hbar, fractions):
     xs = np.linspace(-p.a * (1.0 - 1e-3), p.a + 8.0 / p.lambda0, 101)
     states = model.bound_states(p, levels)
     psi = states.psi(xs)
+    laguerre = states.psi(xs, WavefunctionForm.LAGUERRE)
     rows = states.psi_with_derivatives(xs)
-    assert psi.shape == (len(levels), xs.size)
+    assert psi.shape == laguerre.shape == (len(levels), xs.size)
     # one recurrence up to the highest level gives each level bit for bit what
-    # a recurrence stopping at it gives
+    # a recurrence stopping at it gives, and the Laguerre rows are each
+    # level's own
     for i, n in enumerate(levels):
-        state = model.bound_state(p, n)
-        assert bits(psi[i]) == bits(state.psi(xs))
-        for got, want in zip(rows, state.psi_with_derivatives(xs)):
+        assert bits(psi[i]) == bits(model.wavefunction(p, n, xs))
+        assert bits(laguerre[i]) == bits(model.wavefunction(p, n, xs, WavefunctionForm.LAGUERRE))
+        for got, want in zip(rows, model.wavefunction_with_derivatives(p, n, xs)):
             assert bits(got[i]) == bits(want)
     # a scalar position gives one value per level
     x = float(xs[50])
     assert bits(states.psi(x)) == bits([model.wavefunction(p, n, x) for n in levels])
+
+
+def first_pole_step(alpha, top):
+    """The first recurrence step k in 1 .. top-1 whose factor k+alpha+1 or
+    2k+alpha lies within the pole margin, or top if none does."""
+    for k in range(1, top):
+        if min(abs(k + alpha + 1.0), abs(2.0 * k + alpha)) < specfun._BESSEL_POLE_MARGIN:
+            return k
+    return top
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -70,19 +82,39 @@ def test_bound_states_rows_bit_identical(b2, m0, omega, hbar, fractions):
        degrees=st.lists(st.integers(0, 14), min_size=1, max_size=10),
        derivatives=st.booleans())
 def test_bessel_rows_near_a_pole(step, twice, offset, degrees, derivatives):
-    # alpha within the margin of a pole of step k's denominator: the degrees
-    # past the first such step come from Horner's rule, the others from the
-    # recurrence, and every row is the one-degree result bit for bit
+    # alpha within the margin of a pole of step k's denominator: a request
+    # whose recurrence would pass the first such step is refused, and the
+    # degrees up to it still come from the recurrence, every row the
+    # one-degree result bit for bit
     alpha = (-2.0 * step if twice else -(step + 1.0)) + offset
-    degrees = degrees + [13, 14, 14, 0]
     x = np.linspace(0.05, 2.0, 9)
-    pole = specfun._bessel_pole_step(max(degrees), alpha)
-    assert len({n for n in degrees if n > pole}) >= 2  # Horner serves several degrees
-    rows = specfun.bessel_poly_rows(degrees, alpha, x, derivatives)
-    for i, n in enumerate(degrees):
-        single = specfun.bessel_poly_scaled(n, alpha, x, derivatives)
+    pole = first_pole_step(alpha, 14)
+    assert pole <= step
+    with pytest.raises(PolePivot):
+        specfun.bessel_poly_rows(degrees + [13, 14, 14, 0], alpha, x, derivatives)
+    with pytest.raises(PolePivot):
+        specfun.bessel_poly(pole + 1, alpha, x)
+    served = [n for n in degrees if n <= pole] + [pole, pole, 0]
+    rows = specfun.bessel_poly_rows(served, alpha, x, derivatives)
+    for i, n in enumerate(served):
+        single = specfun.bessel_poly_rows((n,), alpha, x, derivatives)
         for got, want in zip(rows[: 4 if derivatives else 2], single):
-            assert bits(got[i]) == bits(want)
+            assert bits(got[i]) == bits(want[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(b2=st.floats(0.6, 40.0).filter(lambda v: v != round(v)),
+       n=st.integers(0, 60), excess=st.floats(0.0, 1.0), x=st.floats(-1.0, 1.0))
+def test_no_caller_reaches_a_bessel_pole(b2, n, excess, x):
+    # every level of a fractional b^2, and the Hermite limit at nu just
+    # above 2n+1, keep the recurrence clear of its poles
+    p = ModelParams(a=math.sqrt(b2))
+    states = model.bound_states(p, range(model.max_level(p) + 1))
+    xs = np.linspace(-p.a * (1.0 - 1e-3), p.a + 8.0 / p.lambda0, 21)
+    assert np.isfinite(states.psi(xs)).all()
+    assert all(np.isfinite(v).all() for v in states.psi_with_derivatives(xs))
+    nu = math.nextafter(2.0 * n + 1.0, math.inf) + excess
+    assert math.isfinite(limits.scaled_bessel(n, x, nu))
 
 
 def sturm_count(matrix, x):

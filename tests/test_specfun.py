@@ -100,8 +100,13 @@ def test_bessel_poly_low_orders():
 
 
 def _bessel_series(n, alpha, x):
-    coeffs = specfun._bessel_series_coeffs(n, alpha)
-    return sum(c * x**k for k, c in enumerate(coeffs))
+    # the terminating 2F0 form: y_n(x; a) = sum_k c_k x^k with
+    # c_k = (-n)_k (n+a+1)_k / k! (-1/2)^k
+    total, c = 0.0, 1.0
+    for k in range(n + 1):
+        total += c * x**k
+        c *= (-n + k) * (n + alpha + 1.0 + k) / (k + 1.0) * (-0.5)
+    return total
 
 
 @pytest.mark.parametrize("alpha", [-20.3, -17.0, -9.5])
@@ -127,21 +132,30 @@ def test_bessel_kummer_bridge(alpha):
 
 
 def test_bessel_pole_fallback_matches_series():
-    # alpha = -4 makes the k=2 recurrence denominator vanish when n >= 4
+    # alpha = -4 makes the k=2 recurrence denominator vanish, which degrees
+    # n >= 3 pass: the recurrence refuses them, at alpha and within the
+    # pole margin of it
+    for alpha in (-4.0, -4.0 + 1e-6, -4.0 - 0.9 * specfun._BESSEL_POLE_MARGIN):
+        for n in (3, 4, 9):
+            with pytest.raises(PolePivot):
+                specfun.bessel_poly(n, alpha, np.array([0.3, 1.0, 1.7]))
+    # the degrees the recurrence serves before the pole agree with the series
+    for n in range(3):
+        for x in (0.3, 1.0, 1.7):
+            val = specfun.bessel_poly(n, -4.0, x)
+            assert val == pytest.approx(_bessel_series(n, -4.0, x), rel=1e-12)
+    # just outside the margin the recurrence runs through and still agrees
+    alpha = -4.0 + 2.0 * specfun._BESSEL_POLE_MARGIN
     for x in (0.3, 1.0, 1.7):
-        val = specfun.bessel_poly(4, -4.0, x)
-        assert val == pytest.approx(_bessel_series(4, -4.0, x), rel=1e-12)
-    # nearby alpha goes through the recurrence; both routes must agree
-    for x in (0.3, 1.0, 1.7):
-        near = specfun.bessel_poly(4, -4.0 + 1e-6, x)
-        assert near == pytest.approx(specfun.bessel_poly(4, -4.0, x), rel=1e-4)
+        val = specfun.bessel_poly(4, alpha, x)
+        assert val == pytest.approx(_bessel_series(4, alpha, x), rel=1e-9)
 
 
 def test_bessel_derivatives_match_finite_differences():
     h = 1e-6
     for n, alpha, x in [(3, -8.0, 0.7), (5, -14.5, 1.3), (2, 1.0, 0.4)]:
-        exponent, *rows = specfun.bessel_poly_scaled(n, alpha, x, derivatives=True)
-        y, dy, d2y = (float(np.ldexp(v, exponent)) for v in rows)
+        exponent, *rows = specfun.bessel_poly_rows((n,), alpha, x, derivatives=True)
+        y, dy, d2y = (float(np.ldexp(v[0], exponent[0])) for v in rows)
         assert y == pytest.approx(specfun.bessel_poly(n, alpha, x), rel=1e-14)
         fd1 = (specfun.bessel_poly(n, alpha, x + h) - specfun.bessel_poly(n, alpha, x - h)) / (2 * h)
         fd2 = (

@@ -126,17 +126,13 @@ def cmd_spectrum(args):
 def cmd_profile(args):
     params = _params(args)
     xs = _sample_grid(args, params)
-    pot, mass = [], []
-    for x in xs:
-        x = float(x)
-        v = model.potential(params, x)
-        if math.isinf(v):
-            pot.append(None)
-            mass.append(None)
-        else:
-            pot.append(v)
-            mass.append(model.effective_mass(params, x))
-    _emit("profile", _meta_params(params), {"x": [float(x) for x in xs], "potential": pot, "mass": mass}, args)
+    inside = xs > -params.a
+    columns = {
+        "x": xs.tolist(),
+        "potential": _walled(inside, model.potential(params, xs[inside]).tolist()),
+        "mass": _walled(inside, model.effective_mass(params, xs[inside]).tolist()),
+    }
+    _emit("profile", _meta_params(params), columns, args)
     return 0
 
 

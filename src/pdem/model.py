@@ -12,7 +12,8 @@ leave the native float range long before the physics becomes uninteresting.
 Bound states are evaluated on numpy arrays of positions, any set of levels at
 once (bound_states): the Bessel form from one recurrence for them all, the
 Laguerre form from one recurrence per level.  The module-level wavefunction
-functions are its one-level case, for one position or an array.
+functions are its one-level case, for one position or an array, as is the
+profile.  Continuum states fold the exponent of the Kummer mantissas into W.
 """
 
 import cmath
@@ -146,33 +147,24 @@ def _require_inside(params, x):
 
 
 def effective_mass(params, x):
-    """Position-dependent mass M(x) = a^2 m0 / (a+x)^2; equals m0 at x = 0
-    and tends to 0 as x -> +inf."""
-    _require_inside(params, x)
-    try:
-        return params.a**2 * params.m0 / (params.a + x) ** 2
-    except (OverflowError, ZeroDivisionError):  # (a+x)^2 leaves the float range
-        return params.m0 * (params.a / (params.a + x)) ** 2
+    """Position-dependent mass M(x) = m0 (a/(a+x))^2 at a scalar (giving a
+    float) or an array of positions strictly inside the wall; equals m0 at
+    x = 0 and tends to 0 as x -> +inf."""
+    s = params.a / (params.a + _require_inside(params, x))
+    return specfun.shaped_like(x, params.m0 * s * s)
 
 
 def potential(params, x):
-    """Step-harmonic profile M(x) w^2 x^2 / 2, or WALL for x <= -a.
+    """Step-harmonic profile M(x) w^2 x^2 / 2 = (V_inf r) r with r = x/(a+x),
+    or WALL for x <= -a, at a scalar (giving a float) or an array of positions.
 
-    Vanishes at x = 0 and saturates to well_depth(params) as x -> +inf.
+    Vanishes at x = 0 and tends to V_inf = well_depth(params), r = 1, as
+    x -> +inf.  r stays in the float range where the squares of M x^2 leave it.
     """
-    if not x > -params.a:
-        return WALL
-    try:
-        v = params.m0 * params.omega**2 * params.a**2 * x**2 / (2.0 * (params.a + x) ** 2)
-        if math.isfinite(v):
-            return v
-    except (OverflowError, ZeroDivisionError):
-        pass
-    # The squares leave the float range: past x ~ 1e154 (inf/inf), within
-    # ~1e-162 of the wall (x/0), or at extreme constants.  The ratio x/(a+x)
-    # stays in it, and tends to 1 as V tends to its plateau.
-    ratio = x / (params.a + x) if x < math.inf else 1.0
-    return well_depth(params) * ratio * ratio
+    x = np.asarray(x, dtype=float)
+    inside = x > -params.a
+    r = np.divide(x, params.a + x, out=np.ones_like(x), where=inside & (x < math.inf))
+    return specfun.shaped_like(x, np.where(inside, well_depth(params) * r * r, WALL))
 
 
 def well_depth(params):
@@ -391,15 +383,6 @@ def _continuum_parts(state, params, x):
     return w_log, z
 
 
-def _exp_scaled_complex(w_log, factor):
-    if factor == 0:
-        return 0.0 + 0.0j
-    m = w_log.real + math.log(abs(factor))
-    if m < specfun._LOG_FLOOR:
-        return 0.0 + 0.0j
-    return cmath.exp(w_log + cmath.log(factor))
-
-
 def continuum_wavefunction(state, params, x):
     """psi_E(x) = (x/a+1)^(-gamma-b^2) e^(-l0^2 a^3/(x+a)) 1F1(gamma; mu; z)
     with z = 2 l0^2 a^3 / (x+a).
@@ -409,47 +392,34 @@ def continuum_wavefunction(state, params, x):
     prefactor); the NonConvergence raised by the series is propagated.
     """
     w_log, z = _continuum_parts(state, params, x)
-    f = specfun.kummer_1f1(state.gamma, state.mu, z)
-    return _exp_scaled_complex(w_log, f)
+    exponent, f = specfun.kummer_1f1_scaled(state.gamma, state.mu, z)
+    return specfun.exp_scaled_complex(w_log, f, exponent)
 
 
 def continuum_wavefunction_with_derivatives(state, params, x):
     """(psi_E, psi_E', psi_E'') with analytic derivatives.
 
     1F1 and its first two z-derivatives come from one pass over the Kummer
-    series; the chain rule adds the logarithmic derivatives of the complex
-    prefactor.
+    series, as mantissas; the chain rule adds the logarithmic derivatives of
+    the complex prefactor, and NonConvergence refuses a combination that
+    leaves the float range (at huge energies, where dw ~ q/(x+a)).
     """
     w_log, z = _continuum_parts(state, params, x)
     xa = x + params.a
     g = state.gamma
-    f0, f1, f2 = specfun.kummer_1f1(g, state.mu, z, derivatives=True)
+    exponent, (f0, f1, f2) = specfun.kummer_1f1_scaled(g, state.mu, z, derivatives=True)
     dz = -z / xa
     d2z = 2.0 * z / xa**2
     dw = (-g - params.b2) / xa + params.wall_scale / xa**2
     d2w = (g + params.b2) / xa**2 - 2.0 * params.wall_scale / xa**3
-
-    def combinations(f0, f1, f2):
-        return (
-            f0,
-            dw * f0 + f1 * dz,
-            (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z,
-        )
-
-    parts = combinations(f0, f1, f2)
+    parts = (
+        f0,
+        dw * f0 + f1 * dz,
+        (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z,
+    )
     if not all(map(cmath.isfinite, parts)):
-        # Near the wall 1F1 sits close to the float ceiling and the products
-        # with dz overflow.  Divide the three rows by a common power of two
-        # (exact) and fold it into W, as specfun.exp_scaled does.
-        _, shift = math.frexp(max(abs(c) for f in (f0, f1, f2) for c in (f.real, f.imag)))
-        f0, f1, f2 = (math.ldexp(1.0, -shift) * f for f in (f0, f1, f2))
-        w_log += shift * specfun._LN2
-        parts = combinations(f0, f1, f2)
-        if not all(map(cmath.isfinite, parts)):
-            raise NonConvergence(
-                f"continuum derivatives at x={x} leave the float range"
-            )
-    return tuple(_exp_scaled_complex(w_log, f) for f in parts)
+        raise NonConvergence(f"continuum derivatives at x={x} leave the float range")
+    return tuple(specfun.exp_scaled_complex(w_log, f, exponent) for f in parts)
 
 
 def alpha0(params, x):

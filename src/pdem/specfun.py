@@ -12,10 +12,11 @@ recurrence records every degree a caller asks for as it passes it; its
 coefficients have poles in the alpha parameter, and a step too close to one is
 refused with PolePivot.  The Kummer series 1F1 takes scalar parameters and
 argument but sums its terms as numpy arrays, chunk by chunk, with its first
-two z-derivatives as extra rows of the same pass; the Lanczos log-gamma is
-scalar.
+two z-derivatives as extra rows of the same pass, and kummer_1f1_scaled hands
+its sums on scaled for exp_scaled_complex.  The Lanczos log-gamma is scalar.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -87,6 +88,17 @@ def exp_scaled(log_prefactor, factor, exponent=0):
         m = log_prefactor + np.log(np.abs(factor)) + exponent * _LN2
         value = np.copysign(np.exp(m), factor)
     return shaped_like(m, np.where(m < _LOG_FLOOR, 0.0, value))
+
+
+def exp_scaled_complex(log_prefactor, factor, exponent=0):
+    """exp_scaled for one complex log prefactor and one complex factor, in
+    cmath rather than numpy, which is slow on single values."""
+    if factor == 0:
+        return 0.0 + 0.0j
+    log_prefactor += exponent * _LN2
+    if log_prefactor.real + math.log(abs(factor)) < _LOG_FLOOR:
+        return 0.0 + 0.0j
+    return cmath.exp(log_prefactor + cmath.log(factor))
 
 
 def _rescaled(exponent, lead, prev, *rest):
@@ -248,6 +260,39 @@ def _near_nonpositive_integer(v):
     return None
 
 
+def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
+    """(exponent, values): kummer_1f1's result as complex mantissas with one
+    base-2 exponent that puts the largest real or imaginary part in [0.5, 1).
+
+    Only the final sums are scaled, exactly unless a part lies more than
+    about 2^1022 below the largest."""
+    a = complex(a_param)
+    b = complex(b_param)
+    if _near_nonpositive_integer(b) is not None:
+        raise PolePivot(f"1F1 lower parameter {b_param!r} is a non-positive integer")
+    z = float(z)
+    rows = 3 if derivatives else 1
+    if z == 0.0:
+        sums = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))[:rows]
+    else:
+        call = (a_param, b_param, z)
+        terminal = _near_nonpositive_integer(a)
+        with np.errstate(all="ignore"):  # overflow and NaN are refused below
+            if terminal is None:
+                sums = _kummer_converged(a, b, z, rows, call)
+            else:
+                sums = _kummer_terminating(a, b, z, -terminal, rows, call)
+    sums = [complex(v) for v in sums]
+    _, exponent = math.frexp(max(abs(c) for v in sums for c in (v.real, v.imag)))
+    values = tuple(_ldexp_complex(v, -exponent) for v in sums)
+    return exponent, values if derivatives else values[0]
+
+
+def _ldexp_complex(v, exponent):
+    """v * 2**exponent, part by part (2**exponent alone may overflow)."""
+    return complex(math.ldexp(v.real, exponent), math.ldexp(v.imag, exponent))
+
+
 def kummer_1f1(a_param, b_param, z, derivatives=False):
     """Confluent hypergeometric series 1F1(a; b; z) for real argument z, and
     with derivatives the tuple (F, dF/dz, d^2F/dz^2) from the same pass.
@@ -272,24 +317,10 @@ def kummer_1f1(a_param, b_param, z, derivatives=False):
     is refused only if it is longer than the cap or not finite.  Raises
     PolePivot when b is a non-positive integer.
     """
-    a = complex(a_param)
-    b = complex(b_param)
-    if _near_nonpositive_integer(b) is not None:
-        raise PolePivot(f"1F1 lower parameter {b_param!r} is a non-positive integer")
-    z = float(z)
-    if z == 0.0:
-        values = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))
-        return values if derivatives else values[0]
-    rows = 3 if derivatives else 1
-    call = (a_param, b_param, z)
-    terminal = _near_nonpositive_integer(a)
-    with np.errstate(all="ignore"):  # overflow and NaN are refused below
-        if terminal is None:
-            sums = _kummer_converged(a, b, z, rows, call)
-        else:
-            sums = _kummer_terminating(a, b, z, -terminal, rows, call)
-    values = tuple(complex(v) for v in sums)
-    return values if derivatives else values[0]
+    exponent, values = kummer_1f1_scaled(a_param, b_param, z, derivatives)
+    if not derivatives:
+        return _ldexp_complex(values, exponent)
+    return tuple(_ldexp_complex(v, exponent) for v in values)
 
 
 def _kummer_label(call, row=0):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,10 @@ def test_profile_where_squares_leave_the_float_range():
     _, header, rows = parse_csv(proc.stdout)
     assert float(rows[0][header.index("potential")]) == pytest.approx(5.014984526558655e-271, rel=1e-15)
     assert float(rows[0][header.index("mass")]) == pytest.approx(1.002996905311751e+28, rel=1e-15)
+    # where m0 w^2 a^2 x^2 underflows V is still M x^2 / 2, about 2e-292
+    x = Fraction(float(rows[1][header.index("x")]))
+    exact = Fraction(1e-149) ** 2 / (Fraction(1e-149) + x) ** 2 * x**2 / 2
+    assert float(rows[1][header.index("potential")]) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("command", ["profile", "wavefunction"])

@@ -93,7 +93,12 @@ def test_profile_where_its_squares_leave_the_float_range(m0, hbar, a, x):
     mass = Fraction(p.m0) * Fraction(p.a) ** 2 / (Fraction(p.a) + Fraction(x)) ** 2
     v = mass * Fraction(p.omega) ** 2 * Fraction(x) ** 2 / 2
     assert model.effective_mass(p, x) == pytest.approx(float(mass), rel=1e-15, abs=1e-307)
-    assert model.potential(p, x) == pytest.approx(float(v), rel=1e-15)
+    assert model.potential(p, x) == pytest.approx(float(v), rel=1e-15, abs=0.0)
+    # an array of positions gives the scalar values elementwise (and the
+    # suite turns a RuntimeWarning into an error)
+    xs = np.array([x, 0.0])
+    assert model.effective_mass(p, xs).tolist() == [model.effective_mass(p, t) for t in xs.tolist()]
+    assert model.potential(p, xs).tolist() == [model.potential(p, t) for t in xs.tolist()]
 
 
 def test_profile_at_infinity(params_a2):
@@ -101,11 +106,16 @@ def test_profile_at_infinity(params_a2):
     assert model.effective_mass(params_a2, math.inf) == 0.0
 
 
-def test_potential_keeps_its_expression_where_finite(params_a2):
-    # the profile's own expression, bit for bit, wherever it is finite
-    for x in np.linspace(-1.9, 1e153, 7).tolist():
-        expected = params_a2.m0 * params_a2.omega**2 * 4.0 * x**2 / (2.0 * (2.0 + x) ** 2)
-        assert model.potential(params_a2, x) == expected
+@pytest.mark.parametrize("hbar,a,x", [
+    *((1.0, 2.0, x) for x in np.linspace(-1.9, 1e153, 7).tolist()),
+    (1e-300, 1e-149, -9.995e-150),  # the numerator m0 w^2 a^2 x^2 underflows
+], ids=[*(f"a2-x{i}" for i in range(7)), "numerator-underflow"])
+def test_profile_against_exact_rationals(hbar, a, x):
+    p = ModelParams(hbar=hbar, a=a)
+    mass = Fraction(p.m0) * Fraction(p.a) ** 2 / (Fraction(p.a) + Fraction(x)) ** 2
+    v = mass * Fraction(p.omega) ** 2 * Fraction(x) ** 2 / 2
+    assert model.effective_mass(p, x) == pytest.approx(float(mass), rel=1e-15, abs=0.0)
+    assert model.potential(p, x) == pytest.approx(float(v), rel=1e-15, abs=0.0)
 
 
 def test_well_depth():
@@ -402,6 +412,16 @@ def test_continuum_derivatives_where_the_shifted_series_overflows():
     psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
     assert all(cmath.isfinite(v) for v in psi(x))
     assert oracle.ode_residual(p, psi, e, x) <= 1e-6
+
+
+def test_continuum_derivatives_refused_where_they_leave_the_float_range():
+    # at E = 1e305 the chain-rule factor dw ~ q / (x+a) is about 1e155 near
+    # the wall, so psi'' is out of range however 1F1 is scaled
+    p = ModelParams(a=2.0)
+    st = model.continuum_state(p, 1e305)
+    with pytest.raises(NonConvergence, match="leave the float range"):
+        model.continuum_wavefunction_with_derivatives(st, p, -1.95)
+    assert all(cmath.isfinite(v) for v in model.continuum_wavefunction_with_derivatives(st, p, -1.5))
 
 
 # ---------------------------------------------------------------- factorization

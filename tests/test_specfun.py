@@ -334,6 +334,33 @@ def test_kummer_matches_the_scalar_loop(derivatives, chunk_cap, monkeypatch):
     assert 0 < refusals < len(_kummer_sweep())
 
 
+def test_kummer_at_the_float_ceiling():
+    # the largest part's exponent reaches 1024 here, where 2**1024 alone
+    # overflows, so the exponent goes on part by part
+    assert specfun.kummer_1f1_scaled(1.0, 1.0, 709.5)[0] == 1024
+    assert specfun.kummer_1f1(1.0, 1.0, 709.5) == 1.3549863193146159e+308
+    assert specfun.kummer_1f1(1.0, 1.0, 709.0) == 8.218407461554892e+307
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_kummer_scaled_mantissas(derivatives):
+    # the largest part lands in [0.5, 1), and the mantissas and the values
+    # scale into each other exactly, in both directions
+    for a, b, z in _kummer_sweep():
+        scaled, refused = _refused(specfun.kummer_1f1_scaled, a, b, z, derivatives=derivatives)
+        got, _ = _refused(specfun.kummer_1f1, a, b, z, derivatives=derivatives)
+        assert refused == (got is None), (a, b, z)
+        if refused:
+            continue
+        exponent, mantissas = scaled
+        pairs = list(zip(mantissas, got) if derivatives else [(mantissas, got)])
+        assert 0.5 <= max(max(abs(m.real), abs(m.imag)) for m, _ in pairs) < 1.0, (a, b, z)
+        for m, value in pairs:
+            for m_part, part in ((m.real, value.real), (m.imag, value.imag)):
+                assert math.ldexp(m_part, exponent) == part, (a, b, z)
+                assert math.ldexp(part, -exponent) == m_part, (a, b, z)
+
+
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
 def test_kummer_non_finite_argument_raises(z):
     with pytest.raises(NonConvergence):

@@ -43,7 +43,8 @@ class ModelParams:
 
     All four must be finite.  Requires a > 1/(sqrt(2) lambda0), equivalently
     (lambda0 a)^2 > 1/2, which guarantees at least one bound state, and
-    lambda0^2 = m0 omega / hbar and lambda0^2 a^3 must be positive finite
+    lambda0^2 = m0 omega / hbar, lambda0^2 a^3 and the well depth
+    m0 omega^2 a^2 / 2 (as computed, in that order) must be positive finite
     floats (extreme but finite constants can overflow or underflow them).
     """
 
@@ -72,6 +73,12 @@ class ModelParams:
             )
         if not math.isfinite(lam0_sq * (self.a * self.a) * self.a):
             raise ValueError(f"lambda0^2 a^3 overflows a float for a={self.a}")
+        depth = well_depth(self)
+        if not 0.0 < depth < math.inf:
+            raise ValueError(
+                f"the well depth m0*omega^2*a^2/2 leaves the float range ({depth!r}) "
+                f"for m0={self.m0}, omega={self.omega}, a={self.a}"
+            )
 
     @property
     def lambda0(self):
@@ -169,7 +176,7 @@ def potential(params, x):
 
 def well_depth(params):
     """Plateau height V_inf = m0 w^2 a^2 / 2; energies above it are continuum."""
-    return params.m0 * params.omega**2 * params.a**2 / 2.0
+    return params.m0 * (params.omega * params.omega) * (params.a * params.a) / 2.0
 
 
 def max_level(params):
@@ -332,12 +339,10 @@ def energy_for_wavenumber(params, q):
     """
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
-    try:
-        c0 = 0.25 * (q * q + 1.0) + params.b2**2
-        energy_value = c0 * params.hbar**2 / (2.0 * params.m0 * params.a**2)
-    except OverflowError:  # float ** raises where * would give inf
-        energy_value = math.inf
-    if not math.isfinite(energy_value):  # an infinite c0 makes it inf or NaN
+    ratio = params.hbar / params.a
+    c0 = 0.25 * (q * q + 1.0) + params.b2 * params.b2
+    energy_value = c0 * (ratio * ratio) / (2.0 * params.m0)
+    if not 0.0 < energy_value < math.inf:  # an infinite c0 makes it inf or NaN
         raise DomainError(
             f"the energy for q={q} leaves the float range at (lambda0 a)^2={params.b2}"
         )
@@ -356,8 +361,14 @@ def continuum_state(params, energy_value):
         raise BelowContinuum(
             f"E={energy_value} does not exceed the well depth {v_inf}"
         )
-    c0 = 2.0 * params.m0 * params.a**2 * energy_value / params.hbar**2
-    q_sq = 4.0 * c0 - 4.0 * params.b2**2 - 1.0
+    ratio = params.a / params.hbar
+    c0 = 2.0 * params.m0 * energy_value * (ratio * ratio)
+    q_sq = 4.0 * c0 - 4.0 * (params.b2 * params.b2) - 1.0
+    if not math.isfinite(q_sq):
+        raise DomainError(
+            f"the continuum parameter for E={energy_value} leaves the float range "
+            f"at (lambda0 a)^2={params.b2}"
+        )
     if q_sq <= 0.0:
         raise BelowContinuum(
             f"E={energy_value} sits in the band above the plateau where the "
@@ -374,10 +385,11 @@ def continuum_state(params, energy_value):
 
 
 def _continuum_parts(state, params, x):
-    """Complex log-prefactor W and hypergeometric argument z at x."""
-    _require_inside(params, x)
+    """Complex log-prefactor W and hypergeometric argument z at a scalar x."""
+    if not x > -params.a:
+        raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
     xa = x + params.a
-    z = 2.0 * params.wall_scale / xa
+    z = 2.0 * (params.wall_scale / xa)
     # principal branch; the base x/a + 1 is positive so it is unambiguous
     w_log = (-state.gamma - params.b2) * math.log1p(x / params.a) - 0.5 * z
     return w_log, z
@@ -401,25 +413,31 @@ def continuum_wavefunction_with_derivatives(state, params, x):
 
     1F1 and its first two z-derivatives come from one pass over the Kummer
     series, as mantissas; the chain rule adds the logarithmic derivatives of
-    the complex prefactor, and NonConvergence refuses a combination that
-    leaves the float range (at huge energies, where dw ~ q/(x+a)).
+    the complex prefactor, and NonConvergence refuses a combination or a
+    value that leaves the float range (at huge energies, where
+    dw ~ q/(x+a), and within tiny x + a, where psi'' ~ psi/(x+a)^2).
     """
     w_log, z = _continuum_parts(state, params, x)
     xa = x + params.a
     g = state.gamma
     exponent, (f0, f1, f2) = specfun.kummer_1f1_scaled(g, state.mu, z, derivatives=True)
+    # one power of x + a at a time: (x + a)^3 underflows for a below about 1e-108
+    w = params.wall_scale / xa / xa
     dz = -z / xa
-    d2z = 2.0 * z / xa**2
-    dw = (-g - params.b2) / xa + params.wall_scale / xa**2
-    d2w = (g + params.b2) / xa**2 - 2.0 * params.wall_scale / xa**3
+    d2z = 2.0 * (z / xa) / xa
+    dw = (-g - params.b2) / xa + w
+    d2w = (g + params.b2) / xa / xa - 2.0 * w / xa
     parts = (
         f0,
         dw * f0 + f1 * dz,
         (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z,
     )
-    if not all(map(cmath.isfinite, parts)):
-        raise NonConvergence(f"continuum derivatives at x={x} leave the float range")
-    return tuple(specfun.exp_scaled_complex(w_log, f, exponent) for f in parts)
+    try:
+        if all(map(cmath.isfinite, parts)):
+            return tuple(specfun.exp_scaled_complex(w_log, f, exponent) for f in parts)
+    except OverflowError:  # cmath.exp of a value past the float ceiling
+        pass
+    raise NonConvergence(f"continuum derivatives at x={x} leave the float range")
 
 
 def alpha0(params, x):

@@ -633,8 +633,11 @@ def ode_residual(params, psi, energy_value, x):
     v, d1, d2 = psi(x)
     lam0 = params.lambda0
     xa = x + params.a
-    c0 = 2.0 * params.m0 * params.a**2 * energy_value / params.hbar**2
-    coeff = (lam0 * params.a) ** 4 * x * x / xa**4 - c0 / xa**2
+    ratio = params.a / params.hbar
+    c0 = 2.0 * params.m0 * energy_value * (ratio * ratio)
+    # one power of x + a at a time: (x + a)^4 underflows for a below about 1e-81
+    br = params.b2 * (x / xa)
+    coeff = (br * br - c0) / xa / xa
     lhs = d2 + 2.0 / xa * d1 - coeff * v
     scale = max(abs(d2), lam0 * abs(d1), lam0**2 * abs(v), 1e-300)
     return abs(lhs) / scale

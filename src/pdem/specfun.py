@@ -304,8 +304,9 @@ def kummer_1f1(a_param, b_param, z, derivatives=False):
     sum_k k(k-1)/z^2 t_k, weighted so that each row stays at the scale of F
     (plain k and k(k-1) weights overflow near the float ceiling).  The first
     chunk is sized from z, because the terms peak near k = z; later chunks
-    double, up to _KUMMER_CHUNK_CAP terms.  Parameters may be complex; the
-    results are complex.
+    double, up to _KUMMER_CHUNK_CAP terms.  A chunk stops at its first
+    overflowing term, so no term past it is ever formed.  Parameters may be
+    complex; the results are complex.
 
     Each row stops once its term stays below 1e-16 of its partial sum for 8
     consecutive terms, and is refused with NonConvergence if its partial sum
@@ -331,7 +332,13 @@ def _kummer_label(call, row=0):
 def _kummer_chunks(a, b, z, rows, limit):
     """Yield (term_moduli, partial_sums), each of shape (rows, n), chunk by
     chunk over the term indices 1 .. limit; row 0 is the series of 1F1, rows
-    1 and 2 its z-derivatives (see kummer_1f1)."""
+    1 and 2 its z-derivatives (see kummer_1f1).
+
+    A chunk whose last term in row 0 is not finite is cut after its first
+    term that is not, and no chunk follows it.  Once a product leaves the
+    float range every later one stays out of it, so only the last term needs
+    a test, nothing past the cut can change a refusal, and cumprod and cumsum,
+    which accumulate in order, give every earlier sum bit for bit."""
     term = complex(1.0)
     total = np.zeros(rows, dtype=complex)
     total[0] = 1.0
@@ -344,8 +351,12 @@ def _kummer_chunks(a, b, z, rows, limit):
         ratios = (a + k) / (b + k) * z / k1
         ratios[0] *= term
         terms = np.empty((rows, len(k)), dtype=complex)
-        np.cumprod(ratios, out=terms[0])
-        term = terms[0, -1]
+        ratios.cumprod(out=terms[0])
+        term = complex(terms[0, -1])
+        overflowed = not cmath.isfinite(term)
+        if overflowed:
+            n = int(np.isfinite(terms[0]).argmin()) + 1
+            k, k1, terms = k[:n], k1[:n], terms[:, :n]
         if rows > 1:
             weight = k1 / z
             np.multiply(weight, terms[0], out=terms[1])
@@ -353,9 +364,11 @@ def _kummer_chunks(a, b, z, rows, limit):
         moduli = np.abs(terms)
         # the running total leads the chunk, so the sums add up in series order
         terms[:, 0] += total
-        sums = np.cumsum(terms, axis=1, out=terms)
+        sums = terms.cumsum(axis=1, out=terms)
         total = sums[:, -1]
         yield moduli, sums
+        if overflowed:
+            return
         start += len(k)
         size = min(2 * size, _KUMMER_CHUNK_CAP)
 
@@ -378,18 +391,19 @@ def _kummer_converged(a, b, z, rows, call):
         run_length = index - last_large + np.where(last_large < 0, run, 0)
         stopped = run_length >= _KUMMER_CONSECUTIVE
         peaks = np.maximum.accumulate(size, axis=1)
-        stop, first_bad = stopped.argmax(axis=1), finite.argmin(axis=1)
+        stops, first_bads = stopped.argmax(axis=1).tolist(), finite.argmin(axis=1).tolist()
         for row in range(rows):
             if results[row] is not None:
                 continue
-            done = stopped[row, stop[row]]
-            end = stop[row] if done else n - 1
-            if not finite[row, first_bad[row]] and first_bad[row] <= end:
+            stop, first_bad = stops[row], first_bads[row]
+            done = stopped[row, stop]
+            end = stop if done else n - 1
+            if first_bad <= end and not finite[row, first_bad]:
                 raise NonConvergence(
                     f"{_kummer_label(call, row)} overflowed after "
-                    f"{start + first_bad[row] + 1} terms"
+                    f"{start + first_bad + 1} terms"
                 )
-            peak[row] = max(peak[row], peaks[row, end])
+            peak[row] = max(peak[row], float(peaks[row, end]))
             if not done:
                 continue
             if size[row, end] < 1e-13 * peak[row]:

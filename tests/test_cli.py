@@ -209,6 +209,26 @@ def test_profile_where_squares_leave_the_float_range():
     assert float(rows[1][header.index("potential")]) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
+def test_limit_continuum_with_tiny_hbar():
+    # hbar^2 underflows to 0 here; near x/a = 1e149 the magnitude is
+    # (x/a + 1)^(-1/2) up to terms in 1/(x/a + 1)
+    proc = run_cli("limit", "--kind", "continuum", "--hbar", "1e-300", "--q", "2", "--x", "1",
+                   "--a-value", "1e-149", "--a-value", "2e-149", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    magnitudes = json.loads(proc.stdout)["columns"]["magnitude"]
+    assert magnitudes == pytest.approx([(1e-149) ** 0.5, (2e-149) ** 0.5], rel=1e-13)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_with_an_overflowing_well_depth_exits_2(fmt):
+    # m0 w^2 overflows: V_inf and the potentials would be inf
+    proc = run_cli("profile", "--m0", "1e300", "--omega", "1e5", "--hbar", "1e300",
+                   "--a", "0.01", "--points", "3", "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "well depth" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["profile", "wavefunction"])
 @pytest.mark.parametrize("limits", [
     ["--x-max", "inf"],

@@ -42,6 +42,14 @@ def test_params_reject_extreme_finite_constants(kwargs):
         ModelParams(**kwargs)
 
 
+def test_params_reject_an_overflowing_well_depth():
+    # m0 w^2 overflows here, and with it V_inf and every potential
+    with pytest.raises(ValueError, match="well depth"):
+        ModelParams(m0=1e300, omega=1e5, hbar=1e300, a=0.01)
+    with pytest.raises(ValueError, match="well depth"):
+        ModelParams(omega=1e200, hbar=1e200)
+
+
 def test_level_cap():
     p = ModelParams(a=1e8)  # 10^16 levels
     with pytest.raises(DomainError):
@@ -422,6 +430,36 @@ def test_continuum_derivatives_refused_where_they_leave_the_float_range():
     with pytest.raises(NonConvergence, match="leave the float range"):
         model.continuum_wavefunction_with_derivatives(st, p, -1.95)
     assert all(cmath.isfinite(v) for v in model.continuum_wavefunction_with_derivatives(st, p, -1.5))
+
+
+@pytest.mark.parametrize("constants", [
+    dict(hbar=1e-300, a=1e-150),  # hbar^2 underflows
+    dict(m0=1e300, a=1e-150),     # (x+a)^3 underflows
+], ids=["tiny-hbar", "huge-m0"])
+def test_continuum_with_tiny_constants(constants):
+    # (lambda0 a)^2 = 1 and E = 2 V_inf, so q = sqrt(3) and psi at x = (s-1) a
+    # is the unit-constant a = 1 state at x = s - 1, its derivatives scaled
+    # by 1/a and 1/a^2; a value that leaves the float range is refused
+    p, unit = ModelParams(**constants), ModelParams(a=1.0)
+    e = 2.0 * model.well_depth(p)
+    st = model.continuum_state(p, e)
+    assert st.q == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    unit_state = model.continuum_state(unit, 2.0 * model.well_depth(unit))
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
+    finite = 0
+    for s in (0.01, 0.05, 0.3, 1.0, 3.0, 10.0):
+        x = (s - 1.0) * p.a
+        try:
+            values = psi(x)
+        except NonConvergence:
+            continue
+        finite += 1
+        assert all(cmath.isfinite(v) for v in values)
+        assert oracle.ode_residual(p, psi, e, x) <= 1e-6
+        expected = model.continuum_wavefunction_with_derivatives(unit_state, unit, s - 1.0)
+        for j, (got, ref) in enumerate(zip(values, expected)):
+            assert got * p.a**j == pytest.approx(ref, rel=1e-12), (s, j)
+    assert finite >= 4
 
 
 # ---------------------------------------------------------------- factorization

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -254,7 +255,7 @@ def _kummer_scalar_loop(a_param, b_param, z):
         except OverflowError:
             size = math.inf
         if not math.isfinite(size):
-            raise NonConvergence("overflow")
+            raise NonConvergence(f"overflow after {k + 1} terms")
         peak = max(peak, size)
         if small:
             small_count += 1
@@ -332,6 +333,46 @@ def test_kummer_matches_the_scalar_loop(derivatives, chunk_cap, monkeypatch):
         for value, (ref, peak, terms) in zip(got if derivatives else (got,), expected):
             assert abs(value - ref) <= 16.0 * eps * math.sqrt(terms + 1) * peak, (a, b, z)
     assert 0 < refusals < len(_kummer_sweep())
+
+
+def _overflow_count(fn, *args):
+    """The term count of fn's overflow refusal, or None for any other outcome."""
+    try:
+        fn(*args)
+    except NonConvergence as exc:
+        found = re.search(r"overflow(?:ed)? after (\d+) terms", str(exc))
+        return int(found.group(1)) if found else None
+    return None
+
+
+@pytest.mark.parametrize("chunk_cap", [None, 5])
+def test_kummer_overflow_names_the_term_of_the_scalar_loop(chunk_cap, monkeypatch):
+    # a chunk ends at its first overflowing term, and the refusal still
+    # counts the terms the loop summed up to and including it
+    if chunk_cap is not None:
+        monkeypatch.setattr(specfun, "_KUMMER_CHUNK_CAP", chunk_cap)
+    overflows = 0
+    for a, b, z in _kummer_sweep():
+        count = _overflow_count(_kummer_scalar_loop, a, b, z)
+        assert _overflow_count(specfun.kummer_1f1, a, b, z) == count, (a, b, z)
+        overflows += count is not None
+    assert overflows >= 10
+
+
+def test_kummer_overflow_stops_its_chunk(monkeypatch):
+    # the first chunk would be 2048 terms; the sum overflows at term 286
+    widths = []
+    chunks = specfun._kummer_chunks
+
+    def spy(*args):
+        for term_size, sums in chunks(*args):
+            widths.append(sums.shape[1])
+            yield term_size, sums
+
+    monkeypatch.setattr(specfun, "_kummer_chunks", spy)
+    with pytest.raises(NonConvergence, match="overflowed after 286 terms"):
+        specfun.kummer_1f1(complex(-15.5, 1.5), complex(1.0, 3.0), 1600.0, derivatives=True)
+    assert widths and max(widths) <= 286
 
 
 def test_kummer_at_the_float_ceiling():

@@ -19,6 +19,7 @@ profile.  Continuum states fold the exponent of the Kummer mantissas into W.
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,8 +45,9 @@ class ModelParams:
     All four must be finite.  Requires a > 1/(sqrt(2) lambda0), equivalently
     (lambda0 a)^2 > 1/2, which guarantees at least one bound state, and
     lambda0^2 = m0 omega / hbar, lambda0^2 a^3 and the well depth
-    m0 omega^2 a^2 / 2 (as computed, in that order) must be positive finite
-    floats (extreme but finite constants can overflow or underflow them).
+    m0 omega^2 a^2 / 2 must be finite floats, and lambda0^2 and the depth
+    normal ones (extreme but finite constants can overflow them, or underflow
+    them to subnormals whose few digits every energy would inherit).
     """
 
     m0: float = 1.0
@@ -61,9 +63,9 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         lam0_sq = self.m0 * self.omega / self.hbar
-        if not 0.0 < lam0_sq < math.inf:
+        if not sys.float_info.min <= lam0_sq < math.inf:
             raise ValueError(
-                f"lambda0^2 = m0*omega/hbar leaves the float range ({lam0_sq!r}) "
+                f"lambda0^2 = m0*omega/hbar leaves the normal float range ({lam0_sq!r}) "
                 f"for m0={self.m0}, omega={self.omega}, hbar={self.hbar}"
             )
         min_a = 1.0 / (math.sqrt(2.0) * math.sqrt(lam0_sq))
@@ -74,9 +76,9 @@ class ModelParams:
         if not math.isfinite(lam0_sq * (self.a * self.a) * self.a):
             raise ValueError(f"lambda0^2 a^3 overflows a float for a={self.a}")
         depth = well_depth(self)
-        if not 0.0 < depth < math.inf:
+        if not sys.float_info.min <= depth < math.inf:
             raise ValueError(
-                f"the well depth m0*omega^2*a^2/2 leaves the float range ({depth!r}) "
+                f"the well depth m0*omega^2*a^2/2 leaves the normal float range ({depth!r}) "
                 f"for m0={self.m0}, omega={self.omega}, a={self.a}"
             )
 
@@ -175,8 +177,13 @@ def potential(params, x):
 
 
 def well_depth(params):
-    """Plateau height V_inf = m0 w^2 a^2 / 2; energies above it are continuum."""
-    return params.m0 * (params.omega * params.omega) * (params.a * params.a) / 2.0
+    """Plateau height V_inf = m0 w^2 a^2 / 2; energies above it are continuum.
+
+    Formed as (m0/2) (w a) (w a): the middle product is the geometric mean of
+    m0/2 and V_inf, so it leaves the float range only where V_inf does.
+    """
+    omega_a = params.omega * params.a
+    return 0.5 * params.m0 * omega_a * omega_a
 
 
 def max_level(params):
@@ -339,9 +346,10 @@ def energy_for_wavenumber(params, q):
     """
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
-    ratio = params.hbar / params.a
-    c0 = 0.25 * (q * q + 1.0) + params.b2 * params.b2
-    energy_value = c0 * (ratio * ratio) / (2.0 * params.m0)
+    # E = V_inf c0 / (lambda0 a)^4, from quantities ModelParams keeps in range
+    b4 = params.b2 * params.b2
+    c0 = 0.25 * (q * q + 1.0) + b4
+    energy_value = well_depth(params) * (c0 / b4)
     if not 0.0 < energy_value < math.inf:  # an infinite c0 makes it inf or NaN
         raise DomainError(
             f"the energy for q={q} leaves the float range at (lambda0 a)^2={params.b2}"
@@ -361,9 +369,10 @@ def continuum_state(params, energy_value):
         raise BelowContinuum(
             f"E={energy_value} does not exceed the well depth {v_inf}"
         )
-    ratio = params.a / params.hbar
-    c0 = 2.0 * params.m0 * energy_value * (ratio * ratio)
-    q_sq = 4.0 * c0 - 4.0 * (params.b2 * params.b2) - 1.0
+    # c0 = 2 m0 a^2 E / hbar^2 = (lambda0 a)^4 E / V_inf, where E / V_inf > 1
+    b4 = params.b2 * params.b2
+    c0 = b4 * (energy_value / v_inf)
+    q_sq = 4.0 * c0 - 4.0 * b4 - 1.0
     if not math.isfinite(q_sq):
         raise DomainError(
             f"the continuum parameter for E={energy_value} leaves the float range "

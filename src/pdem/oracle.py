@@ -633,8 +633,10 @@ def ode_residual(params, psi, energy_value, x):
     v, d1, d2 = psi(x)
     lam0 = params.lambda0
     xa = x + params.a
-    ratio = params.a / params.hbar
-    c0 = 2.0 * params.m0 * energy_value * (ratio * ratio)
+    # c0 = (lambda0 a)^4 E / V_inf: squares of a/hbar or hbar/a can leave the
+    # float range for constants whose lambda0 a and V_inf are ordinary
+    omega_a = params.omega * params.a
+    c0 = (params.b2 * params.b2) * (energy_value / (0.5 * params.m0 * omega_a * omega_a))
     # one power of x + a at a time: (x + a)^4 underflows for a below about 1e-81
     br = params.b2 * (x / xa)
     coeff = (br * br - c0) / xa / xa

@@ -305,8 +305,9 @@ def kummer_1f1(a_param, b_param, z, derivatives=False):
     (plain k and k(k-1) weights overflow near the float ceiling).  The first
     chunk is sized from z, because the terms peak near k = z; later chunks
     double, up to _KUMMER_CHUNK_CAP terms.  A chunk stops at its first
-    overflowing term, so no term past it is ever formed.  Parameters may be
-    complex; the results are complex.
+    overflowing term: past it only the products of row 0 are formed, no
+    derivative row or partial sum.  Parameters may be complex; the results
+    are complex.
 
     Each row stops once its term stays below 1e-16 of its partial sum for 8
     consecutive terms, and is refused with NonConvergence if its partial sum

@@ -219,11 +219,24 @@ def test_limit_continuum_with_tiny_hbar():
     assert magnitudes == pytest.approx([(1e-149) ** 0.5, (2e-149) ** 0.5], rel=1e-13)
 
 
+def test_limit_continuum_with_huge_a_over_hbar():
+    # (a/hbar)^2 overflows here; psi depends on x/a, (lambda0 a)^2 and q
+    # alone, so the unit constants at x = 1e-60 give the same magnitudes
+    args = ("limit", "--kind", "continuum", "--q", "2", "--format", "json")
+    proc = run_cli(*args, "--m0", "1e-220", "--hbar", "1e-100", "--x", "1",
+                   "--a-value", "1e60", "--a-value", "2e60")
+    assert proc.returncode == 0, proc.stderr
+    unit = run_cli(*args, "--x", "1e-60", "--a-value", "1", "--a-value", "2")
+    assert unit.returncode == 0, unit.stderr
+    magnitudes = json.loads(proc.stdout)["columns"]["magnitude"]
+    assert magnitudes == pytest.approx(json.loads(unit.stdout)["columns"]["magnitude"], rel=1e-13)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_profile_with_an_overflowing_well_depth_exits_2(fmt):
-    # m0 w^2 overflows: V_inf and the potentials would be inf
-    proc = run_cli("profile", "--m0", "1e300", "--omega", "1e5", "--hbar", "1e300",
-                   "--a", "0.01", "--points", "3", "--format", fmt)
+    # V_inf = 1e400 (a/2)^2 is past the float ceiling: the potentials would be inf
+    proc = run_cli("profile", "--omega", "1e200", "--hbar", "1e200",
+                   "--points", "3", "--format", fmt)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "well depth" in proc.stderr

@@ -36,18 +36,25 @@ def test_params_reject_non_finite(name, value):
 @pytest.mark.parametrize("kwargs", [
     dict(a=1e200),                             # lambda0^2 a^2 overflows
     dict(hbar=1e300, m0=1e-30, omega=1e-10),   # lambda0^2 underflows to 0
-], ids=["b2-overflow", "lambda0-underflow"])
+    dict(hbar=1e290, m0=1e-20, omega=1e-10),   # lambda0^2 = 1e-320 is subnormal
+], ids=["b2-overflow", "lambda0-underflow", "lambda0-subnormal"])
 def test_params_reject_extreme_finite_constants(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
 
 
 def test_params_reject_an_overflowing_well_depth():
-    # m0 w^2 overflows here, and with it V_inf and every potential
-    with pytest.raises(ValueError, match="well depth"):
-        ModelParams(m0=1e300, omega=1e5, hbar=1e300, a=0.01)
+    # V_inf = 1e400 / 4 is past the float ceiling, and with it every potential
     with pytest.raises(ValueError, match="well depth"):
         ModelParams(omega=1e200, hbar=1e200)
+    # m0 w^2 alone overflows here, but V_inf = 5e305 is a float
+    assert model.well_depth(ModelParams(m0=1e300, omega=1e5, hbar=1e300, a=0.01)) == pytest.approx(5e305, rel=1e-15)
+
+
+def test_params_reject_a_subnormal_well_depth():
+    # V_inf = 5e-321 keeps 2 digits; continuum energies above it would too
+    with pytest.raises(ValueError, match="well depth"):
+        ModelParams(omega=1e-160, hbar=1e-160)
 
 
 def test_level_cap():
@@ -433,17 +440,24 @@ def test_continuum_derivatives_refused_where_they_leave_the_float_range():
 
 
 @pytest.mark.parametrize("constants", [
-    dict(hbar=1e-300, a=1e-150),  # hbar^2 underflows
-    dict(m0=1e300, a=1e-150),     # (x+a)^3 underflows
-], ids=["tiny-hbar", "huge-m0"])
-def test_continuum_with_tiny_constants(constants):
+    dict(hbar=1e-300, a=1e-150),            # hbar^2 underflows
+    dict(m0=1e300, a=1e-150),               # (x+a)^3 underflows
+    dict(m0=1e-220, hbar=1e-100, a=1e60),   # (a/hbar)^2 overflows, (hbar/a)^2 is subnormal
+], ids=["tiny-hbar", "huge-m0", "huge-a-over-hbar"])
+def test_continuum_with_extreme_constants(constants):
     # (lambda0 a)^2 = 1 and E = 2 V_inf, so q = sqrt(3) and psi at x = (s-1) a
     # is the unit-constant a = 1 state at x = s - 1, its derivatives scaled
     # by 1/a and 1/a^2; a value that leaves the float range is refused
     p, unit = ModelParams(**constants), ModelParams(a=1.0)
+    assert p.b2 == pytest.approx(1.0, rel=1e-15)
     e = 2.0 * model.well_depth(p)
     st = model.continuum_state(p, e)
     assert st.q == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    # the energy of a wavenumber is the unit-constant one in units of V_inf
+    for q in (0.5, 2.0, 30.0):
+        got = model.energy_for_wavenumber(p, q) / model.well_depth(p)
+        ref = model.energy_for_wavenumber(unit, q) / model.well_depth(unit)
+        assert got == pytest.approx(ref, rel=1e-14), q
     unit_state = model.continuum_state(unit, 2.0 * model.well_depth(unit))
     psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
     finite = 0

@@ -55,24 +55,28 @@ def bound_overlap(params, m, n, tol=1e-11):
     top level at b^2 = 39.52.
 
     Each integrand call evaluates psi_m and psi_n from one Bessel recurrence
-    (model.bound_states), and oracle.integrate's wide first round leaves most
-    overlaps at 2 to 4 calls.
+    (model.bound_states), and also at s = ln u_lo for the closed-form piece.
+    oracle.integrate's wide first round leaves most overlaps at that one
+    call, and every pair at a = 2 and a = 3 at 2 calls or fewer.
     """
     a, b2 = params.a, params.b2
     u_lo = 1e-12
     u_hi = (900.0 + 4.0 * b2 * math.log(1e3)) / (2.0 * params.wall_scale)
     pair = model.bound_states(params, (m, n)).psi
+    s_lo = math.log(u_lo)
+    at_s_lo = []
 
     def integrand(s):
-        u = np.exp(s)
+        u = np.exp(np.append(s, s_lo))
         psi_m, psi_n = pair(1.0 / u - a)
-        return psi_m * psi_n / u
+        values = psi_m * psi_n / u
+        at_s_lo.append(values[-1])
+        return values[:-1]
 
-    s_lo = math.log(u_lo)
+    body = oracle.integrate(integrand, s_lo, math.log(u_hi), tol)
     p = 2.0 * b2 - m - n - 1.0
     c = params.wall_scale * (m / (m - b2) + n / (n - b2) - 2.0)
-    tail = integrand(s_lo) / p * (1.0 - c * u_lo / (p + 1.0))
-    return oracle.integrate(integrand, s_lo, math.log(u_hi), tol) + tail
+    return body + at_s_lo[0] / p * (1.0 - c * u_lo / (p + 1.0))
 
 
 def check_level_counts():

@@ -64,33 +64,26 @@ def energy_gap(params, n):
     return params.hbar**2 * n * (n + 1.0) / (2.0 * params.m0 * params.a**2)
 
 
-def l2_distance(f, g, x_min, x_max, tol=1e-10):
-    """L2 distance between two callables on arrays, by adaptive quadrature."""
-    value = oracle.integrate(lambda x: (f(x) - g(x)) ** 2, x_min, x_max, tol)
-    return math.sqrt(max(value, 0.0))
-
-
 def wavefunction_distance(params, n, tol=1e-10):
     """Sign-minimized L2 distance between the well state n and the canonical
     Hermite-function state n.
 
     The overall sign of a bound state is conventional, so the distance is
-    minimized over a global sign flip.  Integration runs from just inside the
-    wall to a + 12/lambda0, where both states have decayed."""
+    minimized over a global sign flip: one quadrature over the rows
+    (well - can)^2 and (well + can)^2 gives both squared distances.
+    Integration runs from just inside the wall to a + 12/lambda0, where both
+    states have decayed."""
     states = model.bound_states(params, (n,))
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
     lo = -params.a + 1e-3 * params.a
     hi = params.a + 12.0 / params.lambda0
 
-    def well(x):
-        return states.psi(x)[0]
+    def squares(x):
+        well = states.psi(x)[0]
+        can = canonical.canonical_wavefunction(ref, n, x)
+        return np.stack(((well - can) ** 2, (well + can) ** 2))
 
-    def can(x):
-        return canonical.canonical_wavefunction(ref, n, x)
-
-    plus = l2_distance(well, can, lo, hi, tol)
-    minus = l2_distance(lambda x: -well(x), can, lo, hi, tol)
-    return min(plus, minus)
+    return math.sqrt(max(float(oracle.integrate(squares, lo, hi, tol).min()), 0.0))
 
 
 def continuum_magnitude(params_family, q_fixed, x):

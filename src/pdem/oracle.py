@@ -17,7 +17,6 @@ eigenvalues below lam, as the natural-order factorization's do.  What the
 bracket certifies is these computed counts.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -61,13 +60,15 @@ _PANEL_GAUSS = np.zeros(15)
 _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
-# Equal panels of integrate's first call, 480 nodes in one call of the
-# integrand.  A call of up to a few hundred nodes costs its fixed numpy
-# overhead, not its nodes, so a wide first round is nearly free.  Measured
-# over the 238 integrals of the bound-states benchmark (seeds 7-9), against
-# one first panel: 2.7 instead of 7.8 calls per integral (at most 4, was 9)
-# and 709 instead of 596 nodes, at the same or better accuracy.
-_FIRST_PANELS = 32
+# Equal panels of integrate's first call, 1920 nodes in one call of the
+# integrand.  A call costs mostly its fixed numpy overhead: an overlap
+# integrand of two levels at a = 3 takes 64 us at 1 node, 88 us at 480 and
+# 178 us at 1920 (2-core x86-64 VM), so calls, not nodes, set the cost.
+# Over the 180 overlaps of the bound-states benchmark (seeds 7-9), a first
+# round of 32, 64, 128 and 256 panels takes 3.1, 2.07, 1.28 and 1.00 calls
+# per overlap, all within 1.5e-15 of a tol = 1e-14 reference.  Of 32, 128
+# and 256, 128 gives the benchmark's lowest median task time.
+_FIRST_PANELS = 128
 # Most panels one round of integrate splits: 30 nodes each in one call of the
 # integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
 # 3e5 nodes and their values in memory.
@@ -531,46 +532,53 @@ def lowest_eigenvalues(matrix, k):
 
 
 def _gauss_kronrod_panels(f, starts, ends):
-    """(kronrod, |kronrod - gauss|) as lists over the panels
-    [starts[i], ends[i]], from one call of f on all their nodes.
+    """(kronrod, |kronrod - gauss|) over the panels [starts[i], ends[i]],
+    from one call of f on all their nodes: arrays of shape (panels,) for an
+    f that returns shape (N,) on N nodes, or (k, panels) for one that
+    returns (k, N).
 
     Raises NonConvergence naming the first panel on which either is not
-    finite, as when f returns NaN or inf there.
+    finite in some row, as when f returns NaN or inf there.
     """
     centers = 0.5 * (starts + ends)
     radii = 0.5 * (ends - starts)
-    values = f((centers[:, None] + radii[:, None] * _PANEL_NODES).ravel())
-    values = np.reshape(values, (radii.size, _PANEL_NODES.size))
+    values = np.asarray(f((centers[:, None] + radii[:, None] * _PANEL_NODES).ravel()))
+    values = np.reshape(values, values.shape[:-1] + (radii.size, _PANEL_NODES.size))
     with np.errstate(invalid="ignore", over="ignore"):
         kron = radii * (values @ _PANEL_KRONROD)
         err = np.abs(kron - radii * (values @ _PANEL_GAUSS))
     bad = ~(np.isfinite(kron) & np.isfinite(err))
     if bad.any():
-        a, b = float(starts[bad][0]), float(ends[bad][0])
+        i = int(np.flatnonzero(bad.reshape(-1, radii.size).any(axis=0))[0])
         raise NonConvergence(
-            f"quadrature is not finite on the panel [{a!r}, {b!r}]: "
+            f"quadrature is not finite on the panel [{float(starts[i])!r}, {float(ends[i])!r}]: "
             "the integrand returned NaN or inf there, or its sum overflowed"
         )
-    return kron.tolist(), err.tolist()
+    return kron, err
 
 
 def integrate(f, x_min, x_max, tol=1e-10):
     """Adaptive Gauss-Kronrod (7, 15) quadrature of f over [x_min, x_max].
 
-    f is called with a 1-d ndarray of nodes and must return their values as
-    an array of the same length.  The first call gets the nodes of
-    _FIRST_PANELS equal panels covering the range, 15 each, with the end
-    edges exactly x_min and x_max.  Each later call is one round: it splits
-    the worst panels, as many as it takes to bring the error of the panels
-    left unsplit down to tol * (1 + |integral|) (at least one, at most
-    _MAX_SPLITS), and gets the nodes of both halves of all of them, 30 per
-    split panel.  A panel of zero width or at float resolution is kept as it
-    is and never split.  Stops when the summed Kronrod-Gauss gap is at or
-    below tol * (1 + |integral|).  Raises ValueError, before any call of f,
-    for a limit that is not finite or a range whose width overflows;
-    ToleranceNotMet (carrying the best estimate and its error bound) if the
-    budget of _MAX_PANELS panels runs out or only panels at float resolution
-    are left to split; and NonConvergence if f gives NaN or inf.
+    f is called with a 1-d ndarray of N nodes.  It returns their values as
+    an array of shape (N,), and integrate returns the integral as a float,
+    or as an array of shape (k, N), k integrands over one shared partition
+    of the range, and integrate returns the k integrals as an array of
+    shape (k,).  The first call gets the nodes of _FIRST_PANELS equal panels
+    covering the range, 15 each, with the end edges exactly x_min and x_max.
+    Each later call is one round: it splits the worst panels, as many as it
+    takes to bring the error of the panels left unsplit down to
+    tol * (1 + |integral|) in every row (at least one, at most _MAX_SPLITS),
+    and gets the nodes of both halves of all of them, 30 per split panel.
+    A panel's rank is its worst error in any row relative to that row's
+    tolerance.  A panel of zero width or at float resolution is kept as it
+    is and never split.  Stops when the summed Kronrod-Gauss gap of every
+    row is at or below tol * (1 + |its integral|).  Raises ValueError,
+    before any call of f, for a limit that is not finite or a range whose
+    width overflows; ToleranceNotMet (carrying the best estimate and its
+    error bound) if the budget of _MAX_PANELS panels runs out or only panels
+    at float resolution are left to split; and NonConvergence if f gives
+    NaN or inf.
     """
     if not math.isfinite(x_max - x_min):  # an infinite limit makes it inf or NaN
         raise ValueError(
@@ -582,42 +590,37 @@ def integrate(f, x_min, x_max, tol=1e-10):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
     edges = np.linspace(x_min, x_max, _FIRST_PANELS + 1)  # its ends are exact
-    kron, errs = _gauss_kronrod_panels(f, edges[:-1], edges[1:])
-    heap = []  # the worst panel first
-    settled = []  # panels of zero width or at float resolution, never split
-    for panel in zip([-e for e in errs], edges[:-1].tolist(), edges[1:].tolist(), kron):
-        _, a, b, _ = panel
-        (heap if a < 0.5 * (a + b) < b else settled).append(panel)
-    heapq.heapify(heap)
-    total, total_err = sum(kron), sum(errs)
-    while (
-        total_err > tol * (1.0 + abs(total))
-        and heap
-        and len(heap) + len(settled) < _MAX_PANELS
-    ):
-        room = min(_MAX_SPLITS, _MAX_PANELS - len(heap) - len(settled))
-        excess = total_err - tol * (1.0 + abs(total))
-        split = []
-        while heap and excess > 0.0 and len(split) < room:
-            panel = heapq.heappop(heap)
-            neg_err, a, b, _ = panel
-            excess += neg_err
-            (split if a < 0.5 * (a + b) < b else settled).append(panel)
-        if split:
-            starts = np.array([panel[1] for panel in split])
-            ends = np.array([panel[2] for panel in split])
-            mids = 0.5 * (starts + ends)
-            lo = np.concatenate((starts, mids))
-            hi = np.concatenate((mids, ends))
-            kron, errs = _gauss_kronrod_panels(f, lo, hi)
-            for panel in zip([-e for e in errs], lo.tolist(), hi.tolist(), kron):
-                heapq.heappush(heap, panel)
-        panels = heap + settled
-        total = sum(panel[3] for panel in panels)
-        total_err = -sum(panel[0] for panel in panels)
-    if total_err > tol * (1.0 + abs(total)):
-        raise ToleranceNotMet(total, total_err)
-    return total
+    starts, ends = edges[:-1], edges[1:]
+    kron, errs = _gauss_kronrod_panels(f, starts, ends)
+    result = (lambda v: float(v[0])) if kron.ndim == 1 else (lambda v: v)
+    kron, errs = np.atleast_2d(kron, errs)  # (rows, panels)
+    while True:
+        total = kron.sum(axis=1)
+        allowed = tol * (1.0 + np.abs(total))
+        excess = errs.sum(axis=1) - allowed
+        if not (excess > 0.0).any():
+            return result(total)
+        mids = 0.5 * (starts + ends)
+        splittable = np.flatnonzero((starts < mids) & (mids < ends))
+        room = min(_MAX_SPLITS, _MAX_PANELS - starts.size)
+        if splittable.size == 0 or room <= 0:
+            raise ToleranceNotMet(result(total), result(excess + allowed))
+        rank = (errs[:, splittable] / allowed[:, None]).max(axis=0)
+        worst = splittable[np.argsort(-rank)]
+        # the fewest of the worst panels whose errors cover every row's excess
+        covered = np.cumsum(errs[:, worst], axis=1)
+        need = (covered < excess[:, None]).sum(axis=1) + 1
+        split = worst[: min(int(need[excess > 0.0].max()), room)]
+        lo, mid, hi = starts[split], mids[split], ends[split]
+        new_kron, new_errs = _gauss_kronrod_panels(
+            f, np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        )
+        keep = np.ones(starts.size, dtype=bool)
+        keep[split] = False
+        starts = np.concatenate((starts[keep], lo, mid))
+        ends = np.concatenate((ends[keep], mid, hi))
+        kron = np.concatenate((kron[:, keep], np.atleast_2d(new_kron)), axis=1)
+        errs = np.concatenate((errs[:, keep], np.atleast_2d(new_errs)), axis=1)
 
 
 def ode_residual(params, psi, energy_value, x):

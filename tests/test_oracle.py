@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from pdem import checks, model, oracle
+from pdem import checks, limits, model, oracle
 from pdem.errors import DomainError, NonConvergence, ToleranceNotMet
 from pdem.model import ModelParams
 from pdem.oracle import Grid, Tridiagonal
@@ -424,13 +425,26 @@ def test_integrate_calls_with_node_arrays():
     assert max(sizes) > 30  # panels are split in batches
 
 
-@pytest.mark.parametrize("f, panel", [
-    (lambda x: np.full_like(x, np.nan), r"\[0\.0, 0\.03125\]"),
-    (lambda x: np.where(x > 0.5, np.inf, 1.0), r"\[0\.5, 0\.53125\]"),
-], ids=["nan", "inf"])
-def test_integrate_refuses_non_finite_integrand(f, panel):
-    # the first non-finite panel of the first round is named
-    with pytest.raises(NonConvergence, match=r"not finite on the panel " + panel):
+def test_integrate_vector_integrand():
+    # rows of a (k, N) integrand share the panels, and each meets its own tolerance
+    f = lambda x: np.sin(3.0 * x) * np.exp(-0.3 * x * x)
+    g = lambda x: np.exp(-x) / (1.0 + x * x)
+    tol = 1e-12
+    both = oracle.integrate(lambda x: np.stack((f(x), g(x))), -2.0, 5.0, tol)
+    assert both.shape == (2,)
+    for value, h in zip(both, (f, g)):
+        assert abs(value - oracle.integrate(h, -2.0, 5.0, tol)) <= tol
+
+
+@pytest.mark.parametrize("f, start", [
+    (lambda x: np.full_like(x, np.nan), 0.0),
+    (lambda x: np.where(x > 0.5, np.inf, 1.0), 0.5),
+    (lambda x: np.stack((np.ones_like(x), np.where(x > 0.5, np.nan, 1.0))), 0.5),
+], ids=["nan", "inf", "row"])
+def test_integrate_refuses_non_finite_integrand(f, start):
+    # the first non-finite panel of the first round is named, in any row
+    panel = f"[{start!r}, {start + 1.0 / oracle._FIRST_PANELS!r}]"
+    with pytest.raises(NonConvergence, match=r"not finite on the panel " + re.escape(panel)):
         oracle.integrate(f, 0.0, 1.0, 1e-10)
 
 
@@ -461,10 +475,9 @@ def test_integrate_refuses_panels_at_float_resolution():
     assert info.value.error_bound > 0.0
 
 
-def test_bound_overlap_call_budget(monkeypatch):
-    # in s = ln u the near-threshold integrand is smooth, a wide first round
-    # covers most of the range, and a round splits every panel it has to:
-    # measured at most 4 calls per pair
+def _count_integrand_calls(monkeypatch):
+    """A list that gets one entry per oracle.integrate call: the number of
+    integrand calls it made."""
     calls = []
     integrate = oracle.integrate
 
@@ -478,6 +491,14 @@ def test_bound_overlap_call_budget(monkeypatch):
         return integrate(g, *args)
 
     monkeypatch.setattr(oracle, "integrate", counting)
+    return calls
+
+
+def test_bound_overlap_call_budget(monkeypatch):
+    # in s = ln u the near-threshold integrand is smooth, a wide first round
+    # covers most of the range and also takes the closed-form tail point, and
+    # a round splits every panel it has to: measured at most 2 calls per pair
+    calls = _count_integrand_calls(monkeypatch)
     for a in (2.0, 3.0):
         p = ModelParams(a=a)
         top = model.max_level(p)
@@ -485,7 +506,18 @@ def test_bound_overlap_call_budget(monkeypatch):
             for n in range(m, top + 1):
                 checks.bound_overlap(p, m, n)
     assert len(calls) == 4 * 5 // 2 + 9 * 10 // 2
-    assert max(calls) <= 5
+    assert max(calls) <= 2
+
+
+def test_wavefunction_distance_call_budget(monkeypatch):
+    # both signs in one quadrature, its first round wide enough for the
+    # smooth integrands: measured 1 call per distance
+    calls = _count_integrand_calls(monkeypatch)
+    for a in (3.0, 5.0, 10.0, 20.0):
+        for n in (0, 1, 2):
+            limits.wavefunction_distance(ModelParams(a=a), n)
+    assert len(calls) == 12
+    assert max(calls) <= 1
 
 
 def _overlap_reference(p, m, n):

@@ -23,9 +23,6 @@ _WALL_TOKEN = "inf"
 # gigabytes, and numpy's MemoryError would escape as a traceback.
 POINTS_CAP = 1_000_000
 
-# Default a values of the energy and wavefunction sweeps of pdem limit.
-_SWEEP_A_VALUES = (3.0, 5.0, 10.0, 20.0)
-
 
 def _add_common(parser):
     parser.add_argument("--a", type=float, default=2.0, help="semiconfinement length (wall at x=-a)")
@@ -185,7 +182,7 @@ def cmd_verify(args):
 
 
 def _limit_bessel_hermite(args, params_kw):
-    nus = args.nu or [1e4, 4e4, 1.6e5, 6.4e5]
+    nus = args.nu or limits.NU_LADDER
     n = args.n[0] if args.n else 2
     # scaled_bessel runs first: it refuses a degree above its cap before any
     # recurrence, the Hermite one included, runs.  Overflow is refused below.
@@ -206,7 +203,7 @@ def _limit_bessel_hermite(args, params_kw):
 def _limit_energy(args, params_kw):
     n = args.n[0] if args.n else 1
     rows = {"a": [], "energy": [], "canonical_energy": [], "gap": []}
-    for a in args.a_list or _SWEEP_A_VALUES:
+    for a in args.a_list or limits.A_SWEEP:
         p = model.ModelParams(a=a, **params_kw)
         ref = canonical.CanonicalParams(**params_kw)
         rows["a"].append(a)
@@ -218,7 +215,7 @@ def _limit_energy(args, params_kw):
 
 def _limit_wavefunction(args, params_kw):
     n = args.n[0] if args.n else 0
-    a_values = args.a_list or _SWEEP_A_VALUES
+    a_values = args.a_list or limits.A_SWEEP
     ds = [
         limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n, tol=args.tol)
         for a in a_values
@@ -227,7 +224,7 @@ def _limit_wavefunction(args, params_kw):
 
 
 def _limit_continuum(args, params_kw):
-    a_values = args.a_list or [2.0, 4.0]
+    a_values = args.a_list or limits.CONTINUUM_A_SWEEP
     sweep = limits.continuum_magnitude(
         [model.ModelParams(a=a, **params_kw) for a in a_values], args.q, args.x
     )
@@ -317,7 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PdemError, ValueError) as exc:
+    except (PdemError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

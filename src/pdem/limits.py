@@ -15,6 +15,13 @@ import numpy as np
 from . import canonical, model, oracle, specfun
 from .errors import DomainError
 
+# Default sweeps of pdem limit, which the limit checks of pdem verify also run.
+A_SWEEP = (3.0, 5.0, 10.0, 20.0)  # a, energy and wavefunction limits
+# a, vanishing continuum.  Not a = 8: at q = 2 its Kummer series cancels below
+# double precision (15 digits lost), and the evaluator refuses it.
+CONTINUUM_A_SWEEP = (2.0, 4.0)
+NU_LADDER = (1e4, 4e4, 1.6e5, 6.4e5)  # nu, Bessel-Hermite; each 4 times the last
+
 
 @dataclass(frozen=True)
 class LimitSweep:

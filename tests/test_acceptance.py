@@ -155,7 +155,7 @@ def test_criterion_07_ode_residuals(params_a2):
 # 8 ------------------------------------------------------------------
 
 def test_criterion_08_factorization():
-    result = checks.check_factorization(a_values=(2.0,))
+    result = checks.check_factorization()
     report(8, result.passed, result.measured)
     assert result.passed, result.measured
 

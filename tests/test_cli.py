@@ -326,6 +326,14 @@ def test_out_file(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+@pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing-dir", "directory"])
+def test_out_unwritable_exits_2(target, tmp_path):
+    # open's OSError used to escape main as a traceback
+    proc = run_cli("spectrum", "--out", str(tmp_path / target))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_limit_bessel_hermite_table():
     proc = run_cli("limit", "--kind", "bessel-hermite", "--n", "2", "--x", "0")
     assert proc.returncode == 0
@@ -443,7 +451,21 @@ def test_verify_help_names_every_check():
         assert name in help_text
 
 
-def test_verify_non_default_check_runs():
-    proc = run_cli("verify", "--check", "continuum-vanishing")
+@pytest.mark.parametrize("name", [n for n in checks.CHECKS if n not in checks.DEFAULT_CHECKS])
+def test_verify_non_default_check_runs(name):
+    proc = run_cli("verify", "--check", name)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[0].startswith("PASS continuum-vanishing")
+    assert proc.stdout.splitlines()[0].startswith(f"PASS {name}:")
+
+
+def test_verify_a_sets_the_checks_run_per_a():
+    proc = run_cli("verify", "--a", "3", "--check", "orthonormality")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "a in [3.0])" in proc.stdout.splitlines()[0]
+
+
+def test_verify_invalid_a_exits_2():
+    # refused before any check runs
+    proc = run_cli("verify", "--a", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -200,10 +200,17 @@ def _limit_bessel_hermite(args, params_kw):
     )
 
 
+def _a_sweep(args, default):
+    """The --a-value sweep, else default; refused unless strictly increasing."""
+    a_values = args.a_list or default
+    limits.require_increasing(a_values)
+    return a_values
+
+
 def _limit_energy(args, params_kw):
     n = args.n[0] if args.n else 1
     rows = {"a": [], "energy": [], "canonical_energy": [], "gap": []}
-    for a in args.a_list or limits.A_SWEEP:
+    for a in _a_sweep(args, limits.A_SWEEP):
         p = model.ModelParams(a=a, **params_kw)
         ref = canonical.CanonicalParams(**params_kw)
         rows["a"].append(a)
@@ -215,7 +222,7 @@ def _limit_energy(args, params_kw):
 
 def _limit_wavefunction(args, params_kw):
     n = args.n[0] if args.n else 0
-    a_values = args.a_list or limits.A_SWEEP
+    a_values = _a_sweep(args, limits.A_SWEEP)
     ds = [
         limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n, tol=args.tol)
         for a in a_values
@@ -224,7 +231,7 @@ def _limit_wavefunction(args, params_kw):
 
 
 def _limit_continuum(args, params_kw):
-    a_values = args.a_list or limits.CONTINUUM_A_SWEEP
+    a_values = _a_sweep(args, limits.CONTINUUM_A_SWEEP)
     sweep = limits.continuum_magnitude(
         [model.ModelParams(a=a, **params_kw) for a in a_values], args.q, args.x
     )

@@ -33,9 +33,14 @@ class LimitSweep:
     def __post_init__(self):
         if len(self.parameter_values) != len(self.metric_values):
             raise ValueError("parameter and metric lists must have equal length")
-        for lo, hi in zip(self.parameter_values, self.parameter_values[1:]):
-            if not hi > lo:
-                raise ValueError("parameter values must be strictly increasing")
+        require_increasing(self.parameter_values)
+
+
+def require_increasing(values):
+    """Raise ValueError unless the sweep values are strictly increasing."""
+    for lo, hi in zip(values, values[1:]):
+        if not hi > lo:
+            raise ValueError("parameter values must be strictly increasing")
 
 
 def scaled_bessel(n, x, nu):
@@ -66,9 +71,11 @@ def scaled_bessel(n, x, nu):
 
 
 def energy_gap(params, n):
-    """Exact closed-form gap E_n - E_n^well = hbar^2 n(n+1) / (2 m0 a^2)."""
+    """Exact closed-form gap E_n - E_n^well = hbar w n(n+1) / (2 b^2), that
+    is hbar^2 n(n+1) / (2 m0 a^2) without the squares that can leave the
+    float range."""
     model.require_level(params, n)
-    return params.hbar**2 * n * (n + 1.0) / (2.0 * params.m0 * params.a**2)
+    return params.hbar * params.omega * (n * (n + 1.0) / (2.0 * params.b2))
 
 
 def wavefunction_distance(params, n, tol=1e-10):

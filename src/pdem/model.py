@@ -13,7 +13,10 @@ Bound states are evaluated on numpy arrays of positions, any set of levels at
 once (bound_states): the Bessel form from one recurrence for them all, the
 Laguerre form from one recurrence per level.  The module-level wavefunction
 functions are its one-level case, for one position or an array, as is the
-profile.  Continuum states fold the exponent of the Kummer mantissas into W.
+profile.  Continuum states take one position or an array of them: one pass
+over the Kummer series serves every position, and the exponent of its
+mantissas folds into the prefactor W position by position, in Python
+arithmetic, so each element is bit for bit its scalar value.
 """
 
 import cmath
@@ -22,6 +25,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +86,7 @@ class ModelParams:
                 f"for m0={self.m0}, omega={self.omega}, a={self.a}"
             )
 
-    @property
+    @cached_property
     def lambda0(self):
         """Inverse length scale sqrt(m0 omega / hbar)."""
         return math.sqrt(self.m0 * self.omega / self.hbar)
@@ -92,12 +96,12 @@ class ModelParams:
         """Dimensionless confinement strength lambda0 * a."""
         return self.lambda0 * self.a
 
-    @property
+    @cached_property
     def b2(self):
         """lambda0^2 a^2; the single combination nearly everything depends on."""
         return self.m0 * self.omega / self.hbar * self.a**2
 
-    @property
+    @cached_property
     def wall_scale(self):
         """lambda0^2 a^3, the length-scaled wall-layer coefficient."""
         return self.b2 * self.a
@@ -229,11 +233,16 @@ def normalization(params, n):
 
 
 def energy(params, n):
-    """Bound level n: E_n = hbar w (n + 1/2) - hbar^2 n(n+1) / (2 m0 a^2)."""
+    """Bound level n: E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)], b^2 = (lambda0 a)^2.
+
+    The second term is hbar^2 n(n+1) / (2 m0 a^2) written through b^2, which
+    ModelParams keeps in range where hbar^2 or a^2 can leave it.  Raises
+    DomainError where E_n itself does.
+    """
     require_level(params, n)
-    e = params.hbar * params.omega * (n + 0.5) - params.hbar**2 * n * (n + 1.0) / (
-        2.0 * params.m0 * params.a**2
-    )
+    e = params.hbar * params.omega * ((n + 0.5) - n * (n + 1.0) / (2.0 * params.b2))
+    if not math.isfinite(e):
+        raise DomainError(f"the energy of level {n} leaves the float range")
     return DiscreteState(n=n, energy=e, log_norm=normalization(params, n))
 
 
@@ -393,43 +402,63 @@ def continuum_state(params, energy_value):
     )
 
 
-def _continuum_parts(state, params, x):
-    """Complex log-prefactor W and hypergeometric argument z at a scalar x."""
-    if not x > -params.a:
-        raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
-    xa = x + params.a
-    z = 2.0 * (params.wall_scale / xa)
-    # principal branch; the base x/a + 1 is positive so it is unambiguous
-    w_log = (-state.gamma - params.b2) * math.log1p(x / params.a) - 0.5 * z
-    return w_log, z
+def _continuum_parts(params, x):
+    """(x, z): a scalar x as a float, or an array of positions as a float
+    array, all strictly inside the wall (else DomainError), and the argument
+    z = 2 l0^2 a^3 / (x+a) of 1F1 there, flattened to one dimension for an
+    array."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not x > -params.a:
+            raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
+        return x, 2.0 * (params.wall_scale / (x + params.a))
+    x = _require_inside(params, x)
+    return x, 2.0 * (params.wall_scale / (x.reshape(-1) + params.a))
+
+
+def _log_prefactor_continuum(state, params, x, z):
+    """The complex log prefactor W = (-gamma-b^2) ln(x/a+1) - z/2 at one
+    position; the base x/a + 1 is positive, so the principal branch is
+    unambiguous."""
+    return (-state.gamma - params.b2) * math.log1p(x / params.a) - 0.5 * z
+
+
+def _continuum_value(state, params, x, z, exponent, f):
+    """psi_E at one position, from the Kummer mantissa and exponent there.
+
+    This and _continuum_triple work on Python numbers at each position of an
+    array too, so each element is bit for bit the scalar value: numpy's
+    vectorized complex products, moduli and logarithms can round differently
+    in the last bit."""
+    return specfun.exp_scaled_complex(_log_prefactor_continuum(state, params, x, z), f, exponent)
 
 
 def continuum_wavefunction(state, params, x):
     """psi_E(x) = (x/a+1)^(-gamma-b^2) e^(-l0^2 a^3/(x+a)) 1F1(gamma; mu; z)
-    with z = 2 l0^2 a^3 / (x+a).
+    with z = 2 l0^2 a^3 / (x+a), at a scalar x (giving a complex) or an array
+    of positions (giving a complex array of its shape).
 
-    Close to the wall z grows without bound and the Kummer series leaves the
-    native float range (1F1 grows like e^z, which beats the e^(-z/2)
-    prefactor); the NonConvergence raised by the series is propagated.
+    One pass over the Kummer series serves every position of an array, and
+    each value is bit for bit the one its position gives alone.  Close to the
+    wall z grows without bound and the Kummer series leaves the native float
+    range (1F1 grows like e^z, which beats the e^(-z/2) prefactor); the
+    NonConvergence raised by the series is propagated, for an array if any
+    of its positions is refused.
     """
-    w_log, z = _continuum_parts(state, params, x)
+    x, z = _continuum_parts(params, x)
     exponent, f = specfun.kummer_1f1_scaled(state.gamma, state.mu, z)
-    return specfun.exp_scaled_complex(w_log, f, exponent)
+    if isinstance(x, float):
+        return _continuum_value(state, params, x, z, exponent, f)
+    points = zip(x.reshape(-1).tolist(), z.tolist(), exponent.tolist(), f.tolist())
+    return np.array([_continuum_value(state, params, *p) for p in points], dtype=complex).reshape(x.shape)
 
 
-def continuum_wavefunction_with_derivatives(state, params, x):
-    """(psi_E, psi_E', psi_E'') with analytic derivatives.
-
-    1F1 and its first two z-derivatives come from one pass over the Kummer
-    series, as mantissas; the chain rule adds the logarithmic derivatives of
-    the complex prefactor, and NonConvergence refuses a combination or a
-    value that leaves the float range (at huge energies, where
-    dw ~ q/(x+a), and within tiny x + a, where psi'' ~ psi/(x+a)^2).
-    """
-    w_log, z = _continuum_parts(state, params, x)
+def _continuum_triple(state, params, x, z, exponent, f0, f1, f2):
+    """(psi_E, psi_E', psi_E'') at one position, from the Kummer mantissas
+    and exponent there (see continuum_wavefunction_with_derivatives)."""
+    w_log = _log_prefactor_continuum(state, params, x, z)
     xa = x + params.a
     g = state.gamma
-    exponent, (f0, f1, f2) = specfun.kummer_1f1_scaled(g, state.mu, z, derivatives=True)
     # one power of x + a at a time: (x + a)^3 underflows for a below about 1e-108
     w = params.wall_scale / xa / xa
     dz = -z / xa
@@ -447,6 +476,26 @@ def continuum_wavefunction_with_derivatives(state, params, x):
     except OverflowError:  # cmath.exp of a value past the float ceiling
         pass
     raise NonConvergence(f"continuum derivatives at x={x} leave the float range")
+
+
+def continuum_wavefunction_with_derivatives(state, params, x):
+    """(psi_E, psi_E', psi_E'') with analytic derivatives, at a scalar x
+    (complex values) or an array of positions (complex arrays of its shape).
+
+    1F1 and its first two z-derivatives come from one pass over the Kummer
+    series for all the positions, as mantissas; the chain rule adds the
+    logarithmic derivatives of the complex prefactor, and NonConvergence
+    refuses a combination or a value that leaves the float range (at huge
+    energies, where dw ~ q/(x+a), and within tiny x + a, where
+    psi'' ~ psi/(x+a)^2).
+    """
+    x, z = _continuum_parts(params, x)
+    exponent, f = specfun.kummer_1f1_scaled(state.gamma, state.mu, z, derivatives=True)
+    if isinstance(x, float):
+        return _continuum_triple(state, params, x, z, exponent, *f)
+    points = zip(x.reshape(-1).tolist(), z.tolist(), exponent.tolist(), *(v.tolist() for v in f))
+    values = np.array([_continuum_triple(state, params, *p) for p in points], dtype=complex)
+    return tuple(v.reshape(x.shape) for v in values.reshape(-1, 3).T)
 
 
 def alpha0(params, x):

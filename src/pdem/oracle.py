@@ -624,24 +624,41 @@ def integrate(f, x_min, x_max, tol=1e-10):
 
 
 def ode_residual(params, psi, energy_value, x):
-    """Relative residual of the position-space equation at x.
+    """Relative residual of the position-space equation at x, a scalar
+    (giving a float) or an array of positions (giving a float array of its
+    shape).
 
-    psi must map x to the triple (psi, psi', psi'').  The equation is
+    psi must map x to the triple (psi, psi', psi''), for an array x as three
+    arrays of its shape.  The equation is
         psi'' + 2/(a+x) psi' - [ l0^4 a^4 x^2/(a+x)^4 - c0/(a+x)^2 ] psi = 0
     with c0 = 2 m0 a^2 E / hbar^2; the residual is normalized by the local
-    scale max(|psi''|, l0 |psi'|, l0^2 |psi|) floored at 1e-300.
+    scale max(|psi''|, l0 |psi'|, l0^2 |psi|) floored at 1e-300.  Each
+    element is worked out on Python numbers, bit for bit what its position
+    gives alone.
     """
-    if not x > -params.a:
-        raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
-    v, d1, d2 = psi(x)
-    lam0 = params.lambda0
-    xa = x + params.a
+    scalar = isinstance(x, float) or np.ndim(x) == 0
+    positions = [x] if scalar else np.asarray(x, dtype=float).reshape(-1).tolist()
+    for position in positions:
+        if not position > -params.a:
+            raise DomainError(f"position {position} is at or behind the wall x = {-params.a}")
+    values = psi(x)
     # c0 = (lambda0 a)^4 E / V_inf: squares of a/hbar or hbar/a can leave the
     # float range for constants whose lambda0 a and V_inf are ordinary
     omega_a = params.omega * params.a
     c0 = (params.b2 * params.b2) * (energy_value / (0.5 * params.m0 * omega_a * omega_a))
+    constants = (params.a, params.b2, params.lambda0, c0)
+    if scalar:
+        return _residual(*constants, x, *values)
+    columns = (np.asarray(v).reshape(-1).tolist() for v in values)
+    residuals = [_residual(*constants, *point) for point in zip(positions, *columns)]
+    return np.array(residuals, dtype=float).reshape(np.shape(x))
+
+
+def _residual(a, b2, lam0, c0, x, v, d1, d2):
+    """ode_residual at one position x, from psi's values there."""
+    xa = x + a
     # one power of x + a at a time: (x + a)^4 underflows for a below about 1e-81
-    br = params.b2 * (x / xa)
+    br = b2 * (x / xa)
     coeff = (br * br - c0) / xa / xa
     lhs = d2 + 2.0 / xa * d1 - coeff * v
     scale = max(abs(d2), lam0 * abs(d1), lam0**2 * abs(v), 1e-300)

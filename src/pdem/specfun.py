@@ -11,9 +11,11 @@ exp_scaled, which folds the exponent into a log-space prefactor.  One Bessel
 recurrence records every degree a caller asks for as it passes it; its
 coefficients have poles in the alpha parameter, and a step too close to one is
 refused with PolePivot.  The Kummer series 1F1 takes scalar parameters and
-argument but sums its terms as numpy arrays, chunk by chunk, with its first
-two z-derivatives as extra rows of the same pass, and kummer_1f1_scaled hands
-its sums on scaled for exp_scaled_complex.  The Lanczos log-gamma is scalar.
+sums its terms as numpy arrays, chunk by chunk, with its first two
+z-derivatives as extra rows of the same pass; kummer_1f1_scaled takes a
+scalar or a 1-d array of arguments, sums all of them in that one pass, each
+bit for bit as alone, and hands its sums on scaled for exp_scaled_complex.
+The Lanczos log-gamma is scalar.
 """
 
 import cmath
@@ -46,6 +48,12 @@ _KUMMER_CONSECUTIVE = 8
 # Terms per chunk of the Kummer series at most.  The first chunk covers the
 # terms up to a little past their peak near k = z, so most sums take one.
 _KUMMER_CHUNK_CAP = 2048
+# An array of arguments is summed in blocks of _KUMMER_BLOCK points, and a
+# chunk holds at most _KUMMER_CHUNK_CELLS terms over all the points of its
+# block, so each of its arrays stays near 1.5 MB (three rows of complex)
+# and a full block still takes 64 terms per chunk.
+_KUMMER_CHUNK_CELLS = 1 << 15
+_KUMMER_BLOCK = _KUMMER_CHUNK_CELLS // 64
 _INTEGER_EPS = 1e-12
 
 # Lanczos coefficients, g = 7, 9 terms (double precision).
@@ -92,7 +100,9 @@ def exp_scaled(log_prefactor, factor, exponent=0):
 
 def exp_scaled_complex(log_prefactor, factor, exponent=0):
     """exp_scaled for one complex log prefactor and one complex factor, in
-    cmath rather than numpy, which is slow on single values."""
+    cmath rather than numpy, which is slow on single values and whose
+    vectorized complex logarithm can round differently; the continuum states
+    call it at each position of an array."""
     if factor == 0:
         return 0.0 + 0.0j
     log_prefactor += exponent * _LN2
@@ -261,8 +271,17 @@ def _near_nonpositive_integer(v):
 
 
 def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
-    """(exponent, values): kummer_1f1's result as complex mantissas with one
-    base-2 exponent that puts the largest real or imaginary part in [0.5, 1).
+    """(exponent, values): kummer_1f1's result at a scalar or 1-d array z, as
+    complex mantissas with one base-2 exponent per point that puts the point's
+    largest real or imaginary part in [0.5, 1).
+
+    A scalar z gives a Python int and a Python complex (a tuple of three with
+    derivatives); an array gives an int64 array of exponents and complex
+    arrays of the shape of z.  One pass sums every point under the rules of
+    kummer_1f1, and each comes out bit for bit as it does alone.  A point
+    that would be refused alone makes the whole call raise its
+    NonConvergence; where several would, the first refused as the chunks
+    proceed is named.
 
     Only the final sums are scaled, exactly unless a part lies more than
     about 2^1022 below the largest."""
@@ -270,22 +289,40 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     b = complex(b_param)
     if _near_nonpositive_integer(b) is not None:
         raise PolePivot(f"1F1 lower parameter {b_param!r} is a non-positive integer")
-    z = float(z)
-    rows = 3 if derivatives else 1
-    if z == 0.0:
-        sums = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))[:rows]
+    if isinstance(z, float) or np.ndim(z) == 0:
+        scalar, listed = True, [float(z)]
     else:
-        call = (a_param, b_param, z)
-        terminal = _near_nonpositive_integer(a)
-        with np.errstate(all="ignore"):  # overflow and NaN are refused below
+        points = np.asarray(z, dtype=float)
+        if points.ndim != 1:
+            raise DomainError(f"1F1 takes a scalar or 1-d array argument, got shape {points.shape}")
+        scalar, listed = False, points.tolist()
+    rows = 3 if derivatives else 1
+    summed = listed
+    if 0.0 in listed:  # 1F1 and its derivatives at z = 0 in closed form
+        at_zero = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))[:rows]
+        summed = [v for v in listed if v != 0.0]
+    params = (a_param, b_param)
+    terminal = _near_nonpositive_integer(a)
+    sums = []  # a list of row sums per point summed
+    with np.errstate(all="ignore"):  # overflow and NaN are refused
+        for lo in range(0, len(summed), _KUMMER_BLOCK):
+            block = summed[lo:lo + _KUMMER_BLOCK]
             if terminal is None:
-                sums = _kummer_converged(a, b, z, rows, call)
+                sums += _kummer_converged(a, b, block, rows, params)
             else:
-                sums = _kummer_terminating(a, b, z, -terminal, rows, call)
-    sums = [complex(v) for v in sums]
-    _, exponent = math.frexp(max(abs(c) for v in sums for c in (v.real, v.imag)))
-    values = tuple(_ldexp_complex(v, -exponent) for v in sums)
-    return exponent, values if derivatives else values[0]
+                sums += _kummer_terminating(a, b, block, -terminal, rows, params)
+    sums = iter(sums)
+    exponents, mantissas = [], []
+    for v in listed:
+        point = next(sums) if v != 0.0 else at_zero
+        _, exponent = math.frexp(max(abs(c) for s in point for c in (s.real, s.imag)))
+        exponents.append(exponent)
+        mantissas.append([_ldexp_complex(s, -exponent) for s in point])
+    if scalar:
+        values = mantissas[0]
+        return exponents[0], tuple(values) if derivatives else values[0]
+    values = np.array(mantissas, dtype=complex).reshape(len(listed), rows).T
+    return np.array(exponents, dtype=np.int64), tuple(values) if derivatives else values[0]
 
 
 def _ldexp_complex(v, exponent):
@@ -314,126 +351,186 @@ def kummer_1f1(a_param, b_param, z, derivatives=False):
     (or a term's modulus) is not finite before then, if the 1e5-term cap is
     reached first, or if the sum it stops at is smaller than 1e-13 of its
     largest partial sum: such a result would be pure cancellation noise and
-    refusing beats returning it.  If a is a non-positive integer (within
-    1e-12) the series terminates exactly at k = -a, with no stopping rule, and
-    is refused only if it is longer than the cap or not finite.  Raises
-    PolePivot when b is a non-positive integer.
+    refusing beats returning it.  Of several rows refused, the one refused
+    at the lowest term index is named, whatever the chunk bounds.  If a is a
+    non-positive integer (within 1e-12) the series terminates exactly at
+    k = -a, with no stopping rule, and is refused only if it is longer than
+    the cap or not finite.  Raises PolePivot when b is a non-positive
+    integer.
+
+    z is a scalar here; kummer_1f1_scaled also sums a 1-d array of them in
+    one pass.
     """
-    exponent, values = kummer_1f1_scaled(a_param, b_param, z, derivatives)
+    exponent, values = kummer_1f1_scaled(a_param, b_param, float(z), derivatives)
     if not derivatives:
         return _ldexp_complex(values, exponent)
     return tuple(_ldexp_complex(v, exponent) for v in values)
 
 
-def _kummer_label(call, row=0):
-    """How a refusal names the series (call is kummer_1f1's a, b and z)."""
-    return ("", "d/dz ", "d^2/dz^2 ")[row] + "1F1({!r}; {!r}; {!r})".format(*call)
+def _kummer_label(params, z, row=0):
+    """How a refusal names the series (params are kummer_1f1's a and b)."""
+    return ("", "d/dz ", "d^2/dz^2 ")[row] + "1F1({!r}; {!r}; {!r})".format(*params, float(z))
+
+
+# The partial sums before the first term: 1 in row 0, 0 in the derivative rows.
+_KUMMER_START = np.array([1.0, 0.0, 0.0], dtype=complex)
 
 
 def _kummer_chunks(a, b, z, rows, limit):
-    """Yield (term_moduli, partial_sums), each of shape (rows, n), chunk by
-    chunk over the term indices 1 .. limit; row 0 is the series of 1F1, rows
-    1 and 2 its z-derivatives (see kummer_1f1).
+    """Yield (k, term_moduli, partial_sums) chunk by chunk over the term
+    indices k < limit of the series at every point of the list z of floats,
+    where the term of index k is t_{k+1}.  Send back a list of indices into
+    the points still summing to go on with those only.  The moduli and sums
+    have shape (rows * N, len(k)) for the N points still summing: row r of
+    point j is r * N + j, where row 0 is the series of 1F1 and rows 1 and 2
+    its z-derivatives (see kummer_1f1).
 
-    A chunk whose last term in row 0 is not finite is cut after its first
-    term that is not, and no chunk follows it.  Once a product leaves the
-    float range every later one stays out of it, so only the last term needs
-    a test, nothing past the cut can change a refusal, and cumprod and cumsum,
-    which accumulate in order, give every earlier sum bit for bit."""
-    term = complex(1.0)
-    total = np.zeros(rows, dtype=complex)
-    total[0] = 1.0
+    A chunk holds _KUMMER_CHUNK_CELLS terms at most over all its points.  If
+    the last term in row 0 is not finite at any point, the chunk is cut after
+    the last of their first terms that are not, and no chunk follows it.
+    Once a product leaves the float range every later one stays out of it,
+    so only the last term needs a test, and nothing past the cut can change
+    a refusal.  cumprod and cumsum accumulate in order, every other operation
+    is elementwise, and a chunk's first ratio takes on the term before it one
+    point at a time, in numpy's scalar arithmetic, so each sum is bit for bit
+    the same whatever the chunk bounds and whichever points are summed
+    together."""
+    # one point's argument stays a float, so its chunks cost what they
+    # always did; several points' stand in a column against the term index
+    single = len(z) == 1
+    column = z[0] if single else np.array(z)[:, None]
+    term = []  # each point's term at the chunk's start; none before t_1, for t_0 = 1
+    total = _KUMMER_START[:rows] if single else _KUMMER_START[:rows].repeat(len(z))
     start = 0
-    reach = abs(z) + 10.0 * math.sqrt(abs(z)) + 16.0  # past the peak of the terms
+    reach = max(map(abs, z))
+    reach += 10.0 * math.sqrt(reach) + 16.0  # past the peak of the terms, near k = |z|
     size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
     while start < limit:
-        k = np.arange(start, min(start + size, limit), dtype=float)
+        width = max(1, min(size, _KUMMER_CHUNK_CELLS // len(z)))
+        k = np.arange(start, min(start + width, limit), dtype=float)
         k1 = k + 1.0  # the index of the term that k's ratio ends at
-        ratios = (a + k) / (b + k) * z / k1
-        ratios[0] *= term
-        terms = np.empty((rows, len(k)), dtype=complex)
-        ratios.cumprod(out=terms[0])
-        term = complex(terms[0, -1])
-        overflowed = not cmath.isfinite(term)
+        ratios = (a + k) / (b + k) * column / k1
+        if term:
+            first = ratios.reshape(len(term), -1)
+            for j, t in enumerate(term):
+                first[j, 0] *= t
+        terms = np.empty((rows, *ratios.shape), dtype=complex)
+        ratios.cumprod(axis=-1, out=terms[0])
+        term = terms[0, ..., -1].reshape(-1).tolist()
+        overflowed = not any(map(cmath.isfinite, term))
         if overflowed:
-            n = int(np.isfinite(terms[0]).argmin()) + 1
-            k, k1, terms = k[:n], k1[:n], terms[:, :n]
+            n = int(np.isfinite(terms[0]).argmin(axis=-1).max()) + 1
+            k, k1, terms = k[:n], k1[:n], terms[..., :n]
         if rows > 1:
-            weight = k1 / z
+            weight = k1 / column
             np.multiply(weight, terms[0], out=terms[1])
-            np.multiply(weight * (k / z), terms[0], out=terms[2])
+            np.multiply(weight * (k / column), terms[0], out=terms[2])
+        if not single:
+            terms = terms.reshape(-1, len(k))
         moduli = np.abs(terms)
         # the running total leads the chunk, so the sums add up in series order
         terms[:, 0] += total
         sums = terms.cumsum(axis=1, out=terms)
         total = sums[:, -1]
-        yield moduli, sums
+        points = yield k, moduli, sums
         if overflowed:
             return
+        if points is not None:
+            total = total[[row * len(z) + j for row in range(rows) for j in points]]
+            z, term = [z[j] for j in points], [term[j] for j in points]
+            column = np.array(z)[:, None]
         start += len(k)
         size = min(2 * size, _KUMMER_CHUNK_CAP)
 
 
-def _kummer_converged(a, b, z, rows, call):
-    """Each row's sum under the stopping and refusal rules of kummer_1f1."""
-    results = [None] * rows
-    peak = [1.0] + [0.0] * (rows - 1)  # |partial sum| before the first term
-    run = np.zeros((rows, 1), dtype=np.int64)  # small terms ending the last chunk
-    start = 0
-    for term_size, sums in _kummer_chunks(a, b, z, rows, _KUMMER_MAX_TERMS):
-        n = sums.shape[1]
-        size = np.abs(sums)
-        finite = np.isfinite(size - term_size)  # both moduli finite
-        index = np.arange(n)
-        # length of the run of consecutive small terms ending at each index
-        last_large = np.maximum.accumulate(
-            np.where(term_size < _KUMMER_REL_EPS * size, -1, index), axis=1
+def _kummer_converged(a, b, z, rows, params):
+    """Each point's row sums, as a list of lists, under the stopping and
+    refusal rules of kummer_1f1, for the list z of floats.  A point leaves the
+    pass once all its rows have stopped; the bookkeeping runs per point and
+    row, on Python numbers, as one point's did."""
+    results = [None] * len(z)
+    live = list(range(len(z)))  # the points still summing, as indices into z
+    pending = [range(rows)] * len(z)  # their rows not yet stopped
+    found = [[None] * rows for _ in live]  # their rows' sums, once stopped
+    peak = [[1.0] + [0.0] * (rows - 1) for _ in live]  # |partial sum| before the first term
+    large = -1.0  # each row's last term index whose term was not small (-1: t_0)
+    chunks = _kummer_chunks(a, b, z, rows, _KUMMER_MAX_TERMS)
+    start, keep = 0, None
+    while True:
+        try:
+            k, term_size, sums = chunks.send(keep)
+        except StopIteration:
+            raise NonConvergence(
+                f"{_kummer_label(params, z[0])} hit the {_KUMMER_MAX_TERMS}-term cap"
+            ) from None
+        n = len(k)
+        sum_size = np.abs(sums)
+        finite = np.isfinite(sum_size - term_size)  # both moduli finite
+        large = np.maximum.accumulate(
+            np.where(term_size < _KUMMER_REL_EPS * sum_size, large, k), axis=1
         )
-        run_length = index - last_large + np.where(last_large < 0, run, 0)
-        stopped = run_length >= _KUMMER_CONSECUTIVE
-        peaks = np.maximum.accumulate(size, axis=1)
+        # a row stops at the end of its first run of _KUMMER_CONSECUTIVE small terms
+        stopped = k - large >= _KUMMER_CONSECUTIVE
+        peaks = np.maximum.accumulate(sum_size, axis=1)
         stops, first_bads = stopped.argmax(axis=1).tolist(), finite.argmin(axis=1).tolist()
-        for row in range(rows):
-            if results[row] is not None:
-                continue
-            stop, first_bad = stops[row], first_bads[row]
-            done = stopped[row, stop]
-            end = stop if done else n - 1
-            if first_bad <= end and not finite[row, first_bad]:
-                raise NonConvergence(
-                    f"{_kummer_label(call, row)} overflowed after "
-                    f"{start + first_bad + 1} terms"
-                )
-            peak[row] = max(peak[row], float(peaks[row, end]))
-            if not done:
-                continue
-            if size[row, end] < 1e-13 * peak[row]:
-                # the sum cancelled down to round-off noise; no digits left
-                raise NonConvergence(
-                    f"{_kummer_label(call, row)} lost all precision to cancellation "
-                    f"(peak {peak[row]:.3e}, result {size[row, end]:.3e})"
-                )
-            results[row] = sums[row, end]
-        if all(r is not None for r in results):
+        keep = []
+        for j, rows_left in enumerate(pending):
+            still, refusals = [], []
+            for row in rows_left:
+                i = row * len(live) + j
+                at, bad = stops[i], first_bads[i]
+                done = stopped.item(i, at)
+                end = at if done else n - 1
+                if bad <= end and not finite.item(i, bad):
+                    refusals.append((bad, row, f"overflowed after {start + bad + 1} terms"))
+                    continue
+                peak[j][row] = max(peak[j][row], peaks.item(i, end))
+                if not done:
+                    still.append(row)
+                elif sum_size.item(i, end) < 1e-13 * peak[j][row]:
+                    # the sum cancelled down to round-off noise; no digits left
+                    refusals.append((end, row, (
+                        f"lost all precision to cancellation (peak {peak[j][row]:.3e}, "
+                        f"result {sum_size.item(i, end):.3e})"
+                    )))
+                else:
+                    found[j][row] = sums.item(i, end)
+            if refusals:
+                _, row, why = min(refusals)
+                raise NonConvergence(f"{_kummer_label(params, z[j], row)} {why}")
+            if still:
+                keep.append(j)
+                pending[j] = still
+            else:
+                results[live[j]] = found[j]
+        if not keep:
             return results
-        run = run_length[:, -1:]
+        if len(keep) < len(live):
+            large = large[[row * len(live) + j for row in range(rows) for j in keep], -1:]
+            live, pending, found, peak, z = (
+                [v[j] for j in keep] for v in (live, pending, found, peak, z)
+            )
+        else:
+            large, keep = large[:, -1:], None
         start += n
-    raise NonConvergence(f"{_kummer_label(call)} hit the {_KUMMER_MAX_TERMS}-term cap")
 
 
-def _kummer_terminating(a, b, z, degree, rows, call):
-    """The rows of a series that ends at term index degree, summed in full."""
+def _kummer_terminating(a, b, z, degree, rows, params):
+    """Each point's row sums, as a list of lists, of a series that ends at
+    term index degree, summed in full for the float array z, and refused
+    where a sum is not finite."""
     if degree > _KUMMER_MAX_TERMS:
         raise NonConvergence(
-            f"{_kummer_label(call)} terminates beyond the {_KUMMER_MAX_TERMS}-term cap"
+            f"{_kummer_label(params, z[0])} terminates beyond the {_KUMMER_MAX_TERMS}-term cap"
         )
-    sums = np.zeros(rows, dtype=complex)
-    sums[0] = 1.0
-    for _, chunk_sums in _kummer_chunks(a, b, z, rows, degree):
-        sums = chunk_sums[:, -1]
-    if not np.isfinite(sums).all():
-        raise NonConvergence(f"{_kummer_label(call)} overflowed")
-    return sums
+    total = _KUMMER_START[:rows].repeat(len(z))  # the sums for degree 0
+    for _, _, sums in _kummer_chunks(a, b, z, rows, degree):
+        total = sums[:, -1]
+    total = total.reshape(rows, len(z))
+    finite = np.isfinite(total).all(axis=0)
+    if not finite.all():
+        raise NonConvergence(f"{_kummer_label(params, z[finite.argmin()])} overflowed")
+    return total.T.tolist()
 
 
 def log_gamma(x):

@@ -110,7 +110,8 @@ def test_non_finite_constant_exits_2(flag):
     ["--a", "1e200"],
     ["--hbar", "1e300", "--m0", "1e-30", "--omega", "1e-10"],
     ["--a", "1e8"],
-], ids=["b2-overflow", "lambda0-underflow", "level-cap"])
+    ["--omega", "1.8e154", "--hbar", "1.8e154", "--a", "1"],
+], ids=["b2-overflow", "lambda0-underflow", "level-cap", "energy-overflow"])
 def test_extreme_finite_constants_exit_2(args):
     proc = run_cli("spectrum", *args)
     assert proc.returncode == 2
@@ -374,6 +375,32 @@ def test_limit_wavefunction_table():
     _, header, rows = parse_csv(proc.stdout)
     ds = [float(r[header.index("l2_distance")]) for r in rows]
     assert ds[1] < ds[0]
+
+
+@pytest.mark.parametrize("kind", ["energy", "wavefunction", "continuum"])
+@pytest.mark.parametrize("a_values", [("5", "3"), ("3", "3")], ids=["decreasing", "repeated"])
+def test_limit_a_sweep_must_increase(kind, a_values):
+    # every kind that sweeps a refuses a list that is not strictly increasing
+    argv = ["limit", "--kind", kind]
+    for a in a_values:
+        argv += ["--a-value", a]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: parameter values must be strictly increasing\n"
+
+
+def test_spectrum_where_hbar_squared_overflows():
+    # hbar^2 and a^2 leave the float range, (lambda0 a)^2 = 5.3 does not: the
+    # levels and gaps come from hbar w and b^2, and add up to the ladder
+    argv = ["spectrum", "--m0", "8.420664923106498e+120", "--omega", "7.477119218683197e-185",
+            "--hbar", "1.2198418612478675e+192", "--a", "1.0133263956864385e+128"]
+    proc = run_process(PDEM, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    meta, header, rows = parse_csv(proc.stdout)
+    assert meta["n_max"] == "4" and len(rows) == 5
+    for row in rows:
+        energy, ladder, gap = (float(row[header.index(k)]) for k in ("energy", "canonical_energy", "gap"))
+        assert energy + gap == pytest.approx(ladder, rel=1e-15)
 
 
 def test_limit_continuum_table():

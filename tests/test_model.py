@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pdem import checks, limits, model, oracle
+from pdem import checks, limits, model, oracle, specfun
 from pdem.errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
 from pdem.model import ModelParams, WavefunctionForm
 
@@ -474,6 +474,68 @@ def test_continuum_with_extreme_constants(constants):
         for j, (got, ref) in enumerate(zip(values, expected)):
             assert got * p.a**j == pytest.approx(ref, rel=1e-12), (s, j)
     assert finite >= 4
+
+
+def test_continuum_states_take_scalars_and_arrays(params_a2):
+    # a float, a numpy scalar and a 0-d array give Python complex numbers; a
+    # one-point array gives arrays of one element; an array of any shape
+    # gives arrays of its shape, each element its position's scalar value
+    st = model.continuum_state(params_a2, 3.0)
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(st, params_a2, t)
+    x = 0.5
+    value, triple = model.continuum_wavefunction(st, params_a2, x), psi(x)
+    residual = oracle.ode_residual(params_a2, psi, 3.0, x)
+    assert type(value) is complex and all(type(v) is complex for v in triple)
+    assert type(residual) is float
+    for scalar in (np.float64(x), np.array(x)):
+        assert model.continuum_wavefunction(st, params_a2, scalar) == value
+        assert psi(scalar) == triple
+        assert oracle.ode_residual(params_a2, psi, 3.0, scalar) == residual
+    one = np.array([x])
+    assert model.continuum_wavefunction(st, params_a2, one).tolist() == [value]
+    assert [v.tolist() for v in psi(one)] == [[v] for v in triple]
+    assert oracle.ode_residual(params_a2, psi, 3.0, one).tolist() == [residual]
+    empty = np.array([])
+    assert model.continuum_wavefunction(st, params_a2, empty).shape == (0,)
+    assert [v.shape for v in psi(empty)] == [(0,)] * 3
+    assert oracle.ode_residual(params_a2, psi, 3.0, empty).shape == (0,)
+    grid = np.array([[-1.5, 0.5, 3.0], [7.0, 0.5, -0.25]])
+    values = model.continuum_wavefunction(st, params_a2, grid)
+    rows = psi(grid)
+    residuals = oracle.ode_residual(params_a2, psi, 3.0, grid)
+    assert values.shape == residuals.shape == grid.shape and all(v.shape == grid.shape for v in rows)
+    for index, t in np.ndenumerate(grid):
+        assert values[index] == model.continuum_wavefunction(st, params_a2, t)
+        assert tuple(v[index] for v in rows) == psi(t)
+        assert residuals[index] == oracle.ode_residual(params_a2, psi, 3.0, t)
+
+
+def test_continuum_array_refusals(params_a2):
+    # a position behind the wall, or one whose Kummer series overflows, makes
+    # the whole array call raise what that position raises alone
+    st = model.continuum_state(params_a2, 3.0)
+    for bad, error in ((-2.0, DomainError), (-2.0 + 2e-4, NonConvergence)):
+        with pytest.raises(error) as alone:
+            model.continuum_wavefunction(st, params_a2, bad)
+        with pytest.raises(error) as among:
+            model.continuum_wavefunction(st, params_a2, np.array([0.5, bad, 1.0]))
+        assert str(among.value) == str(alone.value)
+    with pytest.raises(DomainError):
+        oracle.ode_residual(params_a2, lambda t: (t, t, t), 3.0, np.array([0.5, -2.0]))
+
+
+def test_continuum_check_sums_each_energy_in_one_pass(monkeypatch):
+    # the 120 positions of each of the check's 3 energies share one Kummer pass
+    calls = []
+    kummer = specfun.kummer_1f1_scaled
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return kummer(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "kummer_1f1_scaled", spy)
+    assert checks.check_continuum_residual().passed
+    assert calls == [(120,)] * 3
 
 
 # ---------------------------------------------------------------- factorization

@@ -317,7 +317,7 @@ def test_fd_ground_state_matches_analytic(params_a2):
     H = oracle.build_hamiltonian(params_a2, grid)
     _, vecs = scipy.linalg.eigh_tridiagonal(H.diag, H.off, select="i", select_range=(0, 0))
     vec = vecs[:, 0] / math.sqrt(grid.spacing)  # unit norm under trapezoid weights
-    psi = np.array([model.wavefunction(params_a2, 0, float(x)) for x in grid.points])
+    psi = model.wavefunction(params_a2, 0, grid.points)
     psi /= math.sqrt(grid.spacing * float(psi @ psi))
     dist = min(np.max(np.abs(vec - psi)), np.max(np.abs(vec + psi)))
     assert dist <= 1e-4

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdem import checks, limits, model, oracle, specfun
-from pdem.errors import PolePivot
+from pdem.errors import NonConvergence, PolePivot
 from pdem.model import ModelParams, WavefunctionForm
 
 constants = st.floats(0.5, 2.0)
@@ -190,3 +190,116 @@ def test_fd_levels_certified(b2, rows):
     p = ModelParams(a=math.sqrt(b2))
     grid = oracle.Grid(x_min=-p.a * (1.0 - 1e-3), x_max=p.a + 30.0 / p.lambda0, count=rows)
     assert_certified_levels(oracle.build_hamiltonian(p, grid), model.max_level(p) + 1)
+
+
+def cbits(values):
+    """The bytes of a complex array or scalar, so that equality is bit for bit."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the message of the NonConvergence it raises."""
+    try:
+        return fn(*args, **kwargs), None
+    except NonConvergence as exc:
+        return None, str(exc)
+
+
+def assert_array_call_is_each_scalar_call(array_call, scalar_call, xs, compare):
+    """array_call(xs) refuses with one of the scalar refusals (that one, if
+    it is the only one), or each of its elements is scalar_call at its
+    position, compare(element index, array result, scalar result) holding."""
+    singles = [outcome(scalar_call, x) for x in xs.tolist()]
+    result, refusal = outcome(array_call, xs)
+    refusals = [why for _, why in singles if why is not None]
+    if refusals:
+        assert refusal in refusals
+        if len(refusals) == 1:
+            assert refusal == refusals[0]
+        return False
+    assert refusal is None
+    for i, (single, _) in enumerate(singles):
+        compare(i, result, single)
+    return True
+
+
+@st.composite
+def kummer_parameters(draw):
+    """(a, b): general complex parameters, terminating a, and the continuum's
+    gamma = (1 - 2b^2)/2 + iq/2, mu = 1 + iq."""
+    kind = draw(st.sampled_from(("general", "terminating", "continuum")))
+    if kind == "continuum":
+        b2, q = draw(st.floats(0.6, 64.0)), draw(st.floats(0.3, 12.0))
+        return complex(0.5 - b2, 0.5 * q), complex(1.0, q)
+    b = complex(draw(st.floats(0.2, 6.0)), draw(st.floats(-25.0, 25.0)))
+    if kind == "terminating":
+        return -draw(st.integers(0, 40)), b
+    return complex(draw(st.floats(-40.0, 12.0)), draw(st.floats(-12.0, 12.0))), b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(params=kummer_parameters(), derivatives=st.booleans(),
+       zs=st.lists(st.one_of(st.just(0.0), st.floats(-60.0, 900.0)), min_size=1, max_size=12),
+       chunk_cap=st.sampled_from((None, 5, 64)))
+def test_kummer_array_is_each_scalar_bit_for_bit(params, derivatives, zs, chunk_cap):
+    # one pass over an array of z gives each point's exponent and mantissas
+    # bit for bit as a scalar call does, whatever the chunk bounds, or
+    # refuses with a point's own refusal
+    a, b = params
+    xs = np.array(zs)
+
+    def compare(i, result, single):
+        exponents, values = result
+        assert exponents[i] == single[0] and isinstance(single[0], int)
+        for got, want in zip(values if derivatives else (values,),
+                             single[1] if derivatives else (single[1],)):
+            assert cbits(got[i]) == cbits(want)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_cap is not None:
+            patch.setattr(specfun, "_KUMMER_CHUNK_CAP", chunk_cap)
+        assert_array_call_is_each_scalar_call(
+            lambda z: specfun.kummer_1f1_scaled(a, b, z, derivatives),
+            lambda z: specfun.kummer_1f1_scaled(a, b, z, derivatives),
+            xs, compare,
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(b2=st.floats(0.6, 40.0), m0=constants, omega=constants, hbar=constants,
+       e_frac=st.floats(1.05, 3.0), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+def test_continuum_states_array_is_each_scalar_bit_for_bit(b2, m0, omega, hbar, e_frac, fractions):
+    # psi, psi', psi'' and the ODE residual at an array of positions, from
+    # near the wall to 3a past it, are each position's scalar results
+    p = ModelParams(m0=m0, omega=omega, hbar=hbar, a=math.sqrt(b2 * hbar / (m0 * omega)))
+    try:
+        state = model.continuum_state(p, e_frac * model.well_depth(p))
+    except model.BelowContinuum:
+        return
+    xs = p.a * (np.array(fractions) ** 2 * 4.0 - 0.99)
+
+    def compare_one(i, result, single):
+        assert cbits(result[i]) == cbits(single)
+
+    def compare_rows(i, result, single):
+        for got, want in zip(result, single):
+            assert cbits(got[i]) == cbits(want)
+
+    def residual(x):
+        psi = lambda t: model.continuum_wavefunction_with_derivatives(state, p, t)
+        return oracle.ode_residual(p, psi, state.energy, x)
+
+    def compare_residual(i, result, single):
+        assert bits(result[i]) == bits(single) and isinstance(single, float)
+
+    assert_array_call_is_each_scalar_call(
+        lambda x: model.continuum_wavefunction(state, p, x),
+        lambda x: model.continuum_wavefunction(state, p, x),
+        xs, compare_one,
+    )
+    assert_array_call_is_each_scalar_call(
+        lambda x: model.continuum_wavefunction_with_derivatives(state, p, x),
+        lambda x: model.continuum_wavefunction_with_derivatives(state, p, x),
+        xs, compare_rows,
+    )
+    assert_array_call_is_each_scalar_call(residual, residual, xs, compare_residual)

@@ -365,9 +365,15 @@ def test_kummer_overflow_stops_its_chunk(monkeypatch):
     chunks = specfun._kummer_chunks
 
     def spy(*args):
-        for term_size, sums in chunks(*args):
-            widths.append(sums.shape[1])
-            yield term_size, sums
+        points = None
+        gen = chunks(*args)
+        while True:
+            try:
+                k, term_size, sums = gen.send(points)
+            except StopIteration:
+                return
+            widths.append(len(k))
+            points = yield k, term_size, sums
 
     monkeypatch.setattr(specfun, "_kummer_chunks", spy)
     with pytest.raises(NonConvergence, match="overflowed after 286 terms"):
@@ -462,6 +468,48 @@ def test_kummer_derivatives_against_mpmath(z):
         )
         for value, ref in zip(specfun.kummer_1f1(a, b, z, derivatives=True), map(complex, refs)):
             assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def test_kummer_array_refuses_with_the_refused_point():
+    # one point of the array overflows alone; the array call raises just what
+    # the scalar call at that point raises, and sums nothing into NaN
+    a, b = complex(-3.5, 1.0), complex(1.0, 2.0)
+    with pytest.raises(NonConvergence) as alone:
+        specfun.kummer_1f1_scaled(a, b, 80000.0, derivatives=True)
+    with pytest.raises(NonConvergence) as among:
+        specfun.kummer_1f1_scaled(a, b, np.array([0.5, 3.0, 80000.0, 0.0, 12.0]), derivatives=True)
+    assert str(among.value) == str(alone.value)
+
+
+def test_kummer_scalar_and_one_point_shapes():
+    # a Python float, a numpy scalar and a 0-d array give Python numbers, as
+    # before; a one-point array gives arrays of one element, the same bits
+    a, b, z = complex(-3.5, 1.0), complex(1.0, 2.0), 12.0
+    want = specfun.kummer_1f1_scaled(a, b, z, derivatives=True)
+    assert type(want[0]) is int and all(type(v) is complex for v in want[1])
+    for scalar in (np.float64(z), np.array(z), 12):
+        assert specfun.kummer_1f1_scaled(a, b, scalar, derivatives=True) == want
+    exponent, values = specfun.kummer_1f1_scaled(a, b, np.array([z]), derivatives=True)
+    assert exponent.dtype == np.int64 and exponent.tolist() == [want[0]]
+    assert [v.tolist() for v in values] == [[w] for w in want[1]]
+    exponent, value = specfun.kummer_1f1_scaled(a, b, np.array([z]))
+    assert value.shape == (1,) and value[0] == specfun.kummer_1f1_scaled(a, b, z)[1]
+    empty = specfun.kummer_1f1_scaled(a, b, np.array([]), derivatives=True)
+    assert empty[0].shape == (0,) and all(v.shape == (0,) for v in empty[1])
+    with pytest.raises(DomainError):
+        specfun.kummer_1f1_scaled(a, b, np.ones((2, 2)))
+
+
+def test_kummer_array_in_blocks():
+    # more points than one block holds, and fewer terms per chunk than the
+    # first chunk of a lone point: every point its scalar result
+    a, b = complex(-7.5, 0.5), complex(1.0, 1.0)
+    zs = np.linspace(0.0, 60.0, 2 * specfun._KUMMER_BLOCK + 7)
+    exponents, values = specfun.kummer_1f1_scaled(a, b, zs, derivatives=True)
+    for i, z in enumerate(zs.tolist()):
+        exponent, single = specfun.kummer_1f1_scaled(a, b, z, derivatives=True)
+        assert exponents[i] == exponent
+        assert [v[i] for v in values] == list(single)
 
 
 # ---------------------------------------------------------------- log gamma

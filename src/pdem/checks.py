@@ -13,9 +13,9 @@ import numpy as np
 from . import canonical, limits, model, oracle, specfun
 
 # Defaults of pdem verify: the a values of the checks run per a, and the
-# grid points and relative tolerance of the eigensolver check.
+# rows of the graded grid and relative tolerance of the eigensolver check.
 A_VALUES = (1.0, 2.0)
-GRID_POINTS = 32000
+GRID_POINTS = 4001
 EIGEN_TOL = 1e-5
 
 
@@ -250,41 +250,39 @@ def check_factorization():
 
 
 def check_eigensolver(grid_points, tol):
-    """FD eigenvalues of levels 0 and 1 at a = 2 against the closed-form spectrum.
-
-    Near-threshold levels converge only polynomially in the box size (their
-    tails are power laws), so the check validates the strongly bound levels;
-    wider boxes and per-level bounds live in the test suite.
-    """
-    a = 2.0
-    p = model.ModelParams(a=a)
-    grid = oracle.Grid(x_min=-a + 1e-3 * a, x_max=140.0, count=grid_points)
-    lams = oracle.lowest_eigenvalues(oracle.build_hamiltonian(p, grid), 2)
+    """FD eigenvalues of levels 0 and 1 at a = 2 against the closed-form
+    spectrum, on grid_points rows of the graded u-grid
+    (oracle.build_graded_hamiltonian)."""
+    p = model.ModelParams(a=2.0)
+    lams = oracle.lowest_eigenvalues(oracle.build_graded_hamiltonian(p, grid_points), 2)
     exact = [model.energy(p, n).energy for n in (0, 1)]
     worst = max(abs(lam - e) / abs(e) for lam, e in zip(lams, exact))
     return CheckResult(
         "eigensolver", worst <= tol, f"{worst:.3e}", f"{tol:.0e}",
-        "finite-difference levels [0, 1] vs closed form, a=2.0, "
-        f"{grid_points} points on (-a+1e-3 a, 140.0]",
+        f"finite-difference levels [0, 1] vs closed form, a=2.0, {grid_points} rows, "
+        "graded grid in u = 1/(x+a)",
     )
 
 
 def check_convergence():
-    a = 2.0
-    p = model.ModelParams(a=a)
-    exact = model.energy(p, 0).energy
+    """Error reduction per halving of the graded u-grid's spacing, every level
+    at a = 2: second order makes each ratio 4."""
+    p = model.ModelParams(a=2.0)
+    levels = range(model.max_level(p) + 1)
+    exact = [model.energy(p, n).energy for n in levels]
+    ladder = (501, 1003, 2007, 4015)  # rows + 1 doubles
     errs = []
-    for count in (12500, 25000, 50000, 100000):
-        grid = oracle.Grid(x_min=-a + 1e-3 * a, x_max=300.0, count=count)
-        [lam] = oracle.lowest_eigenvalues(oracle.build_hamiltonian(p, grid), 1)
-        errs.append(abs(lam - exact))
-    ratios = [e1 / e2 for e1, e2 in zip(errs, errs[1:]) if e1 > 1e-9 and e2 > 1e-9]
-    ok = bool(ratios) and all(3.5 <= r <= 4.5 for r in ratios)
+    for rows in ladder:
+        lams = oracle.lowest_eigenvalues(oracle.build_graded_hamiltonian(p, rows), len(exact))
+        errs.append([abs(lam - e) for lam, e in zip(lams, exact)])
+    ratios = [e1 / e2 for c, f in zip(errs, errs[1:]) for e1, e2 in zip(c, f)]
+    ok = all(3.9 <= r <= 4.1 for r in ratios)
     return CheckResult(
         "convergence", ok,
-        "ratios=" + ",".join(f"{r:.2f}" for r in ratios),
-        "[3.5, 4.5]",
-        "error reduction per grid halving, level 0, a=2.0",
+        f"ratios in [{min(ratios):.3f}, {max(ratios):.3f}]",
+        "[3.9, 4.1]",
+        f"error reduction per halving of the graded u-grid spacing, levels 0-{levels[-1]}, "
+        f"a=2.0, {ladder[0]}-{ladder[-1]} rows",
     )
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, checks, limits, model, specfun
+from . import __version__, canonical, checks, limits, model, oracle, specfun
 from .errors import PdemError
 
 _WALL_TOKEN = "inf"
@@ -295,7 +295,8 @@ def build_parser():
     vp.add_argument("--check", action="append",
                     help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
     vp.add_argument("--grid-points", type=int, default=checks.GRID_POINTS,
-                    help="interior points for the eigensolver check")
+                    help="rows of the graded u-grid of the eigensolver check "
+                         f"(3 to {oracle.GRID_CAP})")
     vp.add_argument("--tol", type=float, default=checks.EIGEN_TOL,
                     help="relative tolerance for the eigensolver check")
     vp.set_defaults(func=cmd_verify)

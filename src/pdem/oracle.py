@@ -73,9 +73,10 @@ _FIRST_PANELS = 128
 # integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
 # 3e5 nodes and their values in memory.
 _MAX_SPLITS = 512
-# Most interior points a Grid admits.  A ground level takes about 0.09 s at
-# 10^5 rows and 1.2 s and 120 MB at 10^6 (8 and 19 passes, measured on a
-# 2-core x86-64 VM), so a larger grid would hold gigabytes of temporaries.
+# Most interior points a Grid or build_graded_hamiltonian admits.  A ground
+# level takes about 0.09 s at 10^5 rows and 1.2 s and 120 MB at 10^6 (8 and
+# 19 passes, measured on a 2-core x86-64 VM), so a larger grid would hold
+# gigabytes of temporaries.
 GRID_CAP = 1_000_000
 # Rows at or below which _sturm_pass stops reducing and finishes in a Python
 # loop: on fewer rows numpy's per-call overhead costs more than the loop.
@@ -102,6 +103,11 @@ _NEWTON_STOP = 1e-7
 # the Laguerre steps start below level j, far enough that the deflated pole of
 # level j - 1, known to 1e-12 relative, does not swamp the sums.
 _DEFLATION_GAP = 1e-3
+# Bracket width, relative to max(1, |lo|), above which bisection gallops
+# (_Bracket.probe): from the Gershgorin top of the graded 4001-row matrix of
+# the eigensolver check, 8e5 above level 1 (1.25), isolating that level takes
+# 22 counts by halving and 6 by galloping.
+_GALLOP_WIDTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,41 @@ def build_hamiltonian(params, grid):
     v = params.m0 * params.omega**2 * params.a**2 * x**2 / (2.0 * (params.a + x) ** 2)
     diag = k * (s[:-1] + s[1:]) + v
     off = -k * s[1:-1]
+    return Tridiagonal(diag=diag, off=off)
+
+
+def build_graded_hamiltonian(params, rows):
+    """The Hamiltonian on rows points of a graded grid in u = 1/(x+a) = s^2.
+
+    In u the operator is -k0 u^2 d^2/du^2 + V_inf (1 - a u)^2, with
+    k0 = hbar^2 / (2 m0 a^2), symmetric in the weight u^-2; its energy form is
+    k0 int psi_u^2 du + int V psi^2 u^-2 du.  u = 0 is the power-law tail
+    x -> infinity, so there is no box.  The wall side is cut at
+    u_max = (3 b^2 + 60) / (lambda0^2 a^3), where the wall factor
+    exp(-lambda0^2 a^3 u) of psi is e^-(3 b^2 + 60).  The nodes s_i = i h,
+    i = 1..rows, with h = sqrt(u_max) / (rows + 1), have Dirichlet zeros at
+    s = 0 and s = sqrt(u_max).  Flux form in s: edge weights
+    c_(i+1/2) = k0 / (2 s_(i+1/2) h), masses m_i = 2 h s_i^-3, and the
+    symmetric matrix diag_i = (c_(i-1/2) + c_(i+1/2)) / m_i + V(u_i),
+    off_i = -c_(i+1/2) / sqrt(m_i m_(i+1)).  Grading in s resolves psi,
+    which goes like u^(b^2 - n) at u = 0, so every level converges at
+    second order in h.  Raises ValueError, before anything is allocated, if
+    rows is below 3 or above GRID_CAP.
+    """
+    if rows < 3:
+        raise ValueError(f"need at least 3 interior points, got {rows}")
+    if rows > GRID_CAP:
+        raise ValueError(f"{rows} interior points exceed the cap of {GRID_CAP}")
+    a = params.a
+    h = math.sqrt((3.0 * params.b2 + 60.0) / params.wall_scale) / (rows + 1)
+    k0 = 0.5 * (params.hbar / a) ** 2 / params.m0
+    s = h * np.arange(1, rows + 1)
+    c = k0 / (2.0 * h * h * np.arange(0.5, rows + 1))  # c at s = h/2, 3h/2, ...
+    m = 2.0 * h / s**3
+    omega_a = params.omega * a
+    v = (0.5 * params.m0 * omega_a * omega_a) * (1.0 - a * s * s) ** 2
+    diag = (c[:-1] + c[1:]) / m + v
+    off = -c[1:-1] / np.sqrt(m[:-1] * m[1:])
     return Tridiagonal(diag=diag, off=off)
 
 
@@ -346,6 +387,20 @@ class _Bracket:
     def midpoint(self):
         return 0.5 * (self.lo + self.hi)
 
+    def probe(self):
+        """Where bisection counts next: the midpoint, or, while the bracket
+        is wider than _GALLOP_WIDTH times max(1, |lo|), the point
+        sqrt((hi - lo) max(1, |lo|)) above lo.  From a far end, as the
+        Gershgorin bound above a dense continuum, that takes the bracket down
+        to the scale of lo in a few counts, each taking the square root of
+        its relative width, where halving would take one count per octave.
+        """
+        scale = max(1.0, abs(self.lo))
+        width = self.hi - self.lo
+        if width > _GALLOP_WIDTH * scale:
+            return self.lo + math.sqrt(width) * math.sqrt(scale)
+        return self.midpoint()
+
     def _move(self, x, below):
         self.known.append((x, below))
         self.sweeps += 1
@@ -392,11 +447,12 @@ class _Bracket:
 
 def _bisect(bracket, until_isolated=False):
     while not bracket.done() and not (until_isolated and bracket.isolated()):
-        bracket.count(bracket.midpoint())
+        bracket.count(bracket.probe())
 
 
 def _restart(bracket):
-    """The midpoint of the bracket once bisection has isolated eigenvalue j."""
+    """The midpoint of the bracket once bisection (galloping while the
+    bracket is wide, _Bracket.probe) has isolated eigenvalue j."""
     _bisect(bracket, until_isolated=True)
     return bracket.midpoint()
 
@@ -412,12 +468,15 @@ def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
     bracket or has no sums, and a step that fails to halve the one before,
     as toward a multiple level or a cluster of levels, where both iterations
     converge only linearly, give way to the midpoint of a bracket that
-    bisection has isolated.  Count-only probes at x -/+ w around the last
-    iterate, with w just under half the tolerance, then certify it.  A
-    window that misses the eigenvalue, as rounding makes it do on large
-    matrices, is widened fourfold, which costs fewer sweeps than bisecting
-    from a far end, and bisection closes what is left of the window.  Raises
-    ToleranceNotMet if _MAX_SWEEPS sweeps leave the bracket open.
+    bisection has isolated.  From there Laguerre steps that failed resume,
+    if the bracket was not isolated before, as for level 1 of the graded
+    u-grid matrix, whose steps stall under its dense continuum; Newton steps
+    follow otherwise.  Count-only probes at x -/+ w around the last iterate,
+    with w just under half the tolerance, then certify it.  A window that
+    misses the eigenvalue, as rounding makes it do on large matrices, is
+    widened fourfold, which costs fewer sweeps than bisecting from a far end,
+    and bisection closes what is left of the window.  Raises ToleranceNotMet
+    if _MAX_SWEEPS sweeps leave the bracket open.
     """
     bracket = _Bracket(d, e2, pivmin, j, known, upper)
     x = bracket.lo
@@ -434,8 +493,10 @@ def _eigenvalue(d, e2, pivmin, j, known, upper, deflate):
         if step <= _LAGUERRE_HANDOFF * max(1.0, abs(x)):
             break
         if last > step > 0.5 * last:  # linear, as toward a multiple level
-            x = _restart(bracket)
-            break
+            isolated = bracket.isolated()
+            x, step = _restart(bracket), math.inf
+            if isolated:
+                break
     if not bracket.inside(x):
         x = _restart(bracket)
     step = math.inf
@@ -497,7 +558,8 @@ def lowest_eigenvalues(matrix, k):
     computed counts, which rounding can move near the level.  Bisection
     takes over when a step leaves the bracket or has no sums, and when a
     step fails to halve the one before, as it does toward a multiple level
-    or a cluster of levels.  Raises ToleranceNotMet, with the midpoint and
+    or a cluster of levels; it gallops from a far end of the bracket.
+    Raises ToleranceNotMet, with the midpoint and
     the half-width of the bracket, if 200 Sturm sweeps leave a level's
     bracket wider than the tolerance, and ValueError if k is out of range or
     a squared off-diagonal entry overflows.

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import time
 import warnings
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from pdem import checks, limits, model, oracle
+from pdem import checks, cli, limits, model, oracle
 from pdem.errors import DomainError, NonConvergence, ToleranceNotMet
 from pdem.model import ModelParams
 from pdem.oracle import Grid, Tridiagonal
@@ -57,6 +58,75 @@ def test_matrix_symmetry_is_structural(params_a2):
     H = oracle.build_hamiltonian(params_a2, Grid(x_min=-1.9, x_max=10.0, count=500))
     assert H.off.shape == (499,)
     assert H.dimension == 500
+
+
+# ---------------------------------------------------------------- graded u-grid
+
+@pytest.mark.parametrize("kw", [
+    {"a": 1.0},
+    {"a": 10.0},
+    {"a": 1e-100, "m0": 1e100, "omega": 1.0, "hbar": 1e-100},
+    {"a": 3e80, "m0": 1e-80, "omega": 1e-80, "hbar": 1.0},
+])
+def test_graded_matrix_finite_and_symmetric(kw):
+    # Tridiagonal refuses entries that are not finite, and its one stored
+    # off-diagonal serves both triangles; every coupling is a negative
+    # kinetic flux and every diagonal entry positive
+    H = oracle.build_graded_hamiltonian(ModelParams(**kw), 1001)
+    assert H.dimension == 1001 and H.off.shape == (1000,)
+    assert np.all(H.off < 0.0) and np.all(H.diag > 0.0)
+
+
+def test_graded_matrix_applies_the_operator(params_a2):
+    # on psi = u^2 (u_max - u)^2, which vanishes at both ends, the matrix in
+    # the unsymmetrized basis gives -k0 u^2 psi'' + V psi to second order
+    p = params_a2
+    u_max = (3.0 * p.b2 + 60.0) / p.wall_scale
+    errors = []
+    for rows in (999, 1999):
+        H = oracle.build_graded_hamiltonian(p, rows)
+        u = (math.sqrt(u_max) / (rows + 1) * np.arange(1, rows + 1)) ** 2
+        psi = u**2 * (u_max - u) ** 2
+        d2 = 2.0 * (u_max - u) ** 2 - 8.0 * u * (u_max - u) + 2.0 * u**2
+        exact = -(p.hbar**2 / (2.0 * p.m0 * p.a**2)) * u**2 * d2 + model.potential(
+            p, 1.0 / u - p.a
+        ) * psi
+        weight = u**-0.75  # sqrt(m_i), up to a constant
+        phi = weight * psi
+        applied = H.diag * phi
+        applied[:-1] += H.off * phi[1:]
+        applied[1:] += H.off * phi[:-1]
+        errors.append(np.max(np.abs(applied / weight - exact)) / np.max(np.abs(exact)))
+    assert errors[1] <= 1e-7  # measured 4.2e-8, at the wall end
+    assert 3.9 <= errors[0] / errors[1] <= 4.1
+
+
+@pytest.mark.parametrize("rows", [-7, 2, oracle.GRID_CAP + 1])
+def test_graded_rows_out_of_range_exit_2(rows, capsys):
+    # refused before anything is allocated, through the CLI's handler
+    with pytest.raises(ValueError, match="interior points"):
+        oracle.build_graded_hamiltonian(ModelParams(a=2.0), rows)
+    start = time.perf_counter()
+    assert cli.main(["verify", "--check", "eigensolver", "--grid-points", str(rows)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 2.3, 3.0])
+def test_graded_levels_converge_at_second_order(a):
+    # every level, the near-threshold ones included: the error falls fourfold
+    # per halving of the spacing, and Richardson extrapolation of 2001 and
+    # 4003 rows lands within 1e-8 (measured: 5.4e-10 at worst, a = 3, n = 8)
+    p = ModelParams(a=a)
+    exact = [model.energy(p, n).energy for n in range(model.max_level(p) + 1)]
+    coarse, fine = (
+        oracle.lowest_eigenvalues(oracle.build_graded_hamiltonian(p, rows), len(exact))
+        for rows in (2001, 4003)
+    )
+    for c, f, e in zip(coarse, fine, exact):
+        assert 3.99 <= abs(c - e) / abs(f - e) <= 4.01
+        assert abs((4.0 * f - c) / 3.0 - e) <= 1e-8 * abs(e)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -201,10 +271,10 @@ def test_fd_ground_level_against_mpmath_counts(b2, rows):
 
 
 def test_eigensolver_check_pass_budget(monkeypatch):
-    # the two levels of the default eigensolver check (32000 rows) take 20
-    # passes; Newton steps after bisection took 34
+    # levels 0 and 1 on a 32000-row x-grid at a = 2 take 20 passes; Newton
+    # steps after bisection took 34
     p = ModelParams(a=2.0)
-    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=140.0, count=checks.GRID_POINTS)
+    grid = Grid(x_min=-p.a + 1e-3 * p.a, x_max=140.0, count=32000)
     H = oracle.build_hamiltonian(p, grid)
     passes = count_passes(monkeypatch)
     lams = oracle.lowest_eigenvalues(H, 2)
@@ -214,6 +284,21 @@ def test_eigensolver_check_pass_budget(monkeypatch):
     )
     # at 32000 rows rounding moves LAPACK's bisection by about 1e-11 relative
     np.testing.assert_allclose(lams, ref, rtol=1e-10, atol=0.0)
+
+
+def test_graded_check_pass_budget(monkeypatch):
+    # the two levels of the default eigensolver check take 25 passes.  Level
+    # 1's Laguerre steps fail to halve under the dense continuum above V_inf,
+    # and isolating it from the Gershgorin top, 8e5, takes 6 counts by
+    # galloping, where halving took 22 (45 passes in all)
+    H = oracle.build_graded_hamiltonian(ModelParams(a=2.0), checks.GRID_POINTS)
+    passes = count_passes(monkeypatch)
+    lams = oracle.lowest_eigenvalues(H, 2)
+    assert len(passes) <= 28
+    ref = scipy.linalg.eigh_tridiagonal(
+        H.diag, H.off, eigvals_only=True, select="i", select_range=(0, 1), tol=1e-14
+    )
+    np.testing.assert_allclose(lams, ref, rtol=1e-11, atol=0.0)
 
 
 def test_level_just_below_the_start_is_approached_from_above(monkeypatch):

@@ -3,13 +3,15 @@ the verification battery, and limit sweeps, as deterministic csv or json.
 
 Numbers serialize through repr (shortest round-trip), so identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 usage or invalid-parameter error.
+1 verification failure or a closed stdout pipe, 2 usage or invalid-parameter error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -79,8 +81,11 @@ def _emit(command, meta, columns, args):
             lines.append(",".join(_fmt(columns[name][i]) for name in names))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PdemError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -296,7 +301,7 @@ def build_parser():
                     help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
     vp.add_argument("--grid-points", type=int, default=checks.GRID_POINTS,
                     help="rows of the graded u-grid of the eigensolver check "
-                         f"(3 to {oracle.GRID_CAP})")
+                         f"(3 to {oracle.GRID_CAP}; least error near 1.3e5, then rounding rules)")
     vp.add_argument("--tol", type=float, default=checks.EIGEN_TOL,
                     help="relative tolerance for the eigensolver check")
     vp.set_defaults(func=cmd_verify)
@@ -321,8 +326,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (PdemError, ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (Python's "Note on SIGPIPE"): stdout's file, where
+        # it has one, becomes os.devnull, so that the last flush prints nothing
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
+    except (PdemError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

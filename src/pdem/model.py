@@ -465,14 +465,11 @@ def _continuum_triple(state, params, x, z, exponent, f0, f1, f2):
     d2z = 2.0 * (z / xa) / xa
     dw = (-g - params.b2) / xa + w
     d2w = (g + params.b2) / xa / xa - 2.0 * w / xa
-    parts = (
-        f0,
-        dw * f0 + f1 * dz,
-        (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z,
-    )
+    d1 = dw * f0 + f1 * dz
+    d2 = (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z
     try:
-        if all(map(cmath.isfinite, parts)):
-            return tuple(specfun.exp_scaled_complex(w_log, f, exponent) for f in parts)
+        if cmath.isfinite(d1) and cmath.isfinite(d2):  # f0, a mantissa, is finite
+            return tuple([specfun.exp_scaled_complex(w_log, f, exponent) for f in (f0, d1, d2)])
     except OverflowError:  # cmath.exp of a value past the float ceiling
         pass
     raise NonConvergence(f"continuum derivatives at x={x} leave the float range")

@@ -12,10 +12,12 @@ recurrence records every degree a caller asks for as it passes it; its
 coefficients have poles in the alpha parameter, and a step too close to one is
 refused with PolePivot.  The Kummer series 1F1 takes scalar parameters and
 sums its terms as numpy arrays, chunk by chunk, with its first two
-z-derivatives as extra rows of the same pass; kummer_1f1_scaled takes a
-scalar or a 1-d array of arguments, sums all of them in that one pass, each
-bit for bit as alone, and hands its sums on scaled for exp_scaled_complex.
-The Lanczos log-gamma is scalar.
+z-derivatives as extra rows of the same pass, in a fixed handful of numpy
+calls per chunk; a row stops where bytes.find meets the first run of 8 in a
+chunk's small-term flags.  kummer_1f1_scaled takes a scalar or a 1-d array
+of arguments, sums all of them in that one pass, each bit for bit as alone,
+and hands its sums on scaled for exp_scaled_complex.  The Lanczos log-gamma
+is scalar.
 """
 
 import cmath
@@ -304,18 +306,17 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     params = (a_param, b_param)
     terminal = _near_nonpositive_integer(a)
     sums = []  # a list of row sums per point summed
-    with np.errstate(all="ignore"):  # overflow and NaN are refused
-        for lo in range(0, len(summed), _KUMMER_BLOCK):
-            block = summed[lo:lo + _KUMMER_BLOCK]
-            if terminal is None:
-                sums += _kummer_converged(a, b, block, rows, params)
-            else:
-                sums += _kummer_terminating(a, b, block, -terminal, rows, params)
+    for lo in range(0, len(summed), _KUMMER_BLOCK):
+        block = summed[lo:lo + _KUMMER_BLOCK]
+        if terminal is None:
+            sums += _kummer_converged(a, b, block, rows, params)
+        else:
+            sums += _kummer_terminating(a, b, block, -terminal, rows, params)
     sums = iter(sums)
     exponents, mantissas = [], []
     for v in listed:
         point = next(sums) if v != 0.0 else at_zero
-        _, exponent = math.frexp(max(abs(c) for s in point for c in (s.real, s.imag)))
+        exponent = math.frexp(max([abs(c) for s in point for c in (s.real, s.imag)]))[1]
         exponents.append(exponent)
         mantissas.append([_ldexp_complex(s, -exponent) for s in point])
     if scalar:
@@ -374,16 +375,22 @@ def _kummer_label(params, z, row=0):
 
 # The partial sums before the first term: 1 in row 0, 0 in the derivative rows.
 _KUMMER_START = np.array([1.0, 0.0, 0.0], dtype=complex)
+# Rows k and k + 1 of one array of complex term indices (k + 0j adds and
+# divides as k does), over an axis to broadcast against the points.
+_KUMMER_INDICES = np.lib.stride_tricks.as_strided(  # 16 bytes per complex128
+    np.arange(_KUMMER_CHUNK_CAP + 1.0, dtype=complex), (2, 1, _KUMMER_CHUNK_CAP), (16, 0, 16))
+_KUMMER_RUN = b"\x01" * _KUMMER_CONSECUTIVE  # a run of small-term flags
 
 
 def _kummer_chunks(a, b, z, rows, limit):
-    """Yield (k, term_moduli, partial_sums) chunk by chunk over the term
-    indices k < limit of the series at every point of the list z of floats,
-    where the term of index k is t_{k+1}.  Send back a list of indices into
-    the points still summing to go on with those only.  The moduli and sums
-    have shape (rows * N, len(k)) for the N points still summing: row r of
-    point j is r * N + j, where row 0 is the series of 1F1 and rows 1 and 2
-    its z-derivatives (see kummer_1f1).
+    """Yield (k, moduli, partial_sums) chunk by chunk over the range k of
+    term indices below limit of the series at every point of the list z of
+    floats, where the term of index k is t_{k+1}.  Send back a list of
+    indices into the points still summing to go on with those only.  The
+    sums have shape (rows * N, len(k) + 1) for the N points still summing:
+    row r of point j is r * N + j, where row 0 is the series of 1F1 and rows
+    1 and 2 its z-derivatives (see kummer_1f1).  Column 0 holds the running
+    total before the chunk; moduli stacks those of terms and sums.
 
     A chunk holds _KUMMER_CHUNK_CELLS terms at most over all its points.  If
     the last term in row 0 is not finite at any point, the chunk is cut after
@@ -395,106 +402,107 @@ def _kummer_chunks(a, b, z, rows, limit):
     point at a time, in numpy's scalar arithmetic, so each sum is bit for bit
     the same whatever the chunk bounds and whichever points are summed
     together."""
-    # one point's argument stays a float, so its chunks cost what they
-    # always did; several points' stand in a column against the term index
-    single = len(z) == 1
-    column = z[0] if single else np.array(z)[:, None]
+    # one point's argument stays a float; several stand in a column against k
+    column = z[0] if len(z) == 1 else np.array(z)[:, None]
     term = []  # each point's term at the chunk's start; none before t_1, for t_0 = 1
-    total = _KUMMER_START[:rows] if single else _KUMMER_START[:rows].repeat(len(z))
+    total = _KUMMER_START[:rows, None]  # each row's running total, point by point
     start = 0
     reach = max(map(abs, z))
     reach += 10.0 * math.sqrt(reach) + 16.0  # past the peak of the terms, near k = |z|
     size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
     while start < limit:
-        width = max(1, min(size, _KUMMER_CHUNK_CELLS // len(z)))
-        k = np.arange(start, min(start + width, limit), dtype=float)
-        k1 = k + 1.0  # the index of the term that k's ratio ends at
-        ratios = (a + k) / (b + k) * column / k1
-        if term:
-            first = ratios.reshape(len(term), -1)
-            for j, t in enumerate(term):
-                first[j, 0] *= t
-        terms = np.empty((rows, *ratios.shape), dtype=complex)
-        ratios.cumprod(axis=-1, out=terms[0])
-        term = terms[0, ..., -1].reshape(-1).tolist()
+        stop = min(start + max(1, min(size, _KUMMER_CHUNK_CELLS // len(z))), limit)
+        k = _KUMMER_INDICES[..., :stop - start]
+        if start:
+            k = k + start  # exact, for integers
+        ratios = (a + k[0]) / (b + k[0]) * column / k[1]  # k + 1: the term the ratio ends at
+        for j, t in enumerate(term):
+            ratios[j, 0] *= t
+        n = ratios.shape[1]
+        terms = np.empty((rows, len(z), n + 1), dtype=complex)
+        row0 = np.multiply.accumulate(ratios, axis=1, out=terms[0, :, 1:])
+        term = row0[:, -1].tolist()
         overflowed = not any(map(cmath.isfinite, term))
         if overflowed:
-            n = int(np.isfinite(terms[0]).argmin(axis=-1).max()) + 1
-            k, k1, terms = k[:n], k1[:n], terms[..., :n]
+            n = int(np.isfinite(row0).argmin(axis=1).max()) + 1
+            k, terms, row0 = k[..., :n], terms[..., :n + 1], row0[:, :n]
         if rows > 1:
-            weight = k1 / column
-            np.multiply(weight, terms[0], out=terms[1])
-            np.multiply(weight * (k / column), terms[0], out=terms[2])
-        if not single:
-            terms = terms.reshape(-1, len(k))
-        moduli = np.abs(terms)
-        # the running total leads the chunk, so the sums add up in series order
-        terms[:, 0] += total
-        sums = terms.cumsum(axis=1, out=terms)
-        total = sums[:, -1]
-        points = yield k, moduli, sums
+            weights = k.real / column  # k/z and (k+1)/z in one division
+            weights[0] *= weights[1]  # k(k+1)/z^2
+            np.multiply(weights[::-1], row0, out=terms[1:, :, 1:])
+        terms[:, :, 0] = total  # so that the sums add up in series order
+        sizes = np.empty((2, rows, len(z), n + 1))
+        np.abs(terms, out=sizes[0])
+        sums = np.add.accumulate(terms, axis=2, out=terms)
+        np.abs(sums, out=sizes[1])
+        total = sums[:, :, -1]
+        sizes, sums = sizes.reshape(2, -1, n + 1), sums.reshape(-1, n + 1)
+        points = yield range(start, start + n), sizes, sums
         if overflowed:
             return
         if points is not None:
-            total = total[[row * len(z) + j for row in range(rows) for j in points]]
+            total = total[:, points]
             z, term = [z[j] for j in points], [term[j] for j in points]
             column = np.array(z)[:, None]
-        start += len(k)
+        start += n
         size = min(2 * size, _KUMMER_CHUNK_CAP)
 
 
+@np.errstate(all="ignore")  # overflow and NaN are refused
 def _kummer_converged(a, b, z, rows, params):
     """Each point's row sums, as a list of lists, under the stopping and
     refusal rules of kummer_1f1, for the list z of floats.  A point leaves the
     pass once all its rows have stopped; the bookkeeping runs per point and
-    row, on Python numbers, as one point's did."""
+    row, on Python numbers, as one point's did: bytes.find meets a row's stop
+    in the chunk's small-term flags, led by those its last chunk ended with."""
     results = [None] * len(z)
     live = list(range(len(z)))  # the points still summing, as indices into z
     pending = [range(rows)] * len(z)  # their rows not yet stopped
     found = [[None] * rows for _ in live]  # their rows' sums, once stopped
     peak = [[1.0] + [0.0] * (rows - 1) for _ in live]  # |partial sum| before the first term
-    large = -1.0  # each row's last term index whose term was not small (-1: t_0)
+    run = [[0] * rows for _ in live]  # the small terms each row's last chunk ended with
     chunks = _kummer_chunks(a, b, z, rows, _KUMMER_MAX_TERMS)
-    start, keep = 0, None
+    keep = None
     while True:
         try:
-            k, term_size, sums = chunks.send(keep)
+            k, sizes, sums = chunks.send(keep)
         except StopIteration:
             raise NonConvergence(
                 f"{_kummer_label(params, z[0])} hit the {_KUMMER_MAX_TERMS}-term cap"
             ) from None
-        n = len(k)
-        sum_size = np.abs(sums)
-        finite = np.isfinite(sum_size - term_size)  # both moduli finite
-        large = np.maximum.accumulate(
-            np.where(term_size < _KUMMER_REL_EPS * sum_size, large, k), axis=1
-        )
-        # a row stops at the end of its first run of _KUMMER_CONSECUTIVE small terms
-        stopped = k - large >= _KUMMER_CONSECUTIVE
-        peaks = np.maximum.accumulate(sum_size, axis=1)
-        stops, first_bads = stopped.argmax(axis=1).tolist(), finite.argmin(axis=1).tolist()
+        width = len(k) + 1  # a row's columns: its total before the chunk, then its terms
+        flags = (sizes[0] < _KUMMER_REL_EPS * sizes[1]).tobytes()
+        tops = sizes.max(axis=2).tolist()  # each row's largest term and partial sum
+        bads = [width] * len(sums)  # each row's first column with a modulus not finite
+        if not math.isfinite(sum(tops[0]) + sum(tops[1])):  # NaN and inf carry through
+            finite = np.isfinite(sizes[1] - sizes[0])
+            bads = np.where(finite.all(axis=1), width, finite.argmin(axis=1)).tolist()
         keep = []
         for j, rows_left in enumerate(pending):
             still, refusals = [], []
             for row in rows_left:
                 i = row * len(live) + j
-                at, bad = stops[i], first_bads[i]
-                done = stopped.item(i, at)
-                end = at if done else n - 1
-                if bad <= end and not finite.item(i, bad):
-                    refusals.append((bad, row, f"overflowed after {start + bad + 1} terms"))
-                    continue
-                peak[j][row] = max(peak[j][row], peaks.item(i, end))
-                if not done:
+                line = _KUMMER_RUN[:run[j][row]] + flags[i * width + 1:(i + 1) * width]
+                at = line.find(_KUMMER_RUN)  # the column of the run's end, else the last
+                end = at + _KUMMER_CONSECUTIVE - run[j][row] if at >= 0 else width - 1
+                if bads[i] <= end:
+                    refusals.append((bads[i], row, f"overflowed after {k[0] + bads[i]} terms"))
+                elif at < 0:
+                    peak[j][row] = max(peak[j][row], tops[1][i])
+                    run[j][row] = len(line) - len(line.rstrip(b"\x01"))
                     still.append(row)
-                elif sum_size.item(i, end) < 1e-13 * peak[j][row]:
-                    # the sum cancelled down to round-off noise; no digits left
-                    refusals.append((end, row, (
-                        f"lost all precision to cancellation (peak {peak[j][row]:.3e}, "
-                        f"result {sum_size.item(i, end):.3e})"
-                    )))
                 else:
-                    found[j][row] = sums.item(i, end)
+                    result = sizes.item(1, i, end)
+                    top = max(tops[1][i], peak[j][row])  # at least the peak up to the end
+                    if not result >= 1e-13 * top:  # then that peak itself decides
+                        top = max(peak[j][row], sizes[1, i, :end + 1].max())
+                    if result >= 1e-13 * top:
+                        found[j][row] = sums.item(i, end)
+                    else:  # the sum cancelled down to round-off noise; no digits left
+                        refusals.append((end, row, (
+                            f"lost all precision to cancellation (peak {top:.3e}, "
+                            f"result {result:.3e})"
+                        )))
             if refusals:
                 _, row, why = min(refusals)
                 raise NonConvergence(f"{_kummer_label(params, z[j], row)} {why}")
@@ -506,15 +514,14 @@ def _kummer_converged(a, b, z, rows, params):
         if not keep:
             return results
         if len(keep) < len(live):
-            large = large[[row * len(live) + j for row in range(rows) for j in keep], -1:]
-            live, pending, found, peak, z = (
-                [v[j] for j in keep] for v in (live, pending, found, peak, z)
+            live, pending, found, peak, run, z = (
+                [v[j] for j in keep] for v in (live, pending, found, peak, run, z)
             )
         else:
-            large, keep = large[:, -1:], None
-        start += n
+            keep = None
 
 
+@np.errstate(all="ignore")  # overflow and NaN are refused
 def _kummer_terminating(a, b, z, degree, rows, params):
     """Each point's row sums, as a list of lists, of a series that ends at
     term index degree, summed in full for the float array z, and refused

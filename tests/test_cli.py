@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -333,6 +334,40 @@ def test_out_unwritable_exits_2(target, tmp_path):
     proc = run_cli("spectrum", "--out", str(tmp_path / target))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--a", "2"], ["verify", "--check", "spectrum-shape"]])
+def test_closed_stdout_pipe_exits_1_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 1 and err.getvalue() == ""
+    # an --out file that cannot be written is still a usage error
+    assert run_cli("spectrum", "--out", "/nonexistent/x.csv").returncode == 2
+
+
+def test_closed_stdout_pipe_of_a_process():
+    # more output than a pipe buffers, read one byte of, then closed: no
+    # "Broken pipe" error and no "Exception ignored" at the last flush.
+    # Buffered stdout, as by default: an unbuffered one (PYTHONUNBUFFERED)
+    # drops the rest of a short write to the closed pipe without an error.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        PDEM + ["wavefunction", "--a", "2", "--points", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1 and err == b""
 
 
 def test_limit_bessel_hermite_table():

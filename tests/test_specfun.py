@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 
@@ -510,6 +511,103 @@ def test_kummer_array_in_blocks():
         exponent, single = specfun.kummer_1f1_scaled(a, b, z, derivatives=True)
         assert exponents[i] == exponent
         assert [v[i] for v in values] == list(single)
+
+
+def _continuum_params(b2, q):
+    """(gamma, mu) of a continuum state: (1 - 2b^2)/2 + iq/2 and 1 + iq."""
+    return complex(0.5 - b2, 0.5 * q), complex(1.0, q)
+
+
+def _kummer_bits(exponent, values):
+    """The first 16 hex digits of the sha1 of the exponents (little-endian
+    int64) and then the mantissas (little-endian complex128)."""
+    raw = np.asarray(exponent, dtype="<i8").tobytes() + np.asarray(values, dtype="<c16").tobytes()
+    return hashlib.sha1(raw).hexdigest()[:16]
+
+
+def _complex_kernel_bits():
+    """The bits of numpy's vectorized complex products, quotients, moduli and
+    cumulative products on fixed data.  They depend on the build and the CPU
+    (a SIMD kernel with fused multiply-adds rounds a product differently), and
+    so do the golden bits below, which hold only where these match."""
+    x = np.linspace(-3.0, 5.0, 67) + 1j * np.linspace(2.0, -7.0, 67)
+    y = 0.37 * x[::-1] + 0.5j
+    parts = (x * y, x / y, np.abs(x * y), np.multiply.accumulate(x / 3.0),
+             (0.5 + x) / (1.5 + x) * 2.3 / y.real)
+    return hashlib.sha1(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
+
+
+_GOLDEN_PLATFORM = pytest.mark.skipif(
+    _complex_kernel_bits() != "0fc839063ed352da",
+    reason="numpy's complex kernels round differently here than where the golden bits were recorded",
+)
+
+# (b^2, q, z, derivatives, exponent, _kummer_bits) of kummer_1f1_scaled in the
+# continuum regime, recorded from the pass as it stood before its bookkeeping
+# was vectorized: any change to the arithmetic of a term or a sum shows here.
+_KUMMER_GOLDEN = [
+    (1.25, 0.4, 0.5, False, 0, "0c25874b798fb7f4"),
+    (2.25, 1.0, 0.5, True, 0, "c198404c007436fb"),
+    (6.25, 2.0, 1.0, False, 0, "c9eefc0bd98e064d"),
+    (6.25, 2.0, 1.0, True, 2, "a3119a080139d488"),
+    (3.0, 6.0, 2.5, True, 2, "7dc1523b4c91d357"),
+    (12.0, 4.5, 7.0, False, 5, "c2665cd6cc516edd"),
+    (12.0, 4.5, 7.0, True, 5, "1f1fa0f2a0f6ebc3"),
+    (6.25, 2.0, 25.0, False, 18, "26eaaefaf6353327"),
+    (6.25, 2.0, 25.0, True, 18, "e329ac70661f2040"),
+    (20.0, 1.5, 40.0, True, 27, "03facaf690b8ac76"),
+    (9.0, 10.0, 100.0, False, 99, "2fe038733a4ed387"),
+    (9.0, 10.0, 100.0, True, 99, "d363f15dceb0e997"),
+    (30.0, 0.7, 100.0, True, 70, "aba85e368e73769b"),
+    (40.0, 1.0, 120.0, True, 84, "7dd66f67f93e87f8"),
+    (50.0, 12.0, 240.0, True, 180, "be97edbdc156db46"),
+    (6.25, 2.0, 400.0, False, 527, "3e84cfa96ff2c1aa"),
+    (6.25, 2.0, 400.0, True, 527, "7ff5d599c27565f9"),
+    (4.0, 3.0, 700.0, True, 971, "ea606039cc86811e"),
+]
+# 40 points of b^2 = 6.25, q = 2, log-spaced on [0.5, 600], in one call
+_KUMMER_GOLDEN_ARRAY = {False: "9b9c88b84871529b", True: "171b56f1610e221d"}
+
+
+@_GOLDEN_PLATFORM
+@pytest.mark.parametrize("b2, q, z, derivatives, exponent, bits", _KUMMER_GOLDEN)
+def test_kummer_golden_bits(b2, q, z, derivatives, exponent, bits):
+    got = specfun.kummer_1f1_scaled(*_continuum_params(b2, q), z, derivatives=derivatives)
+    assert got[0] == exponent
+    assert _kummer_bits(*got) == bits
+
+
+@_GOLDEN_PLATFORM
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_kummer_golden_bits_of_an_array(derivatives):
+    zs = np.geomspace(0.5, 600.0, 40)
+    got = specfun.kummer_1f1_scaled(*_continuum_params(6.25, 2.0), zs, derivatives=derivatives)
+    assert _kummer_bits(*got) == _KUMMER_GOLDEN_ARRAY[derivatives]
+
+
+@_GOLDEN_PLATFORM
+def test_kummer_golden_bits_in_chunks_of_five(monkeypatch):
+    # the chunk bounds move no bit: every run of 8 small terms spans chunks
+    monkeypatch.setattr(specfun, "_KUMMER_CHUNK_CAP", 5)
+    for b2, q, z, derivatives, exponent, bits in (_KUMMER_GOLDEN[6], _KUMMER_GOLDEN[11]):
+        got = specfun.kummer_1f1_scaled(*_continuum_params(b2, q), z, derivatives=derivatives)
+        assert (got[0], _kummer_bits(*got)) == (exponent, bits)
+    zs = np.geomspace(0.5, 600.0, 40)
+    got = specfun.kummer_1f1_scaled(*_continuum_params(6.25, 2.0), zs, derivatives=True)
+    assert _kummer_bits(*got) == _KUMMER_GOLDEN_ARRAY[True]
+
+
+@pytest.mark.parametrize("b2, q, z, message", [
+    (1.5, 8.0, 1500.0, "1F1((-1+4j); (1+8j); 1500.0) overflowed after 267 terms"),
+    (64.0, 2.0, 113.77777777777777,
+     "1F1((-63.5+1j); (1+2j); 113.77777777777777) lost all precision to cancellation "
+     "(peak 1.109e+51, result 1.062e+36)"),
+])
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_kummer_golden_refusals(b2, q, z, message, derivatives):
+    with pytest.raises(NonConvergence) as refusal:
+        specfun.kummer_1f1_scaled(*_continuum_params(b2, q), z, derivatives=derivatives)
+    assert str(refusal.value) == message
 
 
 # ---------------------------------------------------------------- log gamma

@@ -35,6 +35,7 @@ from .model import (
     WavefunctionForm,
     alpha0,
     apply_lowering,
+    bound_levels,
     bound_states,
     continuum_state,
     continuum_wavefunction,
@@ -58,10 +59,4 @@ from .oracle import (
     lowest_eigenvalues,
     ode_residual,
 )
-from .specfun import (
-    bessel_poly,
-    hermite,
-    kummer_1f1,
-    laguerre,
-    log_gamma,
-)
+from .specfun import hermite, kummer_1f1_scaled

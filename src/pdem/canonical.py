@@ -36,17 +36,19 @@ class CanonicalParams:
 
 
 def canonical_energy(params, n):
-    """Equidistant spectrum E_n = hbar w (n + 1/2)."""
+    """Equidistant spectrum E_n = hbar w (n + 1/2), with the unit hbar w
+    applied last (specfun.in_units).  Raises DomainError where E_n leaves
+    the float range."""
     if n < 0:
         raise DomainError(f"level must be non-negative, got {n}")
-    return params.hbar * params.omega * (n + 0.5)
+    return specfun.in_units(n + 0.5, (params.hbar, params.omega), f"the energy of level {n}")
 
 
 def _log_norm(params, n):
     # 1/sqrt(2^n n!) (m0 w / pi hbar)^(1/4), in log space for large n
     lam0 = params.lambda0
     return (
-        -0.5 * (n * math.log(2.0) + specfun.log_gamma(n + 1.0))
+        -0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
         + 0.25 * math.log(lam0**2 / math.pi)
     )
 

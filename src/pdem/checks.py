@@ -104,8 +104,7 @@ def check_spectrum_shape(a_values):
     detail = "gaps positive and decreasing; all levels at or below the depth"
     for a in a_values:
         p = model.ModelParams(a=a)
-        nmax = model.max_level(p)
-        energies = [model.energy(p, n).energy for n in range(nmax + 1)]
+        energies = [model.energy(p, n).energy for n in model.bound_levels(p)]
         v_inf = model.well_depth(p)
         gaps = [b - c for b, c in zip(energies[1:], energies)]
         if any(g <= 0.0 for g in gaps):
@@ -121,9 +120,9 @@ def check_orthonormality(a_values):
     worst = 0.0
     for a in a_values:
         p = model.ModelParams(a=a)
-        nmax = model.max_level(p)
-        for m in range(nmax + 1):
-            for n in range(m, nmax + 1):
+        levels = model.bound_levels(p)
+        for m in levels:
+            for n in levels[m:]:
                 v = bound_overlap(p, m, n)
                 worst = max(worst, abs(v - (1.0 if m == n else 0.0)))
     return CheckResult(
@@ -137,8 +136,7 @@ def check_dual_form(a_values):
     for a in a_values:
         p = model.ModelParams(a=a)
         xs = np.linspace(-a + 0.02 * a, a + 10.0 / p.lambda0, 200)
-        levels = range(model.max_level(p) + 1)
-        states = model.bound_states(p, levels)
+        states = model.bound_states(p, model.bound_levels(p))
         laguerre = states.psi(xs, model.WavefunctionForm.LAGUERRE)
         for vb, vl in zip(states.psi(xs), laguerre):
             scale = np.maximum(np.abs(vb), np.abs(vl))
@@ -161,7 +159,7 @@ def check_ode_residual(a_values):
     for a in a_values:
         p = model.ModelParams(a=a)
         xs = _interior_grid(-a + 1e-3 * a, a + 12.0 / p.lambda0, 160)
-        states = model.bound_states(p, range(model.max_level(p) + 1))
+        states = model.bound_states(p, model.bound_levels(p))
         # every level on the whole grid at once, and each level's residuals too
         rows = states.psi_with_derivatives(xs)
         for i, level in enumerate(states.levels):
@@ -268,7 +266,7 @@ def check_convergence():
     """Error reduction per halving of the graded u-grid's spacing, every level
     at a = 2: second order makes each ratio 4."""
     p = model.ModelParams(a=2.0)
-    levels = range(model.max_level(p) + 1)
+    levels = model.bound_levels(p)
     exact = [model.energy(p, n).energy for n in levels]
     ladder = (501, 1003, 2007, 4015)  # rows + 1 doubles
     errs = []

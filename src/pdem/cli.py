@@ -87,7 +87,20 @@ def _emit(command, meta, columns, args):
         except OSError as exc:
             raise PdemError(str(exc)) from exc
     else:
-        sys.stdout.write(text)
+        _write(text)
+
+
+def _write(text):
+    """text to stdout's binary buffer, short write by short write, so that
+    a closed pipe raises BrokenPipeError even where an unbuffered text layer
+    would drop the rest silently; a stdout without one (a StringIO) as is."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        return sys.stdout.write(text)
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _sample_grid(args, params):
@@ -109,9 +122,8 @@ def _sample_grid(args, params):
 def cmd_spectrum(args):
     params = _params(args)
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
-    n_levels = model.max_level(params) + 1
     ns, e_well, e_can, gaps = [], [], [], []
-    for n in range(n_levels):
+    for n in model.bound_levels(params):
         ns.append(n)
         e_well.append(model.energy(params, n).energy)
         e_can.append(canonical.canonical_energy(ref, n))
@@ -171,18 +183,17 @@ def cmd_wavefunction(args):
 
 def cmd_verify(args):
     a_values = tuple(args.a_list) if args.a_list else checks.A_VALUES
-    for a in a_values:
-        model.ModelParams(a=a)
+    for a in a_values:  # each a runs checks over all its levels
+        model.bound_levels(model.ModelParams(a=a))
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise PdemError(f"--tol must be finite and positive, got {args.tol}")
     names = tuple(args.check) if args.check else None
     results = checks.run_checks(
         names, a_values=a_values, grid_points=args.grid_points, eigen_tol=args.tol
     )
-    for result in results:
-        sys.stdout.write(result.line() + "\n")
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
+    lines = [r.line() for r in results] + [f"{len(results) - len(failed)}/{len(results)} checks passed"]
+    _write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 

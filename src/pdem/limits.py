@@ -72,10 +72,11 @@ def scaled_bessel(n, x, nu):
 
 def energy_gap(params, n):
     """Exact closed-form gap E_n - E_n^well = hbar w n(n+1) / (2 b^2), that
-    is hbar^2 n(n+1) / (2 m0 a^2) without the squares that can leave the
-    float range."""
+    is hbar^2 n(n+1) / (2 m0 a^2), with the unit hbar w applied last.
+    Raises DomainError where the gap leaves the float range."""
     model.require_level(params, n)
-    return params.hbar * params.omega * (n * (n + 1.0) / (2.0 * params.b2))
+    gap = n * (n + 1.0) / (2.0 * params.b2)
+    return specfun.in_units(gap, (params.hbar, params.omega), f"the gap of level {n}")
 
 
 def wavefunction_distance(params, n, tol=1e-10):

@@ -1,21 +1,27 @@
 """The semi-infinite step-harmonic well with position-dependent effective mass.
 
 An infinitely high wall sits at x = -a; the potential rises harmonically away
-from it and saturates smoothly to the finite plateau m0 w^2 a^2 / 2 because the
-effective mass M(x) = a^2 m0 / (a+x)^2 decays with position.  Everything below
-the plateau is a finite discrete ladder of bound states built from Bessel
-polynomials; above it the states are continuum waves built from 1F1.
+from it and saturates smoothly to the plateau V_inf = m0 w^2 a^2 / 2 because
+the effective mass M(x) = a^2 m0 / (a+x)^2 decays with position.  Below the
+plateau lies a finite ladder of bound states built from Bessel polynomials;
+above it the continuum waves built from 1F1.
 
-All prefactors are assembled in log space and exponentiated once: for a >= 3
-the wall factor exp(-l0^2 a^3/(x+a)) and the power (x/a+1)^(-l0^2 a^2) both
-leave the native float range long before the physics becomes uninteresting.
-Bound states are evaluated on numpy arrays of positions, any set of levels at
-once (bound_states): the Bessel form from one recurrence for them all, the
-Laguerre form from one recurrence per level.  The module-level wavefunction
-functions are its one-level case, for one position or an array, as is the
-profile.  Continuum states take one position or an array of them: one pass
-over the Kummer series serves every position, and the exponent of its
-mantissas folds into the prefactor W position by position, in Python
+The closed forms depend on the constants only through b^2 = (lambda0 a)^2,
+s = 1 + x/a, V_inf and the amplitude a^(-1/2):
+    E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)],  hbar w = 2 V_inf / b^2,
+    V = V_inf ((s-1)/s)^2,  M = m0 / s^2,  z = 2 b^2 / s,  psi_n = a^(-1/2) phi_n(s; b^2).
+Each quantity is computed in (b^2, s) and its units are applied last (a unit
+that can leave the float range, hbar w or hbar^2/m0, by specfun.in_units), so
+that nothing leaves the float range where the result does not, and a result
+that does is refused with DomainError.
+
+Wavefunction prefactors are assembled in log space and exponentiated once
+(for a >= 3 the wall factor exp(-b^2/s) and s^(-b^2) leave the float range
+early).  Bound states take an array of positions and any set of levels
+(bound_states): the Bessel form from one recurrence for them all, the
+Laguerre form from one per level.  Continuum states take one position or an
+array: one pass over the Kummer series serves them all, and the exponent of
+its mantissas folds into the prefactor position by position, in Python
 arithmetic, so each element is bit for bit its scalar value.
 """
 
@@ -31,27 +37,35 @@ import numpy as np
 
 from . import specfun
 from .errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
+from .specfun import in_units
 
 # Distinguished return value of potential() at and behind the wall.  A named
 # +inf rather than an exception so oracle grids can probe the wall region.
 WALL = float("inf")
 
-# Most bound levels max_level() admits.  Each level costs a table row and a
+# Highest bound level evaluated, and one less than the most levels a loop over
+# all of them (bound_levels) takes.  Each level costs a table row and a
 # recurrence step per evaluation, so without a cap a large a (10^16 levels at
 # a = 1e8) would be unbounded work.
 LEVEL_CAP = 10_000
+
+# ln C_n and the log prefactor of psi_n sum terms of size b^2 ln(2b^2) that
+# cancel, so psi carries a relative error of about b^2 ln(2b^2) eps, which
+# BoundStates keeps within PSI_LOG_TOL: a < 199.75 at unit constants, where
+# <0|0> - 1 is -1.1e-11 at a = 120 and would be -3.1e-10 at a = 300.
+PSI_LOG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants and the semiconfinement length a.
 
-    All four must be finite.  Requires a > 1/(sqrt(2) lambda0), equivalently
-    (lambda0 a)^2 > 1/2, which guarantees at least one bound state, and
-    lambda0^2 = m0 omega / hbar, lambda0^2 a^3 and the well depth
-    m0 omega^2 a^2 / 2 must be finite floats, and lambda0^2 and the depth
-    normal ones (extreme but finite constants can overflow them, or underflow
-    them to subnormals whose few digits every energy would inherit).
+    All four must be finite and positive, with b^2 = (lambda0 a)^2 > 1/2,
+    which guarantees at least one bound state.  The constants, lambda0^2 =
+    m0 omega / hbar, the well depth V_inf = m0 omega^2 a^2 / 2 and the
+    products that form them must be normal floats (extreme but finite
+    constants can overflow them, or underflow them to subnormals whose few
+    digits every energy would inherit), and lambda0^2 a^3 finite.
     """
 
     m0: float = 1.0
@@ -60,31 +74,27 @@ class ModelParams:
     a: float = 1.0
 
     def __post_init__(self):
-        for name in ("m0", "omega", "hbar"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("m0", "omega", "hbar", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         lam0_sq = self.m0 * self.omega / self.hbar
-        if not sys.float_info.min <= lam0_sq < math.inf:
-            raise ValueError(
-                f"lambda0^2 = m0*omega/hbar leaves the normal float range ({lam0_sq!r}) "
-                f"for m0={self.m0}, omega={self.omega}, hbar={self.hbar}"
-            )
-        min_a = 1.0 / (math.sqrt(2.0) * math.sqrt(lam0_sq))
-        if not self.a > min_a:
-            raise ValueError(
-                f"a must exceed 1/(sqrt(2)*lambda0) = {min_a:.6g}, got {self.a}"
-            )
-        if not math.isfinite(lam0_sq * (self.a * self.a) * self.a):
+        omega_a = self.omega * self.a
+        for name, value in (  # the products that form b^2 and V_inf
+            ("m0", self.m0), ("omega", self.omega), ("hbar", self.hbar),
+            ("m0*omega", self.m0 * self.omega), ("lambda0^2 = m0*omega/hbar", lam0_sq),
+            ("a^2", self.a * self.a), ("omega*a", omega_a), ("m0*omega*a/2", 0.5 * self.m0 * omega_a),
+            ("the well depth m0*omega^2*a^2/2", well_depth(self)),
+        ):
+            if not sys.float_info.min <= value < math.inf:
+                raise ValueError(f"{name} leaves the normal float range ({value!r}) for {self}")
+        if not math.isfinite(self.wall_scale):
             raise ValueError(f"lambda0^2 a^3 overflows a float for a={self.a}")
-        depth = well_depth(self)
-        if not sys.float_info.min <= depth < math.inf:
-            raise ValueError(
-                f"the well depth m0*omega^2*a^2/2 leaves the normal float range ({depth!r}) "
-                f"for m0={self.m0}, omega={self.omega}, a={self.a}"
-            )
+        if not self.b2 > 0.5:
+            min_a = 1.0 / (math.sqrt(2.0) * math.sqrt(lam0_sq))
+            raise ValueError(f"a must exceed 1/(sqrt(2)*lambda0) = {min_a:.6g}, got {self.a}")
 
     @cached_property
     def lambda0(self):
@@ -147,37 +157,39 @@ class WavefunctionForm(Enum):
     LAGUERRE = "laguerre"
 
 
-def _require_inside(params, x):
-    """x as a float array; raises DomainError unless every position in it
-    lies strictly inside the wall."""
+def _inside(params, x):
+    """(x, s): x as a float array of positions, each strictly inside the wall
+    (else DomainError), and s = (x + a)/a = 1 + x/a there."""
     x = np.asarray(x, dtype=float)
     outside = ~(x > -params.a)
     if outside.any():
-        raise DomainError(
-            f"position {x[outside].flat[0]} is at or behind the wall x = {-params.a}"
-        )
-    return x
+        raise DomainError(f"position {x[outside].flat[0]} is at or behind the wall x = {-params.a}")
+    return x, (x + params.a) / params.a
 
 
+@np.errstate(over="ignore")  # a value past the float ceiling is refused
 def effective_mass(params, x):
     """Position-dependent mass M(x) = m0 (a/(a+x))^2 at a scalar (giving a
     float) or an array of positions strictly inside the wall; equals m0 at
-    x = 0 and tends to 0 as x -> +inf."""
-    s = params.a / (params.a + _require_inside(params, x))
-    return specfun.shaped_like(x, params.m0 * s * s)
+    x = 0 and tends to 0 as x -> +inf.  DomainError where M overflows."""
+    q = params.a / (params.a + _inside(params, x)[0])
+    return specfun.shaped_like(x, _finite(params.m0 * q * q, "the effective mass"))
 
 
+@np.errstate(over="ignore")  # a value past the float ceiling is refused
 def potential(params, x):
     """Step-harmonic profile M(x) w^2 x^2 / 2 = (V_inf r) r with r = x/(a+x),
     or WALL for x <= -a, at a scalar (giving a float) or an array of positions.
 
     Vanishes at x = 0 and tends to V_inf = well_depth(params), r = 1, as
-    x -> +inf.  r stays in the float range where the squares of M x^2 leave it.
+    x -> +inf.  r stays in the float range where the squares of M x^2 leave
+    it, and V_inf r where V does; DomainError where V overflows.
     """
     x = np.asarray(x, dtype=float)
     inside = x > -params.a
     r = np.divide(x, params.a + x, out=np.ones_like(x), where=inside & (x < math.inf))
-    return specfun.shaped_like(x, np.where(inside, well_depth(params) * r * r, WALL))
+    v = _finite(well_depth(params) * r * r, "the potential")
+    return specfun.shaped_like(x, np.where(inside, v, WALL))
 
 
 def well_depth(params):
@@ -191,19 +203,22 @@ def well_depth(params):
 
 
 def max_level(params):
-    """Largest bound quantum number N: the biggest integer below b^2 - 1/2.
+    """Largest bound quantum number N: the biggest integer below b^2 - 1/2."""
+    return math.ceil(params.b2 - 0.5) - 1
 
-    Raises DomainError when N exceeds LEVEL_CAP."""
-    n = math.ceil(params.b2 - 0.5) - 1
+
+def bound_levels(params):
+    """range(max_level(params) + 1), every bound level; raises DomainError
+    where that is more than LEVEL_CAP + 1 levels, before any is evaluated."""
+    n = max_level(params)
     if n > LEVEL_CAP:
-        raise DomainError(
-            f"{n} bound levels exceed the cap of {LEVEL_CAP} (b^2 = {params.b2:.6g})"
-        )
-    return n
+        raise DomainError(f"{n + 1} bound levels exceed the cap of {LEVEL_CAP + 1} (b^2 = {params.b2:.6g})")
+    return range(n + 1)
 
 
 def require_level(params, n):
-    """Raise LevelOutOfRange unless n is an integer in 0..max_level(params)."""
+    """Raise LevelOutOfRange unless n is an integer in 0..max_level(params),
+    and DomainError for a level above LEVEL_CAP."""
     try:
         operator.index(n)  # ints and numpy integers; floats are refused
     except TypeError:
@@ -212,43 +227,51 @@ def require_level(params, n):
         raise LevelOutOfRange(
             f"level n={n} outside 0..{max_level(params)} for a={params.a}"
         )
+    if n > LEVEL_CAP:
+        raise DomainError(f"level {n} exceeds the cap of {LEVEL_CAP}")
 
 
 def normalization(params, n):
     """ln of the bound-state normalization constant, assembled in log space.
 
-    The closed form is (2b^2)^(b^2) sqrt[(2b^2-2n-1) / (2 l0^2 a^3 n! G(2b^2-n))]
-    with b^2 = lambda0^2 a^2; the gamma factor overflows native floats already
-    for moderate a, so only logs are ever formed.  The constant is taken
-    positive (the overall sign of a bound state is conventional).
+    The closed form is a^(-1/2) (2b^2)^(b^2) sqrt[(2b^2-2n-1) / (2b^2 n! G(2b^2-n))],
+    whose a^(-1/2) joins the 2b^2 in the logarithm as 2 l0^2 a^3; the gamma
+    factor overflows native floats already for moderate a, so only logs are
+    ever formed.  The constant is taken positive (the overall sign of a bound
+    state is conventional).  Its terms grow like b^2 ln(2b^2) (PSI_LOG_TOL).
     """
     require_level(params, n)
     b2 = params.b2
     return b2 * math.log(2.0 * b2) + 0.5 * (
         math.log(2.0 * b2 - 2.0 * n - 1.0)
         - math.log(2.0 * params.wall_scale)
-        - specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(2.0 * b2 - n)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(2.0 * b2 - n)
     )
 
 
 def energy(params, n):
     """Bound level n: E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)], b^2 = (lambda0 a)^2.
 
-    The second term is hbar^2 n(n+1) / (2 m0 a^2) written through b^2, which
-    ModelParams keeps in range where hbar^2 or a^2 can leave it.  Raises
-    DomainError where E_n itself does.
+    The bracket is computed in units of hbar w, which is applied last.
+    Raises DomainError where E_n leaves the float range.
     """
     require_level(params, n)
-    e = params.hbar * params.omega * ((n + 0.5) - n * (n + 1.0) / (2.0 * params.b2))
-    if not math.isfinite(e):
-        raise DomainError(f"the energy of level {n} leaves the float range")
+    e = in_units((n + 0.5) - n * (n + 1.0) / (2.0 * params.b2), (params.hbar, params.omega),
+                 f"the energy of level {n}")
     return DiscreteState(n=n, energy=e, log_norm=normalization(params, n))
 
 
-def _log_prefactor(params, log_norm, x):
-    """ln of C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)), for ln C_n = log_norm."""
-    return log_norm - params.b2 * np.log1p(x / params.a) - params.wall_scale / (x + params.a)
+def _log_prefactor(params, log_norm, x, s):
+    """ln of C_n s^(-b^2) exp(-b^2/s), s = 1 + x/a, for ln C_n = log_norm."""
+    return log_norm - params.b2 * np.log1p(x / params.a) - params.b2 / s
+
+
+def _finite(values, what):
+    """values, unless one of them is not finite (DomainError)."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} leaves the float range")
+    return values
 
 
 @dataclass(frozen=True)
@@ -257,74 +280,86 @@ class BoundStates:
     positions.
 
     Every level is the Bessel polynomial y_n(t; -2b^2) at the same
-    t = (x+a)/(l0^2 a^3), so one recurrence up to the highest level gives
+    t = s/b^2, s = 1 + x/a, so one recurrence up to the highest level gives
     them all.  psi and psi_with_derivatives take a scalar or an array of
     positions, all strictly inside the wall, and return arrays of shape
     (len(levels), *x.shape), row i for levels[i]; each row is bit for bit
-    what bound_states(params, (levels[i],)) gives.
+    what bound_states(params, (levels[i],)) gives.  Raises DomainError where
+    b^2 ln(2b^2) eps exceeds PSI_LOG_TOL (see there).
     """
 
     params: ModelParams
     levels: tuple  # a DiscreteState per requested level, in request order
 
+    def __post_init__(self):
+        b2 = self.params.b2
+        if b2 * math.log(2.0 * b2) * sys.float_info.epsilon > PSI_LOG_TOL:
+            raise DomainError(f"bound states at b^2 = {b2:.6g} would lose more than "
+                              f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
+
     def _parts(self, x, derivatives):
-        """(x + a, log prefactor rows, Bessel rows) at the positions x."""
-        x = _require_inside(self.params, x)
+        """(s, log prefactor rows, Bessel rows) at the positions x."""
+        x, s = _inside(self.params, x)
         p = self.params
         log_norm = np.reshape([level.log_norm for level in self.levels], (-1,) + (1,) * x.ndim)
-        xa = x + p.a
         rows = specfun.bessel_poly_rows(
-            [level.n for level in self.levels], -2.0 * p.b2, xa / p.wall_scale, derivatives
+            [level.n for level in self.levels], -2.0 * p.b2, s / p.b2, derivatives
         )
-        return xa, _log_prefactor(p, log_norm, x), rows
+        return s, _log_prefactor(p, log_norm, x, s), rows
 
+    @np.errstate(over="ignore")  # a value past the float ceiling is refused
     def psi(self, x, form=WavefunctionForm.BESSEL):
         """psi_n at x for every level.
 
         The Bessel form is
-            C_n (x/a+1)^(-b^2) exp(-l0^2 a^3/(x+a)) y_n((x+a)/(l0^2 a^3); -2b^2);
-        the Laguerre form carries the extra factor (1+x/a)^n together with
-        L_n^(2b^2-2n-1)(2 l0^2 a^3/(x+a)), whose parameter depends on n, so it
-        runs one Laguerre recurrence per level.  Equating the two polynomial
+            C_n s^(-b^2) exp(-b^2/s) y_n(s/b^2; -2b^2),  s = 1 + x/a;
+        the Laguerre form carries the extra factor s^n together with
+        L_n^(2b^2-2n-1)(2b^2/s), whose parameter depends on n, so it runs one
+        Laguerre recurrence per level.  Equating the two polynomial
         representations through their terminating-series forms fixes the
         relative constant to (-1)^n n! / (2b^2)^n, so both forms return
         identical values.
         """
         if form is WavefunctionForm.BESSEL:
             _, log_pref, (exponent, y, _, _) = self._parts(x, False)
-            return specfun.exp_scaled(log_pref, y, exponent)
+            return _finite(specfun.exp_scaled(log_pref, y, exponent), "psi")
         if form is not WavefunctionForm.LAGUERRE:
             raise ValueError(f"unknown wavefunction form {form!r}")
-        x = _require_inside(self.params, x)
+        x, s = _inside(self.params, x)
         p = self.params
-        z = 2.0 * p.wall_scale / (x + p.a)
+        z = 2.0 * p.b2 / s
         psi = np.empty((len(self.levels), *x.shape))
         for i, level in enumerate(self.levels):
             n = level.n
             exponent, lag = specfun.laguerre_scaled(n, 2.0 * p.b2 - 2.0 * n - 1.0, z)
-            log_pref = _log_prefactor(p, level.log_norm, x) + (
-                specfun.log_gamma(n + 1.0) - n * math.log(2.0 * p.b2) + n * np.log1p(x / p.a)
+            log_pref = _log_prefactor(p, level.log_norm, x, s) + (
+                math.lgamma(n + 1.0) - n * math.log(2.0 * p.b2) + n * np.log1p(x / p.a)
             )
             psi[i] = specfun.exp_scaled(log_pref, lag if n % 2 == 0 else -lag, exponent)
-        return psi
+        return _finite(psi, "psi")
 
+    @np.errstate(over="ignore")  # a value past the float ceiling is refused
     def psi_with_derivatives(self, x):
         """(psi_n, psi_n', psi_n'') at x for every level, with analytic
         derivatives.
 
         Logarithmic differentiation of the prefactor plus the differentiated
-        polynomial recurrence; exact up to round-off, no finite differences.
+        polynomial recurrence, in s = 1 + x/a, whose factors 1/a and 1/a^2
+        join the log prefactor; exact up to round-off, no finite differences.
+        Raises DomainError where a value leaves the float range.
         """
-        xa, log_pref, (exponent, y, dy, d2y) = self._parts(x, True)
-        b2, w = self.params.b2, self.params.wall_scale
-        dl = -b2 / xa + w / xa**2          # d/dx of the log prefactor
-        d2l = b2 / xa**2 - 2.0 * w / xa**3
-        dy = dy / w                         # chain rule, t = (x+a)/(l0^2 a^3)
-        d2y = d2y / (w * w)
-        return (
-            specfun.exp_scaled(log_pref, y, exponent),
-            specfun.exp_scaled(log_pref, dl * y + dy, exponent),
-            specfun.exp_scaled(log_pref, (d2l + dl * dl) * y + 2.0 * dl * dy + d2y, exponent),
+        s, log_pref, (exponent, y, dy, d2y) = self._parts(x, True)
+        b2 = self.params.b2
+        ln_a = math.log(self.params.a)
+        dl = -b2 / s + b2 / s**2           # d/ds of the log prefactor
+        d2l = b2 / s**2 - 2.0 * b2 / s**3
+        dy = dy / b2                        # chain rule, t = s/b^2
+        d2y = d2y / (b2 * b2)
+        d1 = dl * y + dy
+        d2 = (d2l + dl * dl) * y + 2.0 * dl * dy + d2y
+        return tuple(
+            _finite(specfun.exp_scaled(log_pref - k * ln_a, f, exponent), what)
+            for k, f, what in ((0, y, "psi"), (1, d1, "psi'"), (2, d2, "psi''"))
         )
 
 
@@ -355,15 +390,9 @@ def energy_for_wavenumber(params, q):
     """
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
-    # E = V_inf c0 / (lambda0 a)^4, from quantities ModelParams keeps in range
     b4 = params.b2 * params.b2
-    c0 = 0.25 * (q * q + 1.0) + b4
-    energy_value = well_depth(params) * (c0 / b4)
-    if not 0.0 < energy_value < math.inf:  # an infinite c0 makes it inf or NaN
-        raise DomainError(
-            f"the energy for q={q} leaves the float range at (lambda0 a)^2={params.b2}"
-        )
-    return energy_value
+    c0 = 0.25 * (q * q + 1.0) + b4  # E = V_inf c0 / (lambda0 a)^4
+    return in_units(c0 / b4, (well_depth(params),), f"the energy for q={q}")
 
 
 def continuum_state(params, energy_value):
@@ -405,14 +434,14 @@ def continuum_state(params, energy_value):
 def _continuum_parts(params, x):
     """(x, z): a scalar x as a float, or an array of positions as a float
     array, all strictly inside the wall (else DomainError), and the argument
-    z = 2 l0^2 a^3 / (x+a) of 1F1 there, flattened to one dimension for an
-    array."""
+    z = 2 l0^2 a^3 / (x+a) = 2b^2/s of 1F1 there, flattened to one
+    dimension for an array."""
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if not x > -params.a:
             raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
         return x, 2.0 * (params.wall_scale / (x + params.a))
-    x = _require_inside(params, x)
+    x = _inside(params, x)[0]
     return x, 2.0 * (params.wall_scale / (x.reshape(-1) + params.a))
 
 
@@ -434,9 +463,9 @@ def _continuum_value(state, params, x, z, exponent, f):
 
 
 def continuum_wavefunction(state, params, x):
-    """psi_E(x) = (x/a+1)^(-gamma-b^2) e^(-l0^2 a^3/(x+a)) 1F1(gamma; mu; z)
-    with z = 2 l0^2 a^3 / (x+a), at a scalar x (giving a complex) or an array
-    of positions (giving a complex array of its shape).
+    """psi_E(x) = s^(-gamma-b^2) e^(-z/2) 1F1(gamma; mu; z) with s = 1 + x/a
+    and z = 2b^2/s, at a scalar x (giving a complex) or an array of
+    positions (giving a complex array of its shape).
 
     One pass over the Kummer series serves every position of an array, and
     each value is bit for bit the one its position gives alone.  Close to the
@@ -455,18 +484,18 @@ def continuum_wavefunction(state, params, x):
 
 def _continuum_triple(state, params, x, z, exponent, f0, f1, f2):
     """(psi_E, psi_E', psi_E'') at one position, from the Kummer mantissas
-    and exponent there (see continuum_wavefunction_with_derivatives)."""
+    and exponent there (see continuum_wavefunction_with_derivatives): the
+    derivatives in s = 1 + x/a, divided by a and a^2 last."""
     w_log = _log_prefactor_continuum(state, params, x, z)
-    xa = x + params.a
-    g = state.gamma
-    # one power of x + a at a time: (x + a)^3 underflows for a below about 1e-108
-    w = params.wall_scale / xa / xa
-    dz = -z / xa
-    d2z = 2.0 * (z / xa) / xa
-    dw = (-g - params.b2) / xa + w
-    d2w = (g + params.b2) / xa / xa - 2.0 * w / xa
-    d1 = dw * f0 + f1 * dz
-    d2 = (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z
+    a, b2, g = params.a, params.b2, state.gamma
+    s = (x + a) / a
+    w = b2 / s / s                      # d/ds of -z/2
+    dz = -z / s
+    d2z = 2.0 * (z / s) / s
+    dw = (-g - b2) / s + w
+    d2w = (g + b2) / s / s - 2.0 * w / s
+    d1 = (dw * f0 + f1 * dz) / a
+    d2 = ((d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z) / a / a
     try:
         if cmath.isfinite(d1) and cmath.isfinite(d2):  # f0, a mantissa, is finite
             return tuple([specfun.exp_scaled_complex(w_log, f, exponent) for f in (f0, d1, d2)])
@@ -495,30 +524,34 @@ def continuum_wavefunction_with_derivatives(state, params, x):
     return tuple(v.reshape(x.shape) for v in values.reshape(-1, 3).T)
 
 
+@np.errstate(over="ignore")  # a value past the float ceiling is refused
 def alpha0(params, x):
     """Logarithmic derivative of the ground state,
-    alpha0 = psi_0'/psi_0 = -l0^2 a^2/(x+a) + l0^2 a^3/(x+a)^2."""
-    _require_inside(params, x)
-    xa = x + params.a
-    return -params.b2 / xa + params.wall_scale / xa**2
+    alpha0 = psi_0'/psi_0 = (-b^2/s + b^2/s^2) / a, s = 1 + x/a."""
+    _, s = _inside(params, x)
+    return specfun.shaped_like(x, _finite((-params.b2 / s + params.b2 / s**2) / params.a, "alpha0"))
 
 
+@np.errstate(over="ignore")  # a value past the float ceiling is refused
 def kinetic_weight(params, x):
-    """Flux coefficient hbar^2 / (2 M(x)) of the kinetic operator.
+    """Flux coefficient hbar^2 / (2 M(x)) = (hbar^2 / m0) s^2 / 2 of the
+    kinetic operator, s = 1 + x/a.
 
     (This is the position-dependent function the factorization operators
     scale by; it is unrelated to the dimensionless separation constant that
     shares its letter in some treatments.)
     """
-    _require_inside(params, x)
-    return params.hbar**2 * (params.a + x) ** 2 / (2.0 * params.a**2 * params.m0)
+    _, s = _inside(params, x)
+    return in_units(s * s / 2.0, (params.hbar, params.hbar), "the kinetic weight", per=(params.m0,))
 
 
+@np.errstate(over="ignore")  # a value past the float ceiling is refused
 def apply_lowering(params, x, psi, dpsi):
     """Factorization lowering operator sqrt(rho/hbar w) (d/dx - alpha0) on a
     function with values psi and derivatives dpsi at x, a scalar (giving a
-    float) or an array of positions.  Annihilates the ground state
-    identically.
+    float) or an array of positions, where sqrt(rho/hbar w) = a s/sqrt(2b^2).
+    Annihilates the ground state identically.
     """
-    coeff = np.sqrt(kinetic_weight(params, x) / (params.hbar * params.omega))
-    return specfun.shaped_like(x, coeff * (dpsi - alpha0(params, x) * psi))
+    _, s = _inside(params, x)
+    lowered = np.sqrt(s * s / (2.0 * params.b2)) * (dpsi - alpha0(params, x) * psi) * params.a
+    return specfun.shaped_like(x, _finite(lowered, "the lowered function"))

@@ -1,27 +1,22 @@
-"""Polynomial families and confluent hypergeometric series used by the well model.
+"""Polynomial families, the confluent hypergeometric series and the
+application of units used by the well model.
 
 Hermite, generalized Laguerre and Bessel polynomials come from their
-three-term recurrences, run elementwise over a numpy array of arguments (a
-scalar argument gives a Python float).  Each recurrence carries a mantissa and
-a per-element base-2 exponent and renormalizes them every few steps with
-np.frexp/np.ldexp, which are exact, so no intermediate overflows however high
-the degree (Gil, Segura and Temme, Numerical Methods for Special Functions,
-SIAM 2007, ch. 4).  The *_scaled forms hand mantissa and exponent to
-exp_scaled, which folds the exponent into a log-space prefactor.  One Bessel
-recurrence records every degree a caller asks for as it passes it; its
-coefficients have poles in the alpha parameter, and a step too close to one is
-refused with PolePivot.  The Kummer series 1F1 takes scalar parameters and
-sums its terms as numpy arrays, chunk by chunk, with its first two
-z-derivatives as extra rows of the same pass, in a fixed handful of numpy
-calls per chunk; a row stops where bytes.find meets the first run of 8 in a
-chunk's small-term flags.  kummer_1f1_scaled takes a scalar or a 1-d array
-of arguments, sums all of them in that one pass, each bit for bit as alone,
-and hands its sums on scaled for exp_scaled_complex.  The Lanczos log-gamma
-is scalar.
+three-term recurrences, run elementwise over a numpy array of arguments,
+carrying a mantissa and a per-element base-2 exponent renormalized every few
+steps with np.frexp/np.ldexp, which are exact, so no intermediate overflows
+however high the degree (Gil, Segura and Temme, Numerical Methods for Special
+Functions, SIAM 2007, ch. 4).  exp_scaled folds the exponent into a log-space
+prefactor.  One Bessel recurrence records every degree a caller asks for;
+a step too close to a pole of its coefficients is refused with PolePivot.
+kummer_1f1_scaled sums 1F1 and its first two z-derivatives at a scalar or an
+array of arguments in numpy chunks, a fixed handful of numpy calls each.
+in_units applies physical units through binary mantissas and exponents.
 """
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -58,25 +53,11 @@ _KUMMER_CHUNK_CELLS = 1 << 15
 _KUMMER_BLOCK = _KUMMER_CHUNK_CELLS // 64
 _INTEGER_EPS = 1e-12
 
-# Lanczos coefficients, g = 7, 9 terms (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.9189385332046727417803297364
 _LN2 = math.log(2.0)
 
-# Values whose log-magnitude falls below this are flushed to exactly 0 to keep
-# denormal noise out of quadrature.
-_LOG_FLOOR = -700.0
+# Values below the normal float range, whose log-magnitude falls below this,
+# are flushed to exactly 0 to keep subnormal noise out of quadrature.
+_LOG_FLOOR = math.log(sys.float_info.min)
 
 
 def shaped_like(x, values):
@@ -111,6 +92,38 @@ def exp_scaled_complex(log_prefactor, factor, exponent=0):
     if log_prefactor.real + math.log(abs(factor)) < _LOG_FLOOR:
         return 0.0 + 0.0j
     return cmath.exp(log_prefactor + cmath.log(factor))
+
+
+def in_units(value, factors, what, per=()):
+    """value times the product of the positive floats factors over those in
+    per, at a scalar (giving a float) or an array.  Only binary mantissas
+    are multiplied and exponents added, so no intermediate leaves the float
+    range where the result does not, and the result rounds as the plain
+    product does where that stays normal.  DomainError, naming what, where
+    a value is not finite or the product overflows (below the normal range
+    it comes out subnormal or 0)."""
+    mantissa, exponent = 1.0, 0
+    for f in factors:
+        m, e = math.frexp(f)
+        mantissa, exponent = mantissa * m, exponent + e
+    for f in per:
+        m, e = math.frexp(f)
+        mantissa, exponent = mantissa / m, exponent - e
+    if isinstance(value, float) or np.ndim(value) == 0:
+        m, e = math.frexp(value)
+        try:
+            result = math.ldexp(m * mantissa, e + exponent)
+        except OverflowError:
+            result = math.inf
+        finite = math.isfinite(result)
+    else:
+        m, e = np.frexp(value)
+        with np.errstate(over="ignore"):
+            result = np.ldexp(m * mantissa, e + exponent)
+        finite = np.isfinite(result).all()
+    if not finite:
+        raise DomainError(f"{what} leaves the float range")
+    return result
 
 
 def _rescaled(exponent, lead, prev, *rest):
@@ -166,12 +179,6 @@ def laguerre_scaled(n, alpha, x):
         if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
             exponent, l, lm1 = _rescaled(exponent, l, lm1)
     return exponent, l
-
-
-def laguerre(n, alpha, x):
-    """Generalized Laguerre polynomial L_n^alpha(x)."""
-    exponent, l = laguerre_scaled(n, alpha, x)
-    return shaped_like(x, np.ldexp(l, exponent))
 
 
 def bessel_poly_rows(degrees, alpha, x, derivatives=False):
@@ -254,13 +261,6 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     return tuple(out) if derivatives else (*out, None, None)
 
 
-def bessel_poly(n, alpha, x):
-    """Bessel polynomial y_n(x; alpha) from the Askey scheme (see
-    bessel_poly_rows for the recurrence and its pole refusal)."""
-    exponent, y, _, _ = bessel_poly_rows((n,), alpha, x)
-    return shaped_like(x, np.ldexp(y[0], exponent[0]))
-
-
 def _near_nonpositive_integer(v):
     """Integer m <= 0 with |v - m| <= 1e-12, or None."""
     z = complex(v)
@@ -273,20 +273,29 @@ def _near_nonpositive_integer(v):
 
 
 def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
-    """(exponent, values): kummer_1f1's result at a scalar or 1-d array z, as
-    complex mantissas with one base-2 exponent per point that puts the point's
-    largest real or imaginary part in [0.5, 1).
+    """1F1(a; b; z) for complex a and b and real z, and with derivatives
+    (F, dF/dz, d^2F/dz^2) from the same pass, as (exponent, values): complex
+    mantissas with one base-2 exponent per point that puts its largest part
+    in [0.5, 1) (math.ldexp on each part gives 1F1; exact unless a part lies
+    about 2^1022 below the largest).  A scalar z gives a Python int and a
+    complex (a tuple of three with derivatives); a 1-d array of z gives an
+    int64 array and complex arrays of its shape, each point bit for bit as
+    alone.
 
-    A scalar z gives a Python int and a Python complex (a tuple of three with
-    derivatives); an array gives an int64 array of exponents and complex
-    arrays of the shape of z.  One pass sums every point under the rules of
-    kummer_1f1, and each comes out bit for bit as it does alone.  A point
-    that would be refused alone makes the whole call raise its
-    NonConvergence; where several would, the first refused as the chunks
-    proceed is named.
-
-    Only the final sums are scaled, exactly unless a part lies more than
-    about 2^1022 below the largest."""
+    The terms t_k = (a)_k/(b)_k z^k/k! come in chunks: the ratios
+    (a+k)/(b+k) z/(k+1), a cumulative product for the terms and a cumulative
+    sum for the partial sums.  The derivative rows sum (k/z) t_k and
+    k(k-1)/z^2 t_k stay at the scale of F.  The first chunk reaches past the
+    peak of the terms near k = z; later ones double, up to _KUMMER_CHUNK_CAP.
+    A row stops once 8 consecutive terms are below 1e-16 of its partial sum,
+    and is refused with NonConvergence if a partial sum or a term's modulus
+    is not finite before then, at the 1e5-term cap, or if the sum cancels
+    below 1e-13 of its largest partial sum.  Of several rows or points
+    refused, the one refused at the lowest term index is named, whatever the
+    chunk bounds.  For a non-positive integer a (within 1e-12) the series
+    ends at k = -a and is refused only past the cap or if not finite.
+    Raises PolePivot when b is a non-positive integer.
+    """
     a = complex(a_param)
     b = complex(b_param)
     if _near_nonpositive_integer(b) is not None:
@@ -318,7 +327,8 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
         point = next(sums) if v != 0.0 else at_zero
         exponent = math.frexp(max([abs(c) for s in point for c in (s.real, s.imag)]))[1]
         exponents.append(exponent)
-        mantissas.append([_ldexp_complex(s, -exponent) for s in point])
+        # part by part: 2**exponent alone may overflow
+        mantissas.append([complex(math.ldexp(s.real, -exponent), math.ldexp(s.imag, -exponent)) for s in point])
     if scalar:
         values = mantissas[0]
         return exponents[0], tuple(values) if derivatives else values[0]
@@ -326,50 +336,8 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     return np.array(exponents, dtype=np.int64), tuple(values) if derivatives else values[0]
 
 
-def _ldexp_complex(v, exponent):
-    """v * 2**exponent, part by part (2**exponent alone may overflow)."""
-    return complex(math.ldexp(v.real, exponent), math.ldexp(v.imag, exponent))
-
-
-def kummer_1f1(a_param, b_param, z, derivatives=False):
-    """Confluent hypergeometric series 1F1(a; b; z) for real argument z, and
-    with derivatives the tuple (F, dF/dz, d^2F/dz^2) from the same pass.
-
-    The terms t_k = (a)_k / (b)_k * z^k / k! come in chunks: a chunk forms
-    the ratios (a+k)/(b+k) * z/(k+1), np.cumprod turns them into terms
-    (continuing from the last term of the chunk before) and np.cumsum into
-    partial sums.  The derivatives are the rows sum_k (k/z) t_k and
-    sum_k k(k-1)/z^2 t_k, weighted so that each row stays at the scale of F
-    (plain k and k(k-1) weights overflow near the float ceiling).  The first
-    chunk is sized from z, because the terms peak near k = z; later chunks
-    double, up to _KUMMER_CHUNK_CAP terms.  A chunk stops at its first
-    overflowing term: past it only the products of row 0 are formed, no
-    derivative row or partial sum.  Parameters may be complex; the results
-    are complex.
-
-    Each row stops once its term stays below 1e-16 of its partial sum for 8
-    consecutive terms, and is refused with NonConvergence if its partial sum
-    (or a term's modulus) is not finite before then, if the 1e5-term cap is
-    reached first, or if the sum it stops at is smaller than 1e-13 of its
-    largest partial sum: such a result would be pure cancellation noise and
-    refusing beats returning it.  Of several rows refused, the one refused
-    at the lowest term index is named, whatever the chunk bounds.  If a is a
-    non-positive integer (within 1e-12) the series terminates exactly at
-    k = -a, with no stopping rule, and is refused only if it is longer than
-    the cap or not finite.  Raises PolePivot when b is a non-positive
-    integer.
-
-    z is a scalar here; kummer_1f1_scaled also sums a 1-d array of them in
-    one pass.
-    """
-    exponent, values = kummer_1f1_scaled(a_param, b_param, float(z), derivatives)
-    if not derivatives:
-        return _ldexp_complex(values, exponent)
-    return tuple(_ldexp_complex(v, exponent) for v in values)
-
-
 def _kummer_label(params, z, row=0):
-    """How a refusal names the series (params are kummer_1f1's a and b)."""
+    """How a refusal names the series (params are the a and b of 1F1)."""
     return ("", "d/dz ", "d^2/dz^2 ")[row] + "1F1({!r}; {!r}; {!r})".format(*params, float(z))
 
 
@@ -389,7 +357,7 @@ def _kummer_chunks(a, b, z, rows, limit):
     indices into the points still summing to go on with those only.  The
     sums have shape (rows * N, len(k) + 1) for the N points still summing:
     row r of point j is r * N + j, where row 0 is the series of 1F1 and rows
-    1 and 2 its z-derivatives (see kummer_1f1).  Column 0 holds the running
+    1 and 2 its z-derivatives (see kummer_1f1_scaled).  Column 0 holds the running
     total before the chunk; moduli stacks those of terms and sums.
 
     A chunk holds _KUMMER_CHUNK_CELLS terms at most over all its points.  If
@@ -451,7 +419,7 @@ def _kummer_chunks(a, b, z, rows, limit):
 @np.errstate(all="ignore")  # overflow and NaN are refused
 def _kummer_converged(a, b, z, rows, params):
     """Each point's row sums, as a list of lists, under the stopping and
-    refusal rules of kummer_1f1, for the list z of floats.  A point leaves the
+    refusal rules of kummer_1f1_scaled, for the list z of floats.  A point leaves the
     pass once all its rows have stopped; the bookkeeping runs per point and
     row, on Python numbers, as one point's did: bytes.find meets a row's stop
     in the chunk's small-term flags, led by those its last chunk ended with."""
@@ -538,15 +506,3 @@ def _kummer_terminating(a, b, z, degree, rows, params):
     if not finite.all():
         raise NonConvergence(f"{_kummer_label(params, z[finite.argmin()])} overflowed")
     return total.T.tolist()
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 via the Lanczos approximation (g = 7, 9 terms)."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    s = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(s)
-

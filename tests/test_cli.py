@@ -111,7 +111,8 @@ def test_non_finite_constant_exits_2(flag):
     ["--a", "1e200"],
     ["--hbar", "1e300", "--m0", "1e-30", "--omega", "1e-10"],
     ["--a", "1e8"],
-    ["--omega", "1.8e154", "--hbar", "1.8e154", "--a", "1"],
+    # b^2 = 0.6 and V_inf = 1.5e308, so E_0 = V_inf / b^2 = 2.5e308
+    ["--omega", "1.7320508e154", "--hbar", "2.8867513e154", "--a", "1"],
 ], ids=["b2-overflow", "lambda0-underflow", "level-cap", "energy-overflow"])
 def test_extreme_finite_constants_exit_2(args):
     proc = run_cli("spectrum", *args)
@@ -125,6 +126,49 @@ def test_level_cap_returns_quickly(capsys):
     assert cli.main(["spectrum", "--a", "1e8"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "cap" in capsys.readouterr().err
+
+
+def test_verify_level_cap_returns_quickly(capsys):
+    # every check run per a loops over all its levels: refused before any runs
+    start = time.perf_counter()
+    assert cli.main(["verify", "--a", "1e8", "--check", "spectrum-shape"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--a", "120", "--n", "0"],
+    ["limit", "--kind", "wavefunction", "--a-value", "50", "--a-value", "150"],
+    ["limit", "--kind", "energy", "--n", "3", "--a-value", "1e8"],
+], ids=["wavefunction", "distance", "energy"])
+def test_low_levels_past_the_level_cap(argv):
+    # 14 399, 2 499 to 22 499 and 10^16 levels: the cap bounds the level
+    # asked for, not b^2
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--a", "1e8", "--n", "0"],
+    ["limit", "--kind", "wavefunction", "--a-value", "1e8"],
+], ids=["wavefunction", "distance"])
+def test_bound_states_past_the_precision_bound_exit_2(argv, capsys):
+    # b^2 = 1e16: ln C_0 and the log prefactor cancel in terms near 3.7e17
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "accuracy" in captured.err
+
+
+def test_spectrum_where_hbar_omega_overflows():
+    # hbar w = 3.24e308 is past the float ceiling, E_0 = hbar w / 2 = V_inf
+    # is not: the unit hbar w = 2 V_inf / b^2 is applied last
+    proc = run_cli("spectrum", "--m0", "1", "--a", "1", "--omega", "1.8e154", "--hbar", "1.8e154")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    meta, header, rows = parse_csv(proc.stdout)
+    assert meta["n_max"] == "0" and len(rows) == 1
+    for key in ("energy", "canonical_energy"):
+        assert float(rows[0][header.index(key)]) == pytest.approx(1.62e308, rel=1e-15)
 
 
 def test_limit_continuum_huge_a_exits_2(capsys):
@@ -356,18 +400,20 @@ def test_closed_stdout_pipe_exits_1_quietly(argv):
 def test_closed_stdout_pipe_of_a_process():
     # more output than a pipe buffers, read one byte of, then closed: no
     # "Broken pipe" error and no "Exception ignored" at the last flush.
-    # Buffered stdout, as by default: an unbuffered one (PYTHONUNBUFFERED)
-    # drops the rest of a short write to the closed pipe without an error.
+    # Buffered stdout, as by default, and unbuffered (PYTHONUNBUFFERED), whose
+    # text layer would drop the rest of a short write to the closed pipe
+    # without an error: the text goes out through stdout's binary buffer.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(
-        PDEM + ["wavefunction", "--a", "2", "--points", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    proc.stdout.read(1)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=300) == 1 and err == b""
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            PDEM + ["wavefunction", "--a", "2", "--points", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env | unbuffered,
+        )
+        proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=300), err) == (1, b""), unbuffered
 
 
 def test_limit_bessel_hermite_table():

@@ -58,12 +58,62 @@ def test_params_reject_a_subnormal_well_depth():
 
 
 def test_level_cap():
+    # the cap bounds the levels asked for, and a loop over all of them, not b^2
     p = ModelParams(a=1e8)  # 10^16 levels
-    with pytest.raises(DomainError):
-        model.max_level(p)
-    with pytest.raises(DomainError):
-        model.energy(p, 0)
-    assert model.max_level(ModelParams(a=math.sqrt(model.LEVEL_CAP + 1.0))) == model.LEVEL_CAP
+    assert model.max_level(p) == 10**16 - 1
+    with pytest.raises(DomainError, match="cap"):
+        model.bound_levels(p)
+    with pytest.raises(DomainError, match="cap"):
+        model.energy(p, model.LEVEL_CAP + 1)
+    assert model.energy(p, 0).energy == 0.5
+    assert model.energy(p, model.LEVEL_CAP).energy == pytest.approx(model.LEVEL_CAP + 0.5, rel=1e-9)
+    edge = ModelParams(a=math.sqrt(model.LEVEL_CAP + 1.0))
+    assert model.max_level(edge) == model.LEVEL_CAP
+    assert model.bound_levels(edge) == range(model.LEVEL_CAP + 1)
+    with pytest.raises(DomainError, match="cap"):
+        model.bound_levels(ModelParams(a=math.sqrt(model.LEVEL_CAP + 2.0)))
+
+
+def test_low_levels_of_a_well_past_the_cap():
+    # 14 399 levels at a = 120; level 0 is one recurrence step.  Measured:
+    # <0|0> - 1 = -1.1e-11 (the package's orthonormality bound is 1e-10), and
+    # a * (L2 distance to the canonical ground state) = 0.9129, the 1/a
+    # approach to the oscillator
+    p = ModelParams(a=120.0)
+    assert model.max_level(p) > model.LEVEL_CAP
+    assert abs(checks.bound_overlap(p, 0, 0) - 1.0) <= 1e-10
+    assert 0.90 <= 120.0 * limits.wavefunction_distance(p, 0) <= 0.925
+
+
+@pytest.mark.parametrize("a", [300.0, 1e8])
+def test_bound_states_refused_where_the_log_prefactor_cancels(a):
+    # b^2 ln(2b^2) eps is 3.3e-11 at a = 120 and 2.4e-10 at a = 300, where
+    # <0|0> - 1 would be -3.1e-10; at a = 1e8 psi would be off by e^(tens).
+    # The energies are not affected.
+    p = ModelParams(a=a)
+    assert model.energy(p, 0).energy == 0.5
+    for evaluate in (
+        lambda: model.wavefunction(p, 0, 0.0),
+        lambda: model.wavefunction_with_derivatives(p, 0, 0.0),
+        lambda: limits.wavefunction_distance(p, 0),
+    ):
+        with pytest.raises(DomainError, match="accuracy"):
+            evaluate()
+
+
+def test_bound_state_refusal_edge():
+    # b^2 ln(2b^2) eps = 9.92e-11 at a = 199 and 1.003e-10 at a = 200
+    model.wavefunction(ModelParams(a=199.0), 0, 0.0)
+    with pytest.raises(DomainError, match="accuracy"):
+        model.wavefunction(ModelParams(a=200.0), 0, 0.0)
+
+
+def test_derivatives_underflow_instead_of_overflowing():
+    # b^2 = 40, a = 1e-150: at x = -0.999 a psi, psi' and psi'' underflow to
+    # 0 although psi''/psi alone, about b^4/(s^4 a^2), leaves the float range
+    p = ModelParams(m0=1.0, omega=40.0, hbar=1e-300, a=1e-150)
+    assert p.b2 == pytest.approx(40.0, rel=1e-14)
+    assert model.wavefunction_with_derivatives(p, 0, -0.999 * p.a) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- profiles

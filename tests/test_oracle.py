@@ -607,7 +607,10 @@ def test_wavefunction_distance_call_budget(monkeypatch):
 
 def _overlap_reference(p, m, n):
     # scipy's QUADPACK in s = ln u on bound_overlap's range, plus its
-    # closed-form piece below u = 1e-12
+    # closed-form piece below u = 1e-12.  At epsabs=1e-14 its body of the
+    # b^2 = 39.52 top level was 1.3e-14 off the converged integral of the
+    # same double-precision psi (20-point Gauss-Legendre on 8000 panels),
+    # which bound_overlap's body is within 1.5e-15 of
     psi_m = functools.partial(model.wavefunction, p, m)
     psi_n = functools.partial(model.wavefunction, p, n)
 
@@ -621,7 +624,7 @@ def _overlap_reference(p, m, n):
     c = p.wall_scale * (m / (m - p.b2) + n / (n - p.b2) - 2.0)
     tail = g(math.log(u_lo)) / q * (1.0 - c * u_lo / (q + 1.0))
     body, _ = scipy.integrate.quad(
-        g, math.log(u_lo), math.log(u_hi), epsabs=1e-14, epsrel=0.0, limit=200
+        g, math.log(u_lo), math.log(u_hi), epsabs=1e-15, epsrel=0.0, limit=200
     )
     return body + tail
 
@@ -634,7 +637,7 @@ def _overlap_reference(p, m, n):
 ], ids=["b2=3.5+1e-9-top", "b2=3.5+1e-9-0-top", "b2=39.52-top", "b2=39.52-pair"])
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_bound_overlap_against_quadpack(b2, m, n):
-    # measured at most 2.0e-15 apart
+    # measured at most 3.8e-15 apart
     p = ModelParams(a=math.sqrt(b2))
     assert abs(checks.bound_overlap(p, m, n) - _overlap_reference(p, m, n)) <= 1e-14
 

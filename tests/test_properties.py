@@ -93,7 +93,7 @@ def test_bessel_rows_near_a_pole(step, twice, offset, degrees, derivatives):
     with pytest.raises(PolePivot):
         specfun.bessel_poly_rows(degrees + [13, 14, 14, 0], alpha, x, derivatives)
     with pytest.raises(PolePivot):
-        specfun.bessel_poly(pole + 1, alpha, x)
+        specfun.bessel_poly_rows((pole + 1,), alpha, x)
     served = [n for n in degrees if n <= pole] + [pole, pole, 0]
     rows = specfun.bessel_poly_rows(served, alpha, x, derivatives)
     for i, n in enumerate(served):

@@ -8,8 +8,32 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from pdem import specfun
+from pdem import canonical, model, specfun
 from pdem.errors import DomainError, NonConvergence, PolePivot
+
+
+# One value of each family from the scaled forms the package uses: the
+# mantissas times 2**exponent, part by part for 1F1.
+
+def _laguerre(n, alpha, x):
+    """L_n^alpha(x) from laguerre_scaled; a float for a scalar x."""
+    exponent, l = specfun.laguerre_scaled(n, alpha, x)
+    return specfun.shaped_like(x, np.ldexp(l, exponent))
+
+
+def _bessel(n, alpha, x):
+    """y_n(x; alpha) from bessel_poly_rows; a float for a scalar x."""
+    exponent, y, _, _ = specfun.bessel_poly_rows((n,), alpha, x)
+    return specfun.shaped_like(x, np.ldexp(y[0], exponent[0]))
+
+
+def _kummer(a, b, z, derivatives=False):
+    """1F1(a; b; z), or with derivatives (F, F', F''), at a scalar z from
+    kummer_1f1_scaled."""
+    exponent, values = specfun.kummer_1f1_scaled(a, b, float(z), derivatives)
+    unscaled = [complex(math.ldexp(v.real, exponent), math.ldexp(v.imag, exponent))
+                for v in (values if derivatives else (values,))]
+    return tuple(unscaled) if derivatives else unscaled[0]
 
 
 # ---------------------------------------------------------------- hermite
@@ -45,9 +69,9 @@ def test_hermite_negative_degree():
 # ---------------------------------------------------------------- laguerre
 
 def test_laguerre_low_orders():
-    assert specfun.laguerre(0, -3.7, 2.0) == 1.0
-    assert specfun.laguerre(1, 2.0, 1.0) == 2.0  # alpha + 1 - x
-    assert specfun.laguerre(2, 0.0, 0.0) == 1.0  # (alpha+1)_n / n!
+    assert _laguerre(0, -3.7, 2.0) == 1.0
+    assert _laguerre(1, 2.0, 1.0) == 2.0  # alpha + 1 - x
+    assert _laguerre(2, 0.0, 0.0) == 1.0  # (alpha+1)_n / n!
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5, 6.0])
@@ -55,7 +79,7 @@ def test_laguerre_against_scipy(alpha):
     for n in range(9):
         for x in np.linspace(0.0, 10.0, 11):
             ref = float(sps.eval_genlaguerre(n, alpha, x))
-            val = specfun.laguerre(n, alpha, float(x))
+            val = _laguerre(n, alpha, float(x))
             assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -67,7 +91,7 @@ def test_laguerre_negative_alpha_against_mpmath(alpha):
     for n in range(9):
         for x in np.linspace(0.0, 10.0, 11):
             ref = float(mpmath.laguerre(n, alpha, x))
-            val = specfun.laguerre(n, alpha, float(x))
+            val = _laguerre(n, alpha, float(x))
             assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -78,7 +102,7 @@ def test_laguerre_alpha_minus_one_identity():
         for x in np.linspace(0.0, 10.0, 11):
             x = float(x)
             ref = -x / n * float(sps.eval_genlaguerre(n - 1, 1.0, x))
-            val = specfun.laguerre(n, -1.0, x)
+            val = _laguerre(n, -1.0, x)
             assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -88,17 +112,17 @@ def test_laguerre_kummer_bridge(alpha):
     for n in range(9):
         pref = math.prod(alpha + 1.0 + i for i in range(n)) / math.factorial(n)
         for x in np.linspace(0.0, 10.0, 21):
-            lhs = specfun.laguerre(n, alpha, float(x))
-            rhs = pref * specfun.kummer_1f1(-n, alpha + 1.0, float(x)).real
+            lhs = _laguerre(n, alpha, float(x))
+            rhs = pref * _kummer(-n, alpha + 1.0, float(x)).real
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
 # ---------------------------------------------------------------- bessel polynomials
 
 def test_bessel_poly_low_orders():
-    assert specfun.bessel_poly(0, -8.0, 0.4) == 1.0
-    assert specfun.bessel_poly(1, -6.0, 2.0) == -3.0  # 1 + (2+a)x/2
-    assert specfun.bessel_poly(2, 0.0, 1.0) == 7.0
+    assert _bessel(0, -8.0, 0.4) == 1.0
+    assert _bessel(1, -6.0, 2.0) == -3.0  # 1 + (2+a)x/2
+    assert _bessel(2, 0.0, 1.0) == 7.0
 
 
 def _bessel_series(n, alpha, x):
@@ -116,7 +140,7 @@ def test_bessel_dual_route_agreement(alpha):
     for n in range(9):
         for x in np.linspace(0.1, 2.0, 20):
             x = float(x)
-            rec = specfun.bessel_poly(n, alpha, x)
+            rec = _bessel(n, alpha, x)
             ser = _bessel_series(n, alpha, x)
             assert abs(rec - ser) <= 1e-10 * max(abs(rec), abs(ser), 1e-300)
 
@@ -128,8 +152,8 @@ def test_bessel_kummer_bridge(alpha):
         pref = math.prod(n + alpha + 1.0 + i for i in range(n))
         for x in np.linspace(0.25, 2.0, 8):
             x = float(x)
-            lhs = specfun.bessel_poly(n, alpha, x)
-            rhs = pref * (x / 2.0) ** n * specfun.kummer_1f1(-n, -2.0 * n - alpha, 2.0 / x).real
+            lhs = _bessel(n, alpha, x)
+            rhs = pref * (x / 2.0) ** n * _kummer(-n, -2.0 * n - alpha, 2.0 / x).real
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -140,16 +164,16 @@ def test_bessel_pole_fallback_matches_series():
     for alpha in (-4.0, -4.0 + 1e-6, -4.0 - 0.9 * specfun._BESSEL_POLE_MARGIN):
         for n in (3, 4, 9):
             with pytest.raises(PolePivot):
-                specfun.bessel_poly(n, alpha, np.array([0.3, 1.0, 1.7]))
+                _bessel(n, alpha, np.array([0.3, 1.0, 1.7]))
     # the degrees the recurrence serves before the pole agree with the series
     for n in range(3):
         for x in (0.3, 1.0, 1.7):
-            val = specfun.bessel_poly(n, -4.0, x)
+            val = _bessel(n, -4.0, x)
             assert val == pytest.approx(_bessel_series(n, -4.0, x), rel=1e-12)
     # just outside the margin the recurrence runs through and still agrees
     alpha = -4.0 + 2.0 * specfun._BESSEL_POLE_MARGIN
     for x in (0.3, 1.0, 1.7):
-        val = specfun.bessel_poly(4, alpha, x)
+        val = _bessel(4, alpha, x)
         assert val == pytest.approx(_bessel_series(4, alpha, x), rel=1e-9)
 
 
@@ -158,12 +182,12 @@ def test_bessel_derivatives_match_finite_differences():
     for n, alpha, x in [(3, -8.0, 0.7), (5, -14.5, 1.3), (2, 1.0, 0.4)]:
         exponent, *rows = specfun.bessel_poly_rows((n,), alpha, x, derivatives=True)
         y, dy, d2y = (float(np.ldexp(v[0], exponent[0])) for v in rows)
-        assert y == pytest.approx(specfun.bessel_poly(n, alpha, x), rel=1e-14)
-        fd1 = (specfun.bessel_poly(n, alpha, x + h) - specfun.bessel_poly(n, alpha, x - h)) / (2 * h)
+        assert y == pytest.approx(_bessel(n, alpha, x), rel=1e-14)
+        fd1 = (_bessel(n, alpha, x + h) - _bessel(n, alpha, x - h)) / (2 * h)
         fd2 = (
-            specfun.bessel_poly(n, alpha, x + h)
+            _bessel(n, alpha, x + h)
             - 2.0 * y
-            + specfun.bessel_poly(n, alpha, x - h)
+            + _bessel(n, alpha, x - h)
         ) / h**2
         assert dy == pytest.approx(fd1, rel=1e-7, abs=1e-7)
         assert d2y == pytest.approx(fd2, rel=1e-4, abs=1e-3)
@@ -172,18 +196,18 @@ def test_bessel_derivatives_match_finite_differences():
 # ---------------------------------------------------------------- kummer 1F1
 
 def test_kummer_trivial_and_terminating():
-    assert specfun.kummer_1f1(0.37, 5.5, 0.0) == 1.0
-    assert specfun.kummer_1f1(-1, 2.0, 3.0) == pytest.approx(-0.5, abs=1e-15)
-    assert specfun.kummer_1f1(1.0, 1.0, 1.0).real == pytest.approx(math.e, rel=1e-15)
+    assert _kummer(0.37, 5.5, 0.0) == 1.0
+    assert _kummer(-1, 2.0, 3.0) == pytest.approx(-0.5, abs=1e-15)
+    assert _kummer(1.0, 1.0, 1.0).real == pytest.approx(math.e, rel=1e-15)
 
 
 def test_kummer_pole_pivot():
     with pytest.raises(PolePivot):
-        specfun.kummer_1f1(0.5, 0.0, 1.0)
+        _kummer(0.5, 0.0, 1.0)
     with pytest.raises(PolePivot):
-        specfun.kummer_1f1(0.5, -3.0, 1.0)
+        _kummer(0.5, -3.0, 1.0)
     with pytest.raises(PolePivot):
-        specfun.kummer_1f1(0.5, -3.0 + 1e-14, 1.0)
+        _kummer(0.5, -3.0 + 1e-14, 1.0)
 
 
 @pytest.mark.parametrize("z", [0.5, 3.0, 12.0, 40.0])
@@ -196,33 +220,33 @@ def test_kummer_complex_against_mpmath(z):
     ]
     for a, b in cases:
         ref = complex(mpmath.hyp1f1(mpmath.mpc(a), mpmath.mpc(b), z))
-        val = specfun.kummer_1f1(a, b, z)
+        val = _kummer(a, b, z)
         assert abs(val - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 def test_kummer_real_against_scipy():
     for a, b, z in [(0.3, 1.7, 2.0), (2.5, 0.5, 7.0), (-4, 2.25, 3.0)]:
         ref = float(sps.hyp1f1(a, b, z))
-        assert specfun.kummer_1f1(a, b, z).real == pytest.approx(ref, rel=1e-12)
+        assert _kummer(a, b, z).real == pytest.approx(ref, rel=1e-12)
 
 
 def test_kummer_cancellation_guard():
     # huge negative real part with moderate argument: the double-precision sum
     # cancels to noise and must refuse instead of returning it
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(complex(-63.5, 1.0), complex(1.0, 2.0), 113.77777777777777)
+        _kummer(complex(-63.5, 1.0), complex(1.0, 2.0), 113.77777777777777)
 
 
 def test_kummer_overflow_raises():
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(complex(-3.5, 1.0), complex(1.0, 2.0), 80000.0)
+        _kummer(complex(-3.5, 1.0), complex(1.0, 2.0), 80000.0)
 
 
 def test_kummer_modulus_overflow_raises():
     # the continuum state of a = 3 at E = 1.1 V_inf, 0.066 from the wall: the
     # partial sum keeps finite parts while its modulus leaves the float range
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(
+        _kummer(
             complex(-8.5, 2.8017851452243816), complex(1.0, 5.603570290448763), 815.2173913043468
         )
 
@@ -326,7 +350,7 @@ def test_kummer_matches_the_scalar_loop(derivatives, chunk_cap, monkeypatch):
     refusals = 0
     for a, b, z in _kummer_sweep():
         expected, old_refused = _refused(_kummer_rows_reference, a, b, z, 3 if derivatives else 1)
-        got, new_refused = _refused(specfun.kummer_1f1, a, b, z, derivatives=derivatives)
+        got, new_refused = _refused(_kummer, a, b, z, derivatives=derivatives)
         assert new_refused == old_refused, (a, b, z)
         refusals += new_refused
         if new_refused:
@@ -355,7 +379,7 @@ def test_kummer_overflow_names_the_term_of_the_scalar_loop(chunk_cap, monkeypatc
     overflows = 0
     for a, b, z in _kummer_sweep():
         count = _overflow_count(_kummer_scalar_loop, a, b, z)
-        assert _overflow_count(specfun.kummer_1f1, a, b, z) == count, (a, b, z)
+        assert _overflow_count(_kummer, a, b, z) == count, (a, b, z)
         overflows += count is not None
     assert overflows >= 10
 
@@ -378,7 +402,7 @@ def test_kummer_overflow_stops_its_chunk(monkeypatch):
 
     monkeypatch.setattr(specfun, "_kummer_chunks", spy)
     with pytest.raises(NonConvergence, match="overflowed after 286 terms"):
-        specfun.kummer_1f1(complex(-15.5, 1.5), complex(1.0, 3.0), 1600.0, derivatives=True)
+        _kummer(complex(-15.5, 1.5), complex(1.0, 3.0), 1600.0, derivatives=True)
     assert widths and max(widths) <= 286
 
 
@@ -386,8 +410,8 @@ def test_kummer_at_the_float_ceiling():
     # the largest part's exponent reaches 1024 here, where 2**1024 alone
     # overflows, so the exponent goes on part by part
     assert specfun.kummer_1f1_scaled(1.0, 1.0, 709.5)[0] == 1024
-    assert specfun.kummer_1f1(1.0, 1.0, 709.5) == 1.3549863193146159e+308
-    assert specfun.kummer_1f1(1.0, 1.0, 709.0) == 8.218407461554892e+307
+    assert _kummer(1.0, 1.0, 709.5) == 1.3549863193146159e+308
+    assert _kummer(1.0, 1.0, 709.0) == 8.218407461554892e+307
 
 
 @pytest.mark.parametrize("derivatives", [False, True])
@@ -396,7 +420,7 @@ def test_kummer_scaled_mantissas(derivatives):
     # scale into each other exactly, in both directions
     for a, b, z in _kummer_sweep():
         scaled, refused = _refused(specfun.kummer_1f1_scaled, a, b, z, derivatives=derivatives)
-        got, _ = _refused(specfun.kummer_1f1, a, b, z, derivatives=derivatives)
+        got, _ = _refused(_kummer, a, b, z, derivatives=derivatives)
         assert refused == (got is None), (a, b, z)
         if refused:
             continue
@@ -412,24 +436,24 @@ def test_kummer_scaled_mantissas(derivatives):
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
 def test_kummer_non_finite_argument_raises(z):
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(complex(-3.5, 1.0), complex(1.0, 2.0), z)
+        _kummer(complex(-3.5, 1.0), complex(1.0, 2.0), z)
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(0.25, 1.75, z, derivatives=True)
+        _kummer(0.25, 1.75, z, derivatives=True)
 
 
 def test_kummer_term_cap_raises(monkeypatch):
     monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 20)
     with pytest.raises(NonConvergence, match="20-term cap"):
-        specfun.kummer_1f1(0.25, 1.75, 50.0)
+        _kummer(0.25, 1.75, 50.0)
     with pytest.raises(NonConvergence, match="20-term cap"):
-        specfun.kummer_1f1(-30, 1.75, 50.0)
+        _kummer(-30, 1.75, 50.0)
 
 
 def test_kummer_terminating_overflow_raises():
     # the sum is not finite, which the scalar loop returns as it is
     assert not cmath.isfinite(_kummer_scalar_loop(-400, 0.5, 1e6)[0])
     with pytest.raises(NonConvergence):
-        specfun.kummer_1f1(-400, 0.5, 1e6)
+        _kummer(-400, 0.5, 1e6)
 
 
 def test_kummer_derivative_rows_stay_at_the_scale_of_f():
@@ -441,14 +465,14 @@ def test_kummer_derivative_rows_stay_at_the_scale_of_f():
         _kummer_scalar_loop(a + 2, b + 2, z)
     mpmath.mp.dps = 30
     ma, mb = mpmath.mpc(a), mpmath.mpc(b)
-    for j, value in enumerate(specfun.kummer_1f1(a, b, z, derivatives=True)):
+    for j, value in enumerate(_kummer(a, b, z, derivatives=True)):
         ref = complex(mpmath.rf(ma, j) / mpmath.rf(mb, j) * mpmath.hyp1f1(ma + j, mb + j, z))
         assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_kummer_derivatives_at_zero():
     a, b = complex(-3.5, 1.0), complex(1.0, 2.0)
-    f, df, d2f = specfun.kummer_1f1(a, b, 0.0, derivatives=True)
+    f, df, d2f = _kummer(a, b, 0.0, derivatives=True)
     assert (f, df, d2f) == (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
 
 
@@ -467,7 +491,7 @@ def test_kummer_derivatives_against_mpmath(z):
             ma / mb * mpmath.hyp1f1(ma + 1, mb + 1, z),
             ma * (ma + 1) / (mb * (mb + 1)) * mpmath.hyp1f1(ma + 2, mb + 2, z),
         )
-        for value, ref in zip(specfun.kummer_1f1(a, b, z, derivatives=True), map(complex, refs)):
+        for value, ref in zip(_kummer(a, b, z, derivatives=True), map(complex, refs)):
             assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
@@ -611,28 +635,45 @@ def test_kummer_golden_refusals(b2, q, z, message, derivatives):
 
 
 # ---------------------------------------------------------------- log gamma
+# The normalizations take ln Gamma from math.lgamma.
 
 def test_log_gamma_values():
-    assert specfun.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert specfun.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert specfun.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
+    assert math.lgamma(1.0) == pytest.approx(0.0, abs=1e-14)
+    assert math.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    assert math.lgamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
 
 
 def test_log_gamma_functional_equation():
     for x in np.arange(0.5, 51.0, 1.0):
         x = float(x)
-        gap = specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)
+        gap = math.lgamma(x + 1.0) - math.lgamma(x) - math.log(x)
         assert abs(gap) <= 1e-12
 
 
-def test_log_gamma_against_stdlib():
-    for x in (0.1, 0.5, 1.0, 2.5, 17.0, 101.5, 1234.5):
-        assert specfun.log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
+def test_log_gamma_against_mpmath():
+    with mpmath.workdps(40):
+        for x in (0.1, 0.5, 1.0, 2.5, 17.0, 101.5, 1234.5):
+            ref = float(mpmath.loggamma(x))
+            assert math.lgamma(x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        specfun.log_gamma(0.0)
-    with pytest.raises(DomainError):
-        specfun.log_gamma(-2.5)
+def test_log_gamma_domain(monkeypatch):
+    # lgamma refuses its poles and gives ln|Gamma| between them, so the
+    # package must only ask it for positive arguments: n + 1 and 2b^2 - n,
+    # which exceeds b^2 + 1/2 for every bound level
+    with pytest.raises(ValueError):
+        math.lgamma(0.0)
+    assert math.lgamma(-2.5) == pytest.approx(math.log(abs(math.gamma(-2.5))), rel=1e-14)
+    arguments = []
+    lgamma = math.lgamma
 
+    def spy(x):
+        arguments.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", spy)
+    for a in (0.7072, 1.0, 2.3, 6.3):
+        p = model.ModelParams(a=a)
+        model.bound_states(p, model.bound_levels(p)).psi(0.5, model.WavefunctionForm.LAGUERRE)
+    canonical.canonical_wavefunction(canonical.CanonicalParams(), 3, 0.5)
+    assert arguments and min(arguments) >= 1.0

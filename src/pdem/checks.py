@@ -33,6 +33,18 @@ class CheckResult:
         return f"{status} {self.name}: measured={self.measured} bound={self.bound}{extra}"
 
 
+# bound_overlap's quadrature tolerance, and the cuts of its live range
+# (_live_range): the majorant of the integrand is at most _LIVE_LEVEL at a cut
+# and falls off past it at a rate of at least _LIVE_SLOPE in s, so each side
+# drops at most _LIVE_LEVEL / _LIVE_SLOPE = 1e-15, 1e-4 of the tolerance.
+_OVERLAP_TOL = 1e-11
+_LIVE_LEVEL = 1e-18
+_LIVE_SLOPE = 1e-3
+# Newton steps toward a cut at most, and the step in s that ends them.
+_LIVE_STEPS = 12
+_LIVE_STEP_STOP = 1e-2
+
+
 def bound_overlap(params, m, n):
     """<psi_m, psi_n> over the whole domain (-a, infinity).
 
@@ -54,29 +66,89 @@ def bound_overlap(params, m, n):
     Without the c term it would be off by c u_lo, 2e-8 of the norm for the
     top level at b^2 = 39.52.
 
-    Each integrand call evaluates psi_m and psi_n from one Bessel recurrence
-    (model.bound_states), and also at s = ln u_lo for the closed-form piece.
-    oracle.integrate's wide first round leaves most overlaps at that one
-    call, and every pair at a = 2 and a = 3 at 2 calls or fewer.
+    The quadrature runs only over the live range of the integrand
+    (_live_range), inside [ln 1e-12, ln u_hi], and the closed-form piece is
+    taken at its lower end.  Each integrand call evaluates psi_m and psi_n
+    from one Bessel recurrence (model.bound_states), and also at s = ln u_lo
+    for the closed-form piece.  oracle.integrate's first round leaves most
+    overlaps at that one call, and every pair at a = 2 and a = 3 at 2 calls
+    or fewer.
     """
     a, b2 = params.a, params.b2
-    u_lo = 1e-12
     u_hi = (900.0 + 4.0 * b2 * math.log(1e3)) / (2.0 * params.wall_scale)
-    pair = model.bound_states(params, (m, n)).psi
-    s_lo = math.log(u_lo)
+    states = model.bound_states(params, (m, n))
+    phi = _overlap_majorant(params, [level.log_norm for level in states.levels], m, n)
+    s_lo, s_hi = _live_range(phi, math.log(1e-12), math.log(u_hi))
     at_s_lo = []
 
     def integrand(s):
         u = np.exp(np.append(s, s_lo))
-        psi_m, psi_n = pair(1.0 / u - a)
+        psi_m, psi_n = states.psi(1.0 / u - a)
         values = psi_m * psi_n / u
         at_s_lo.append(values[-1])
         return values[:-1]
 
-    body = oracle.integrate(integrand, s_lo, math.log(u_hi), 1e-11)
+    body = oracle.integrate(integrand, s_lo, s_hi, _OVERLAP_TOL)
     p = 2.0 * b2 - m - n - 1.0
     c = params.wall_scale * (m / (m - b2) + n / (n - b2) - 2.0)
-    return body + at_s_lo[0] / p * (1.0 - c * u_lo / (p + 1.0))
+    return body + at_s_lo[0] / p * (1.0 - c * math.exp(s_lo) / (p + 1.0))
+
+
+def _overlap_majorant(params, log_norms, m, n):
+    """s -> (phi, dphi/ds): a concave bound phi on the log of the integrand
+    of bound_overlap(params, m, n) in s = ln u; log_norms holds ln C_m and
+    ln C_n.
+
+    With v = w u, w = l0^2 a^3, the integrand is
+        exp(ln C_m + ln C_n + ln w - 2b^2 ln b^2) v^(2b^2-1) e^(-2v) y_m(1/v) y_n(1/v),
+    y_n = y_n(.; -2b^2).  Every factor of (n - 2b^2 - 1)_k has modulus at
+    most 2b^2, so |y_n(1/v)| <= (1 + b^2/v)^n, and the log of the integrand
+    is at most phi = c + p ln v + (m+n) ln(v + b^2) - 2v, p = 2b^2 - m - n - 1.
+    phi is concave in s (its second derivative is v ((m+n) b^2/(v+b^2)^2 - 2),
+    and m + n < 2b^2) and peaks at v = (sqrt(1 + 8 p b^2) - 1)/4.
+    """
+    b2 = params.b2
+    ln_w = math.log(params.wall_scale)
+    k = m + n
+    p = 2.0 * b2 - k - 1.0
+    c = sum(log_norms) + ln_w - 2.0 * b2 * math.log(b2)
+
+    def phi(s):
+        v = math.exp(ln_w + s)
+        return c + p * (ln_w + s) + k * math.log(v + b2) - 2.0 * v, p + k * v / (v + b2) - 2.0 * v
+
+    return phi
+
+
+def _live_range(phi, s_lo, s_hi):
+    """[s_lo, s_hi] cut to where exp(phi) can exceed _LIVE_LEVEL, for a
+    concave phi (_overlap_majorant).
+
+    From each end where phi is below ln _LIVE_LEVEL, Newton steps toward
+    that level stay outside its root, because the tangent of a concave
+    function lies above it.  The cut is the last iterate where phi is at
+    most the level and falls outward at a rate of at least _LIVE_SLOPE: past
+    it exp(phi) lies below an exponential of that rate, so the mass dropped
+    there is at most _LIVE_LEVEL / _LIVE_SLOPE.  An end where phi is above
+    the level stays.
+    """
+    level = math.log(_LIVE_LEVEL)
+
+    def cut(end, outward):
+        s = best = end
+        for _ in range(_LIVE_STEPS):
+            value, slope = phi(s)
+            fall = -outward * slope
+            if not (value <= level and fall >= _LIVE_SLOPE):
+                break
+            best = s
+            step = (level - value) / fall  # inward, to the Newton iterate
+            if step <= _LIVE_STEP_STOP:
+                break
+            s -= outward * step
+        return best
+
+    return cut(s_lo, -1.0), cut(s_hi, 1.0)
 
 
 def check_level_counts():

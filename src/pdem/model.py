@@ -485,20 +485,24 @@ def continuum_wavefunction(state, params, x):
 def _continuum_triple(state, params, x, z, exponent, f0, f1, f2):
     """(psi_E, psi_E', psi_E'') at one position, from the Kummer mantissas
     and exponent there (see continuum_wavefunction_with_derivatives): the
-    derivatives in s = 1 + x/a, divided by a and a^2 last."""
+    derivatives in s = 1 + x/a, whose factors 1/a and 1/a^2 join the log
+    prefactor, as for the bound states."""
     w_log = _log_prefactor_continuum(state, params, x, z)
     a, b2, g = params.a, params.b2, state.gamma
+    ln_a = math.log(a)
     s = (x + a) / a
     w = b2 / s / s                      # d/ds of -z/2
     dz = -z / s
     d2z = 2.0 * (z / s) / s
     dw = (-g - b2) / s + w
     d2w = (g + b2) / s / s - 2.0 * w / s
-    d1 = (dw * f0 + f1 * dz) / a
-    d2 = ((d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z) / a / a
+    d1 = dw * f0 + f1 * dz
+    d2 = (d2w + dw * dw) * f0 + 2.0 * dw * f1 * dz + f2 * dz * dz + f1 * d2z
     try:
         if cmath.isfinite(d1) and cmath.isfinite(d2):  # f0, a mantissa, is finite
-            return tuple([specfun.exp_scaled_complex(w_log, f, exponent) for f in (f0, d1, d2)])
+            return (specfun.exp_scaled_complex(w_log, f0, exponent),
+                    specfun.exp_scaled_complex(w_log - ln_a, d1, exponent),
+                    specfun.exp_scaled_complex(w_log - 2.0 * ln_a, d2, exponent))
     except OverflowError:  # cmath.exp of a value past the float ceiling
         pass
     raise NonConvergence(f"continuum derivatives at x={x} leave the float range")

@@ -60,15 +60,20 @@ _PANEL_GAUSS = np.zeros(15)
 _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 
 _MAX_PANELS = 20_000
-# Equal panels of integrate's first call, 1920 nodes in one call of the
+# Equal panels of integrate's first call, 960 nodes in one call of the
 # integrand.  A call costs mostly its fixed numpy overhead: an overlap
 # integrand of two levels at a = 3 takes 64 us at 1 node, 88 us at 480 and
 # 178 us at 1920 (2-core x86-64 VM), so calls, not nodes, set the cost.
-# Over the 180 overlaps of the bound-states benchmark (seeds 7-9), a first
-# round of 32, 64, 128 and 256 panels takes 3.1, 2.07, 1.28 and 1.00 calls
-# per overlap, all within 1.5e-15 of a tol = 1e-14 reference.  Of 32, 128
-# and 256, 128 gives the benchmark's lowest median task time.
-_FIRST_PANELS = 128
+# Over the 180 overlaps of the bound-states benchmark (seeds 7-9), each on
+# its live range (checks._live_range), a first round of this many panels
+# takes this many integrand calls per overlap, with the median task time
+# of seed 7 (3 runs):
+#   panels          32     48     64     96    128    256
+#   calls/overlap   1.62   1.24   1.11   1.03   1.01   1.00
+#   task p50, ms     -     0.256  0.247  0.256  0.280   -
+# Every overlap is within 1.5e-15 of the full range at 128 panels, and every
+# wavefunction_distance takes 1 call from 48 panels up (2 at 32).
+_FIRST_PANELS = 64
 # Most panels one round of integrate splits: 30 nodes each in one call of the
 # integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
 # 3e5 nodes and their values in memory.
@@ -717,11 +722,21 @@ def ode_residual(params, psi, energy_value, x):
 
 
 def _residual(a, b2, lam0, c0, x, v, d1, d2):
-    """ode_residual at one position x, from psi's values there."""
+    """ode_residual at one position x, from psi's values there.
+
+    psi, psi' and psi'' are divided by the power of two nearest above the
+    local scale before they are combined, so that 2/(x+a) psi' and coeff psi
+    cannot overflow where psi'' nears the float ceiling.  Scaling by a power
+    of two is exact, so every residual that forms unscaled keeps its bits.
+    Raises DomainError where the scale or the residual is not finite."""
     xa = x + a
     # one power of x + a at a time: (x + a)^4 underflows for a below about 1e-81
     br = b2 * (x / xa)
     coeff = (br * br - c0) / xa / xa
-    lhs = d2 + 2.0 / xa * d1 - coeff * v
     scale = max(abs(d2), lam0 * abs(d1), lam0**2 * abs(v), 1e-300)
-    return abs(lhs) / scale
+    unit = 2.0 ** -math.frexp(scale)[1]  # 1 / that power of two
+    lhs = d2 * unit + 2.0 / xa * (d1 * unit) - coeff * (v * unit)
+    residual = abs(lhs) / (scale * unit)
+    if not math.isfinite(residual):
+        raise DomainError(f"the ODE residual at x={x!r} leaves the float range")
+    return residual

@@ -207,10 +207,11 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
         if n < 0:
             raise DomainError(f"bessel_poly degree must be non-negative, got {n}")
     x, exponent = _start(x)
-    shape = (len(degrees), *x.shape)
-    out = [np.empty(shape, dtype=np.int64), np.empty(shape)]
+    shape = x.shape
+    table = (len(degrees), *shape)
+    out = [np.empty(table, dtype=np.int64), np.empty(table)]
     if derivatives:
-        out += [np.empty(shape), np.empty(shape)]
+        out += [np.empty(table), np.empty(table)]
     rows = {}  # degree -> the rows that want it, until it is recorded
     for i, n in enumerate(degrees):
         rows.setdefault(n, []).append(i)
@@ -218,7 +219,11 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     def record(n, *values):
         for i in rows.pop(n):
             for array, value in zip(out, values):
-                array[i] = value
+                array[i] = value.reshape(shape)
+
+    # the recurrence runs on 1-d arrays, which numpy keeps as arrays (a 0-d
+    # operand would come back as a scalar, which out= cannot take)
+    x, exponent = x.reshape(-1), exponent.reshape(-1)
 
     zero = np.zeros_like(x)
     if 0 in rows:
@@ -230,6 +235,14 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
         dy = np.full_like(x, 0.5 * (2.0 + alpha)) if derivatives else None
         if 1 in rows:
             record(1, exponent, y, dy, d2y)
+    # Each step writes into scratch arrays (out=): A_k, a product, and the
+    # next value of each running row, which then takes the place of the
+    # oldest.  Every operation and its order are those of the plain
+    # expressions, so each row rounds as they would.
+    ak, term, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    if derivatives:  # their own arrays, as they are written in place
+        dym1, d2ym1, d2y = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+        dspare, d2spare = np.empty_like(x), np.empty_like(x)
     for k in range(1, max(rows, default=1)):
         if min(abs(k + alpha + 1.0), abs(2.0 * k + alpha)) < _BESSEL_POLE_MARGIN:
             raise PolePivot(
@@ -237,19 +250,32 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
                 f"{_BESSEL_POLE_MARGIN} of a pole of its coefficients"
             )
         denom = 2.0 * (k + alpha + 1.0) * (2.0 * k + alpha)
-        ak = (2.0 * k + alpha + 1.0) * (
-            2.0 * alpha + (2.0 * k + alpha) * (2.0 * k + alpha + 2.0) * x
-        ) / denom
+        # A_k = (2k+a+1) (2a + (2k+a)(2k+a+2) x) / denom
+        np.multiply((2.0 * k + alpha) * (2.0 * k + alpha + 2.0), x, out=ak)
+        np.add(2.0 * alpha, ak, out=ak)
+        np.multiply(2.0 * k + alpha + 1.0, ak, out=ak)
+        np.divide(ak, denom, out=ak)
         bk = 2.0 * k * (2.0 * k + alpha + 2.0) / denom
-        ym1, y = y, ak * y + bk * ym1
+        np.multiply(ak, y, out=spare)
+        np.multiply(bk, ym1, out=term)
+        np.add(spare, term, out=spare)
+        ym1, y, spare = y, spare, ym1
         if derivatives:
             qk = (2.0 * k + alpha + 1.0) * (2.0 * k + alpha + 2.0) / (2.0 * (k + alpha + 1.0))
-            dym1, dy, d2ym1, d2y = (
-                dy,
-                qk * ym1 + ak * dy + bk * dym1,
-                d2y,
-                2.0 * qk * dy + ak * d2y + bk * d2ym1,
-            )
+            # y'_(k+1) = q_k y_k + A_k y'_k + B_k y'_(k-1)
+            np.multiply(qk, ym1, out=dspare)
+            np.multiply(ak, dy, out=term)
+            np.add(dspare, term, out=dspare)
+            np.multiply(bk, dym1, out=term)
+            np.add(dspare, term, out=dspare)
+            # y''_(k+1) = 2 q_k y'_k + A_k y''_k + B_k y''_(k-1)
+            np.multiply(2.0 * qk, dy, out=d2spare)
+            np.multiply(ak, d2y, out=term)
+            np.add(d2spare, term, out=d2spare)
+            np.multiply(bk, d2ym1, out=term)
+            np.add(d2spare, term, out=d2spare)
+            dym1, dy, dspare = dy, dspare, dym1
+            d2ym1, d2y, d2spare = d2y, d2spare, d2ym1
             if k % _RESCALE_EVERY == 0:
                 exponent, y, ym1, dy, dym1, d2y, d2ym1 = _rescaled(
                     exponent, y, ym1, dy, dym1, d2y, d2ym1

@@ -1,8 +1,12 @@
 import functools
+import importlib.util
 import math
+import random
 import re
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -467,7 +471,7 @@ def test_integrate_orthogonality_cross_check(params_a2):
 
 def test_integrate_tolerance_not_met():
     # the panel budget runs out; rounds split at most _MAX_SPLITS panels, so
-    # it takes 1 + 4 calls to reach 512 panels and 39 more to reach 20000
+    # it takes 1 + 3 calls to reach 512 panels and 39 more to reach 20000
     sizes = []
 
     def f(x):
@@ -580,8 +584,8 @@ def _count_integrand_calls(monkeypatch):
 
 
 def test_bound_overlap_call_budget(monkeypatch):
-    # in s = ln u the near-threshold integrand is smooth, a wide first round
-    # covers most of the range and also takes the closed-form tail point, and
+    # in s = ln u the near-threshold integrand is smooth, the first round
+    # covers its live range and also takes the closed-form tail point, and
     # a round splits every panel it has to: measured at most 2 calls per pair
     calls = _count_integrand_calls(monkeypatch)
     for a in (2.0, 3.0):
@@ -605,6 +609,19 @@ def test_wavefunction_distance_call_budget(monkeypatch):
     assert max(calls) <= 1
 
 
+def _full_range(p):
+    """bound_overlap's range in s = ln u before its live range is cut."""
+    return math.log(1e-12), math.log((900.0 + 4.0 * p.b2 * math.log(1e3)) / (2.0 * p.wall_scale))
+
+
+def _tail(p, m, n, at_lo):
+    """bound_overlap's closed-form piece below u = 1e-12, from the
+    integrand in s there."""
+    q = 2.0 * p.b2 - m - n - 1.0
+    c = p.wall_scale * (m / (m - p.b2) + n / (n - p.b2) - 2.0)
+    return at_lo / q * (1.0 - c * 1e-12 / (q + 1.0))
+
+
 def _overlap_reference(p, m, n):
     # scipy's QUADPACK in s = ln u on bound_overlap's range, plus its
     # closed-form piece below u = 1e-12.  At epsabs=1e-14 its body of the
@@ -618,15 +635,9 @@ def _overlap_reference(p, m, n):
         u = math.exp(s)
         return psi_m(1.0 / u - p.a) * psi_n(1.0 / u - p.a) / u
 
-    u_lo = 1e-12
-    u_hi = (900.0 + 4.0 * p.b2 * math.log(1e3)) / (2.0 * p.wall_scale)
-    q = 2.0 * p.b2 - m - n - 1.0
-    c = p.wall_scale * (m / (m - p.b2) + n / (n - p.b2) - 2.0)
-    tail = g(math.log(u_lo)) / q * (1.0 - c * u_lo / (q + 1.0))
-    body, _ = scipy.integrate.quad(
-        g, math.log(u_lo), math.log(u_hi), epsabs=1e-15, epsrel=0.0, limit=200
-    )
-    return body + tail
+    s_lo, s_hi = _full_range(p)
+    body, _ = scipy.integrate.quad(g, s_lo, s_hi, epsabs=1e-15, epsrel=0.0, limit=200)
+    return body + _tail(p, m, n, g(s_lo))
 
 
 @pytest.mark.parametrize("b2, m, n", [
@@ -640,6 +651,122 @@ def test_bound_overlap_against_quadpack(b2, m, n):
     # measured at most 3.8e-15 apart
     p = ModelParams(a=math.sqrt(b2))
     assert abs(checks.bound_overlap(p, m, n) - _overlap_reference(p, m, n)) <= 1e-14
+
+
+def _live_range_cases():
+    """(params, m, n): one b^2 drawn in each of six equal-ratio strata of
+    [0.6, 40], every other one moved so that its top level sits near
+    threshold (b^2 - n in (0.5, 1)), with constants drawn in [0.5, 2], and
+    for each the low pair, two mixed pairs and the top pair."""
+    rng = random.Random(20)
+    edges = np.geomspace(0.6, 40.0, 7).tolist()
+    cases = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        b2 = rng.uniform(lo, hi)
+        if i % 2:
+            b2 = math.floor(b2) + 0.5 + rng.uniform(0.01, 0.49)
+        m0, omega, hbar = (rng.uniform(0.5, 2.0) for _ in range(3))
+        p = ModelParams(m0=m0, omega=omega, hbar=hbar, a=math.sqrt(b2 * hbar / (m0 * omega)))
+        top = model.max_level(p)
+        for m, n in sorted({(0, 0), (0, top), (top // 2, top), (top, top)}):
+            cases.append(pytest.param(p, m, n, id=f"b2={b2:.4f}-{m}-{n}"))
+    return cases
+
+
+LIVE_RANGE_CASES = _live_range_cases()
+
+
+@pytest.mark.parametrize("p, m, n", LIVE_RANGE_CASES)
+def test_overlap_majorant_bounds_integrand(p, m, n):
+    # phi bounds ln|psi_m psi_n / u| at every sampled node of the full range
+    # where that is a normal float (with equality for m = n = 0, up to
+    # rounding, which a subnormal product exceeds), its slope is its
+    # derivative, and the live range lies inside the full range, with the
+    # majorant at most _LIVE_LEVEL at each cut that moved
+    states = model.bound_states(p, (m, n))
+    phi = checks._overlap_majorant(p, [level.log_norm for level in states.levels], m, n)
+    s_lo, s_hi = _full_range(p)
+    s = np.linspace(s_lo, s_hi, 2001)
+    u = np.exp(s)
+    psi_m, psi_n = states.psi(1.0 / u - p.a)
+    f = np.abs(psi_m * psi_n / u)
+    bound, slope = np.array([phi(t) for t in s.tolist()]).T
+    live = f >= np.finfo(float).tiny
+    assert live.sum() > 100
+    assert np.all(np.log(f[live]) <= bound[live] + 1e-9 * np.maximum(1.0, np.abs(bound[live])))
+    h = 1e-5
+    numeric = [(phi(t + h)[0] - phi(t - h)[0]) / (2.0 * h) for t in s[::100].tolist()]
+    assert np.allclose(slope[::100], numeric, rtol=1e-6, atol=1e-6)
+    lo, hi = checks._live_range(phi, s_lo, s_hi)
+    assert s_lo <= lo < hi <= s_hi
+    level = math.log(checks._LIVE_LEVEL)
+    for cut, end in ((lo, s_lo), (hi, s_hi)):
+        if cut != end:
+            assert phi(cut)[0] <= level
+    outside = (s < lo) | (s > hi)
+    assert np.all(f[outside] <= checks._LIVE_LEVEL)
+
+    # and the mass of the integrand outside the live range is within the
+    # bound the cuts guarantee
+    def magnitude(t):
+        u = np.exp(t)
+        psi_m, psi_n = states.psi(1.0 / u - p.a)
+        return np.abs(psi_m * psi_n / u)
+
+    dropped = sum(oracle.integrate(magnitude, t0, t1, 1e-17)
+                  for t0, t1 in ((s_lo, lo), (hi, s_hi)) if t0 < t1)
+    assert dropped <= checks._LIVE_LEVEL / checks._LIVE_SLOPE
+
+
+def _full_range_overlap(p, m, n, tol):
+    """<psi_m, psi_n> as bound_overlap forms it, but over the full range at
+    tolerance tol."""
+    states = model.bound_states(p, (m, n))
+    s_lo, s_hi = _full_range(p)
+
+    def integrand(s):
+        u = np.exp(s)
+        psi_m, psi_n = states.psi(1.0 / u - p.a)
+        return psi_m * psi_n / u
+
+    tail = _tail(p, m, n, integrand(np.array([s_lo]))[0])
+    return oracle.integrate(integrand, s_lo, s_hi, tol) + tail
+
+
+@pytest.mark.parametrize("p, m, n", LIVE_RANGE_CASES)
+def test_bound_overlap_on_live_range_matches_full_range(p, m, n):
+    # within 1e-14, or within half the relative error b^2 ln(2b^2) eps that
+    # psi carries (model.PSI_LOG_TOL) where that is larger: the reference
+    # itself moves by up to 0.3 of it, 1.04e-14 for the top pair at
+    # b^2 = 36.75, when its first round takes 48 to 256 panels
+    bound = max(1e-14, 0.5 * p.b2 * math.log(2.0 * p.b2) * sys.float_info.epsilon)
+    assert abs(checks.bound_overlap(p, m, n) - _full_range_overlap(p, m, n, 1e-14)) <= bound
+
+
+def _benchmark_bound_states(seed):
+    """The tasks of the benchmark's bound-states batch for seed
+    (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.bound_states(seed)
+
+
+def test_benchmark_overlap_and_distance_call_budget(monkeypatch):
+    # the live range and the first round of _FIRST_PANELS panels: measured
+    # 1.10 integrand calls per overlap over the 60 overlaps of seed 7, and
+    # 1 call per distance
+    tasks = [t for t in _benchmark_bound_states(7) if t.kind in ("overlap", "distance")]
+    calls = _count_integrand_calls(monkeypatch)
+    for task in tasks:
+        task.call()
+    assert len(calls) == len(tasks)
+    overlaps = [c for t, c in zip(tasks, calls) if t.kind == "overlap"]
+    distances = [c for t, c in zip(tasks, calls) if t.kind == "distance"]
+    assert len(overlaps) == 60 and distances
+    assert sum(overlaps) / len(overlaps) <= 1.15
+    assert max(distances) == 1
 
 
 def test_integrate_rejects_bad_range():
@@ -699,6 +826,44 @@ def test_residual_domain_error(params_a2):
     psi = lambda x: (1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         oracle.ode_residual(params_a2, psi, 0.5, -2.0)
+
+
+def test_residual_near_the_float_ceiling():
+    # psi'' = 1.455e308 here: 2/(x+a) psi' and the potential term psi, formed
+    # alone, overflow before they cancel, which gave NaN
+    p = ModelParams(m0=1.6643224676989237e+260, omega=5.544677264779134e-119,
+                    hbar=7.687642998938044e-105, a=1.3537892766843058e-123)
+    x = -9.354346075221975e-124
+    psi = lambda t: model.wavefunction_with_derivatives(p, 0, t)
+    assert psi(x)[2] > 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = oracle.ode_residual(p, psi, model.energy(p, 0).energy, x)
+    assert residual <= 1e-13  # measured 1.5e-14
+
+
+@pytest.mark.parametrize("triple", [(1.0, 0.0, math.inf), (math.nan, 0.0, 0.0)], ids=["inf", "nan"])
+def test_residual_refuses_what_it_cannot_form(params_a2, triple):
+    with pytest.raises(DomainError, match="ODE residual"):
+        oracle.ode_residual(params_a2, lambda _: triple, 0.5, 1.0)
+
+
+def test_residual_scaling_keeps_bits(params_a3):
+    # psi, psi' and psi'' are scaled by a power of two, which is exact: every
+    # residual is the one of the unscaled terms, bit for bit
+    p = params_a3
+    xs = np.linspace(-2.9, 12.0, 60)
+    c0_of = lambda e: p.b2 * p.b2 * (e / model.well_depth(p))
+    for n in (0, 4, 8):
+        e = model.energy(p, n).energy
+        values = model.wavefunction_with_derivatives(p, n, xs)
+        got = oracle.ode_residual(p, lambda _: values, e, xs)
+        for x, v, d1, d2, r in zip(xs.tolist(), *(w.tolist() for w in values), got.tolist()):
+            xa = x + p.a
+            br = p.b2 * (x / xa)
+            lhs = d2 + 2.0 / xa * d1 - (br * br - c0_of(e)) / xa / xa * v
+            scale = max(abs(d2), p.lambda0 * abs(d1), p.lambda0**2 * abs(v), 1e-300)
+            assert r == abs(lhs) / scale
 
 
 # ---------------------------------------------------------------- convergence order

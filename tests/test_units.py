@@ -156,9 +156,9 @@ def check_dimensionless_core(p, e_excess):
                       model.apply_lowering(unit, xi, f, df), a ** -0.5, "lowering")
 
     # the ODE residual is dimensionless: rounding noise wherever psi, psi'
-    # and psi'' are normal floats (a triple flushed in part is not), and stay
-    # 1e3 below the ceiling, under which the oracle's terms of the equation,
-    # each formed alone, stay finite
+    # and psi'' are normal floats (a triple flushed in part is not), up to
+    # the ceiling, since the oracle scales them before it forms the terms of
+    # the equation
     try:
         rows = states.psi_with_derivatives(x)
     except PdemError:
@@ -167,7 +167,7 @@ def check_dimensionless_core(p, e_excess):
         unit_values = np.abs([v[i] for v in unit_triple])
         scaled = [[mpmath.mpf(v) * a ** (-0.5 - j) for v in unit_values[j].tolist()] for j in range(3)]
         normal = np.all(unit_values >= FLOOR, axis=0)
-        normal_p = np.array([FLOOR <= min(s[k] for s in scaled) and max(s[k] for s in scaled) <= 1e-3 * CEILING
+        normal_p = np.array([FLOOR <= min(s[k] for s in scaled) and max(s[k] for s in scaled) <= CEILING
                              for k in range(xi.size)])
         e_unit = model.energy(unit, level.n).energy
         r_p = oracle.ode_residual(p, lambda _: tuple(v[i] for v in rows), level.energy, x)
@@ -207,8 +207,24 @@ def check_dimensionless_core(p, e_excess):
             assert top < CEILING * (1.0 + tol), t
             if top > FLOOR:  # a value below the normal range may flush to 0
                 assert abs(mpmath.mpc(g) - r) <= max(tol * top, FLOOR), (t, g, r, tol)
-        residual = oracle.ode_residual(
-            p, lambda s: model.continuum_wavefunction_with_derivatives(state, p, s), state.energy, t * p.a
-        )
-        if all(FLOOR < abs(r) <= 1e-3 * CEILING for r in refs):  # as for the bound states
+        try:
+            residual = oracle.ode_residual(
+                p, lambda s: model.continuum_wavefunction_with_derivatives(state, p, s), state.energy, t * p.a
+            )
+        except PdemError:  # where psi'' nears the ceiling, its coefficients can pass it
+            assert any(abs(r) > 1e-3 * CEILING for r in refs), t
+            continue
+        if all(FLOOR < abs(r) <= CEILING for r in refs):  # as for the bound states
             assert residual <= CONTINUUM_RESIDUAL_TOL, t
+
+
+def test_dimensionless_core_at_the_smallest_a():
+    # a = 1.9e-153, near the smallest a whose a^2 is a normal float: psi_E''
+    # at x = 0.95 a is 1.3e308, which the 1/a^2 of the chain rule, applied
+    # before the prefactor, pushed past the ceiling
+    p = ModelParams(m0=1.0, omega=4.656276961528286e+256, hbar=4.1863939993042314e-51,
+                    a=1.9129245984009342e-153)
+    state = model.continuum_state(p, (2.0 + 0.25 / (p.b2 * p.b2)) * model.well_depth(p))
+    d2 = model.continuum_wavefunction_with_derivatives(state, p, 0.95 * p.a)[2]
+    assert 1.2e308 < abs(d2) < CEILING
+    check_dimensionless_core(p, 1.0)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canonical, limits, model, oracle, specfun
+from .errors import NonConvergence
 
 # Defaults of pdem verify: the a values of the checks run per a, and the
 # rows of the graded grid and relative tolerance of the eigensolver check.
@@ -35,94 +36,127 @@ class CheckResult:
 
 # bound_overlap's quadrature tolerance, and the cuts of its live range
 # (_live_range): the majorant of the integrand is at most _LIVE_LEVEL at a cut
-# and falls off past it at a rate of at least _LIVE_SLOPE in s, so each side
+# and falls off past it at a rate of at least _LIVE_SLOPE in d, so each side
 # drops at most _LIVE_LEVEL / _LIVE_SLOPE = 1e-15, 1e-4 of the tolerance.
 _OVERLAP_TOL = 1e-11
 _LIVE_LEVEL = 1e-18
 _LIVE_SLOPE = 1e-3
-# Newton steps toward a cut at most, and the step in s that ends them.
+# Newton steps toward a cut at most, and the step in d that ends them.
 _LIVE_STEPS = 12
 _LIVE_STEP_STOP = 1e-2
+_LN2 = math.log(2.0)
 
 
 def bound_overlap(params, m, n):
     """<psi_m, psi_n> over the whole domain (-a, infinity).
 
-    Substituting u = 1/(x+a) maps the infinite tail to a compact interval,
-    and s = ln u spreads the tail end u -> 0 over a finite range, so the
-    integrand is psi_m psi_n / u in s.  Near threshold it goes like u^(p-1)
-    in u, singular at 0, which the quadrature could only resolve by halving
-    about 40 times toward the lower cutoff.  In s it is e^(p s), smooth.  The
-    integrand underflows to exact zero inside the wall layer, so the upper
-    cutoff in u only needs to overshoot it.
+    In the Morse variable v = b^2/s = l0^2 a^3 / (x+a), which maps the
+    infinite tail to v -> 0 and the wall to v -> infinity, the overlap is
+    the integral over d = ln(v/v*), v* = b^2 - 1/2, of the integrand of
+    _overlap_integrand, which depends on the constants only through b^2.
+    Near threshold it goes like v^(p-1) in v, singular at 0, which a
+    quadrature could only resolve by halving about 40 times toward the lower
+    end; in d it is e^(p d), smooth (p = 2b^2-m-n-1 > 0 for every pair of
+    levels).  The integrand underflows to exact zero inside the wall layer,
+    so the upper end in v only needs to overshoot it.
 
-    Below the lower cutoff u_lo the integrand in u is f(u) = K u^(p-1)
-    (1 + c u) to first order, with p = 2b^2-m-n-1 > 0 for every pair of levels
-    and c = l0^2 a^3 (m/(m-b^2) + n/(n-b^2) - 2) (from the wall factors and
-    the top two coefficients of y_m and y_n).  That piece is added in closed
-    form, f(u_lo) u_lo / p * (1 - c u_lo / (p+1)), where f(u_lo) u_lo is the
-    integrand in s at ln u_lo.  Near threshold it is far from negligible:
-    3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n approaches 1/2.
-    Without the c term it would be off by c u_lo, 2e-8 of the norm for the
-    top level at b^2 = 39.52.
+    Below the lower end v_lo the integrand in v is f(v) = A v^(p-1)
+    (1 + c v) to first order, with c = m/(m-b^2) + n/(n-b^2) - 2 (from e^(-2v)
+    and the top two coefficients of y_m and y_n).  That piece is added in
+    closed form, f(v_lo) v_lo / p * (1 - c v_lo / (p+1)), where f(v_lo) v_lo
+    is the integrand in d at ln(v_lo/v*).  Near threshold it is far from
+    negligible: 3e-3 of the norm at b^2 - n = 0.64, all of it as b^2 - n
+    approaches 1/2.  Without the c term it would be off by c v_lo, 2e-8 of
+    the norm for the top level at b^2 = 39.52.
 
     The quadrature runs only over the live range of the integrand
-    (_live_range), inside [ln 1e-12, ln u_hi], and the closed-form piece is
-    taken at its lower end.  Each integrand call evaluates psi_m and psi_n
-    from one Bessel recurrence (model.bound_states), and also at s = ln u_lo
-    for the closed-form piece.  oracle.integrate's first round leaves most
-    overlaps at that one call, and every pair at a = 2 and a = 3 at 2 calls
-    or fewer.
+    (_live_range), inside _overlap_range(b^2), and the closed-form piece is
+    taken at its lower end.  Each integrand call runs one Bessel recurrence
+    for both levels, at the nodes and at the lower end of the live range.
+    oracle.integrate's first round leaves most overlaps at that one call,
+    and every pair at a = 2 and a = 3 at 2 calls or fewer.  Raises
+    DomainError where b^2 is past model.PSI_LOG_TOL, LevelOutOfRange for a
+    level that is not bound, and NonConvergence where the integrand or the
+    result is not finite.
     """
-    a, b2 = params.a, params.b2
-    u_hi = (900.0 + 4.0 * b2 * math.log(1e3)) / (2.0 * params.wall_scale)
-    states = model.bound_states(params, (m, n))
-    phi = _overlap_majorant(params, [level.log_norm for level in states.levels], m, n)
-    s_lo, s_hi = _live_range(phi, math.log(1e-12), math.log(u_hi))
-    at_s_lo = []
+    model.require_level(params, m)
+    model.require_level(params, n)
+    b2 = params.b2
+    integrand, phi = _overlap_integrand(b2, m, n)
+    d_lo, d_hi = _live_range(phi, *_overlap_range(b2))
+    at_lo = []
 
-    def integrand(s):
-        u = np.exp(np.append(s, s_lo))
-        psi_m, psi_n = states.psi(1.0 / u - a)
-        values = psi_m * psi_n / u
-        at_s_lo.append(values[-1])
+    def body(d):
+        values = integrand(np.append(d, d_lo))
+        at_lo.append(values[-1])
         return values[:-1]
 
-    body = oracle.integrate(integrand, s_lo, s_hi, _OVERLAP_TOL)
+    total = oracle.integrate(body, d_lo, d_hi, _OVERLAP_TOL)
     p = 2.0 * b2 - m - n - 1.0
-    c = params.wall_scale * (m / (m - b2) + n / (n - b2) - 2.0)
-    return body + at_s_lo[0] / p * (1.0 - c * math.exp(s_lo) / (p + 1.0))
+    c = m / (m - b2) + n / (n - b2) - 2.0
+    total += at_lo[0] / p * (1.0 - c * (b2 - 0.5) * math.exp(d_lo) / (p + 1.0))
+    if not math.isfinite(total):
+        raise NonConvergence(f"the overlap <{m}|{n}> at b^2 = {b2!r} is not finite")
+    return total
 
 
-def _overlap_majorant(params, log_norms, m, n):
-    """s -> (phi, dphi/ds): a concave bound phi on the log of the integrand
-    of bound_overlap(params, m, n) in s = ln u; log_norms holds ln C_m and
-    ln C_n.
+def _overlap_range(b2):
+    """(d_lo, d_hi): the range in d = ln(v/v*) that bound_overlap integrates
+    before its live range is cut.  v_lo = 1e-12 b^3 is where the closed-form
+    piece below it is accurate, and v_hi = 450 + 2 b^2 ln 1e3 lies inside the
+    wall layer, where the integrand has underflowed to zero."""
+    v_star = b2 - 0.5
+    return (math.log(1e-12 * b2 * math.sqrt(b2) / v_star),
+            math.log((450.0 + 2.0 * b2 * math.log(1e3)) / v_star))
 
-    With v = w u, w = l0^2 a^3, the integrand is
-        exp(ln C_m + ln C_n + ln w - 2b^2 ln b^2) v^(2b^2-1) e^(-2v) y_m(1/v) y_n(1/v),
-    y_n = y_n(.; -2b^2).  Every factor of (n - 2b^2 - 1)_k has modulus at
-    most 2b^2, so |y_n(1/v)| <= (1 + b^2/v)^n, and the log of the integrand
-    is at most phi = c + p ln v + (m+n) ln(v + b^2) - 2v, p = 2b^2 - m - n - 1.
-    phi is concave in s (its second derivative is v ((m+n) b^2/(v+b^2)^2 - 2),
-    and m + n < 2b^2) and peaks at v = (sqrt(1 + 8 p b^2) - 1)/4.
+
+def _overlap_integrand(b2, m, n):
+    """(integrand, phi): the integrand of bound_overlap at b^2 in
+    d = ln(v/v*), on a 1-d array of nodes, and a concave bound phi on its
+    log, d -> (phi, dphi/dd), for _live_range.
+
+    With s = b^2/v and t = s/b^2 = 1/v, psi_m psi_n dx is, in d,
+        exp(ln C_m + ln C_n + ln b^2 - 2b^2 ln b^2) v^(2b^2-1) e^(-2v) y_m(1/v) y_n(1/v),
+    y_n = y_n(.; -2b^2), with ln C_n the normalization of the unit problem
+    (a = m0 = hbar = 1, omega = b^2), whose a-dependence cancels against
+    ln(l0^2 a^3).  Its log at v* (the peak of v^(2b^2-1) e^(-2v)) without
+    the polynomials, K = ln C_m + ln C_n + ln b^2 - 2b^2 ln b^2
+    + 2v* (ln v* - 1), is summed once, so that each node adds only
+    (2b^2-1) d - 2(v - v*) = 2v* (d - expm1(d)), which is O(1) where the
+    integrand lives, and the base-2 exponents of the two Bessel rows.  A
+    node costs an exponential for its argument 1/v, one recurrence for both
+    levels, an expm1 and the one exponential of its summed log.
+    Raises DomainError where b^2 is past model.PSI_LOG_TOL.
+
+    Every factor of (n - 2b^2 - 1)_k has modulus at most 2b^2, so
+    |y_n(1/v)| <= (1 + b^2/v)^n, and the log of the integrand is at most
+    phi = K + 2v* (d - expm1(d)) + (m+n) ln(1 + b^2/v).  phi is concave in d
+    (its second derivative is v ((m+n) b^2/(v+b^2)^2 - 2), and m + n < 2b^2).
     """
-    b2 = params.b2
-    ln_w = math.log(params.wall_scale)
+    model.require_psi_precision(b2)
+    unit = model.ModelParams(omega=b2)
+    v_star = b2 - 0.5
     k = m + n
-    p = 2.0 * b2 - k - 1.0
-    c = sum(log_norms) + ln_w - 2.0 * b2 * math.log(b2)
+    peak = 2.0 * v_star * (math.log(v_star) - 1.0) - 2.0 * b2 * math.log(b2) + math.log(b2)
+    log_k = model.normalization(unit, m) + model.normalization(unit, n) + peak
+    alpha = -2.0 * b2
 
-    def phi(s):
-        v = math.exp(ln_w + s)
-        return c + p * (ln_w + s) + k * math.log(v + b2) - 2.0 * v, p + k * v / (v + b2) - 2.0 * v
+    def integrand(d):
+        exponent, y, _, _ = specfun.bessel_poly_rows((m, n), alpha, np.exp(-d) / v_star)  # at 1/v
+        log_f = (log_k + _LN2 * (exponent[0] + exponent[1])) + 2.0 * v_star * (d - np.expm1(d))
+        return np.exp(log_f) * y[0] * y[1]
 
-    return phi
+    def phi(d):
+        v = v_star * math.exp(d)
+        return (log_k + 2.0 * v_star * (d - math.expm1(d)) + k * math.log1p(b2 / v),
+                2.0 * (v_star - v) - k * b2 / (v + b2))
+
+    return integrand, phi
 
 
-def _live_range(phi, s_lo, s_hi):
-    """[s_lo, s_hi] cut to where exp(phi) can exceed _LIVE_LEVEL, for a
-    concave phi (_overlap_majorant).
+def _live_range(phi, d_lo, d_hi):
+    """[d_lo, d_hi] cut to where exp(phi) can exceed _LIVE_LEVEL, for a
+    concave phi (_overlap_integrand).
 
     From each end where phi is below ln _LIVE_LEVEL, Newton steps toward
     that level stay outside its root, because the tangent of a concave
@@ -135,20 +169,20 @@ def _live_range(phi, s_lo, s_hi):
     level = math.log(_LIVE_LEVEL)
 
     def cut(end, outward):
-        s = best = end
+        d = best = end
         for _ in range(_LIVE_STEPS):
-            value, slope = phi(s)
+            value, slope = phi(d)
             fall = -outward * slope
             if not (value <= level and fall >= _LIVE_SLOPE):
                 break
-            best = s
+            best = d
             step = (level - value) / fall  # inward, to the Newton iterate
             if step <= _LIVE_STEP_STOP:
                 break
-            s -= outward * step
+            d -= outward * step
         return best
 
-    return cut(s_lo, -1.0), cut(s_hi, 1.0)
+    return cut(d_lo, -1.0), cut(d_hi, 1.0)
 
 
 def check_level_counts():

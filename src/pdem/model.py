@@ -250,6 +250,14 @@ def normalization(params, n):
     )
 
 
+def require_psi_precision(b2):
+    """Raise DomainError where bound states at b2 would carry a relative
+    error b^2 ln(2b^2) eps above PSI_LOG_TOL (see there)."""
+    if b2 * math.log(2.0 * b2) * sys.float_info.epsilon > PSI_LOG_TOL:
+        raise DomainError(f"bound states at b^2 = {b2:.6g} would lose more than "
+                          f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
+
+
 def energy(params, n):
     """Bound level n: E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)], b^2 = (lambda0 a)^2.
 
@@ -292,10 +300,7 @@ class BoundStates:
     levels: tuple  # a DiscreteState per requested level, in request order
 
     def __post_init__(self):
-        b2 = self.params.b2
-        if b2 * math.log(2.0 * b2) * sys.float_info.epsilon > PSI_LOG_TOL:
-            raise DomainError(f"bound states at b^2 = {b2:.6g} would lose more than "
-                              f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
+        require_psi_precision(self.params.b2)
 
     def _parts(self, x, derivatives):
         """(s, log prefactor rows, Bessel rows) at the positions x."""

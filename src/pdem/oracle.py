@@ -62,18 +62,20 @@ _PANEL_GAUSS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[-2::-1]
 _MAX_PANELS = 20_000
 # Equal panels of integrate's first call, 960 nodes in one call of the
 # integrand.  A call costs mostly its fixed numpy overhead: an overlap
-# integrand of two levels at a = 3 takes 64 us at 1 node, 88 us at 480 and
-# 178 us at 1920 (2-core x86-64 VM), so calls, not nodes, set the cost.
+# integrand of two levels at a = 3 takes 73 us at 1 node, 75 us at 480 and
+# 127 us at 1920 (2-core x86-64 VM), so calls, not nodes, set the cost.
 # Over the 180 overlaps of the bound-states benchmark (seeds 7-9), each on
 # its live range (checks._live_range), a first round of this many panels
 # takes this many integrand calls per overlap, with the median task time
-# of seed 7 (3 runs):
+# of seed 7 (3 runs), measured with the overlap integrated in ln u; in the
+# Morse variable it takes the same 1.11 calls at 64 panels:
 #   panels          32     48     64     96    128    256
 #   calls/overlap   1.62   1.24   1.11   1.03   1.01   1.00
 #   task p50, ms     -     0.256  0.247  0.256  0.280   -
 # Every overlap is within 1.5e-15 of the full range at 128 panels, and every
 # wavefunction_distance takes 1 call from 48 panels up (2 at 32).
 _FIRST_PANELS = 64
+_FIRST_STEPS = np.arange(_FIRST_PANELS + 1.0)
 # Most panels one round of integrate splits: 30 nodes each in one call of the
 # integrand.  Unbounded, a round could ask for 10^4 panels at once and hold
 # 3e5 nodes and their values in memory.
@@ -614,13 +616,15 @@ def _gauss_kronrod_panels(f, starts, ends):
     with np.errstate(invalid="ignore", over="ignore"):
         kron = radii * (values @ _PANEL_KRONROD)
         err = np.abs(kron - radii * (values @ _PANEL_GAUSS))
-    bad = ~(np.isfinite(kron) & np.isfinite(err))
-    if bad.any():
-        i = int(np.flatnonzero(bad.reshape(-1, radii.size).any(axis=0))[0])
-        raise NonConvergence(
-            f"quadrature is not finite on the panel [{float(starts[i])!r}, {float(ends[i])!r}]: "
-            "the integrand returned NaN or inf there, or its sum overflowed"
-        )
+        finite = math.isfinite(kron.sum() + err.sum())  # one test for every panel
+    if not finite:  # a panel is not finite, or only the sum over them overflowed
+        bad = ~(np.isfinite(kron) & np.isfinite(err))
+        if bad.any():
+            i = int(np.flatnonzero(bad.reshape(-1, radii.size).any(axis=0))[0])
+            raise NonConvergence(
+                f"quadrature is not finite on the panel [{float(starts[i])!r}, {float(ends[i])!r}]: "
+                "the integrand returned NaN or inf there, or its sum overflowed"
+            )
     return kron, err
 
 
@@ -656,7 +660,10 @@ def integrate(f, x_min, x_max, tol=1e-10):
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
-    edges = np.linspace(x_min, x_max, _FIRST_PANELS + 1)  # its ends are exact
+    # np.linspace(x_min, x_max, _FIRST_PANELS + 1) bit for bit: the steps
+    # k (width / _FIRST_PANELS) from x_min, and x_max itself at the end
+    edges = _FIRST_STEPS * ((x_max - x_min) / _FIRST_PANELS) + x_min
+    edges[-1] = x_max
     starts, ends = edges[:-1], edges[1:]
     kron, errs = _gauss_kronrod_panels(f, starts, ends)
     result = (lambda v: float(v[0])) if kron.ndim == 1 else (lambda v: v)
@@ -698,10 +705,13 @@ def ode_residual(params, psi, energy_value, x):
     psi must map x to the triple (psi, psi', psi''), for an array x as three
     arrays of its shape.  The equation is
         psi'' + 2/(a+x) psi' - [ l0^4 a^4 x^2/(a+x)^4 - c0/(a+x)^2 ] psi = 0
-    with c0 = 2 m0 a^2 E / hbar^2; the residual is normalized by the local
-    scale max(|psi''|, l0 |psi'|, l0^2 |psi|) floored at 1e-300.  Each
-    element is worked out on Python numbers, bit for bit what its position
-    gives alone.
+    with c0 = 2 m0 a^2 E / hbar^2.  It is formed in s = 1 + x/a, times a^2,
+        a^2 psi'' + (2/s) a psi' - [ (b^2 (s-1)/s)^2 - c0 ] / s^2 psi = 0,
+    whose coefficients are dimensionless, and the residual is normalized by
+    the local scale max(a^2 |psi''|, b a |psi'|, b^2 |psi|) floored at
+    1e-300, which is a^2 times the scale max(|psi''|, l0 |psi'|, l0^2 |psi|)
+    in x.  Each element is worked out on Python numbers, bit for bit what
+    its position gives alone.
     """
     scalar = isinstance(x, float) or np.ndim(x) == 0
     positions = [x] if scalar else np.asarray(x, dtype=float).reshape(-1).tolist()
@@ -713,7 +723,7 @@ def ode_residual(params, psi, energy_value, x):
     # float range for constants whose lambda0 a and V_inf are ordinary
     omega_a = params.omega * params.a
     c0 = (params.b2 * params.b2) * (energy_value / (0.5 * params.m0 * omega_a * omega_a))
-    constants = (params.a, params.b2, params.lambda0, c0)
+    constants = (params.a, params.b2, math.sqrt(params.b2), c0)
     if scalar:
         return _residual(*constants, x, *values)
     columns = (np.asarray(v).reshape(-1).tolist() for v in values)
@@ -721,22 +731,24 @@ def ode_residual(params, psi, energy_value, x):
     return np.array(residuals, dtype=float).reshape(np.shape(x))
 
 
-def _residual(a, b2, lam0, c0, x, v, d1, d2):
+def _residual(a, b2, b, c0, x, v, d1, d2):
     """ode_residual at one position x, from psi's values there.
 
-    psi, psi' and psi'' are divided by the power of two nearest above the
-    local scale before they are combined, so that 2/(x+a) psi' and coeff psi
-    cannot overflow where psi'' nears the float ceiling.  Scaling by a power
-    of two is exact, so every residual that forms unscaled keeps its bits.
-    Raises DomainError where the scale or the residual is not finite."""
+    psi, a psi' and a^2 psi'' are divided by the power of two nearest above
+    the largest of them before they are combined, so that neither the scale
+    nor a term of the equation can overflow where that largest value nears
+    the float ceiling.  Scaling by a power of two is exact, so every
+    residual that forms unscaled keeps its bits.  Raises DomainError where
+    the residual is not finite."""
     xa = x + a
-    # one power of x + a at a time: (x + a)^4 underflows for a below about 1e-81
+    s = xa / a
     br = b2 * (x / xa)
-    coeff = (br * br - c0) / xa / xa
-    scale = max(abs(d2), lam0 * abs(d1), lam0**2 * abs(v), 1e-300)
-    unit = 2.0 ** -math.frexp(scale)[1]  # 1 / that power of two
-    lhs = d2 * unit + 2.0 / xa * (d1 * unit) - coeff * (v * unit)
-    residual = abs(lhs) / (scale * unit)
+    coeff = (br * br - c0) / s / s
+    d1, d2 = a * d1, (a * a) * d2
+    unit = 2.0 ** -math.frexp(max(abs(d2), abs(d1), abs(v), 1e-300))[1]  # 1 / that power of two
+    v, d1, d2 = v * unit, d1 * unit, d2 * unit
+    scale = max(abs(d2), b * abs(d1), b2 * abs(v), 1e-300 * unit)
+    residual = abs(d2 + 2.0 / s * d1 - coeff * v) / scale
     if not math.isfinite(residual):
         raise DomainError(f"the ODE residual at x={x!r} leaves the float range")
     return residual

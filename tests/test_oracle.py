@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import math
 import random
@@ -537,6 +536,13 @@ def test_integrate_refuses_non_finite_integrand(f, start):
         oracle.integrate(f, 0.0, 1.0, 1e-10)
 
 
+def test_integrate_sum_overflow_names_no_panel():
+    # each first-round panel integrates to 1e308, only their sum overflows:
+    # no panel is refused, as when each panel was tested alone
+    with np.errstate(over="ignore"):
+        assert oracle.integrate(lambda x: np.full_like(x, 1e306), 0.0, 6400.0, 1e-10) == math.inf
+
+
 @pytest.mark.parametrize("x_min, x_max", [
     (0.0, math.inf),
     (-math.inf, 0.0),
@@ -610,34 +616,29 @@ def test_wavefunction_distance_call_budget(monkeypatch):
 
 
 def _full_range(p):
-    """bound_overlap's range in s = ln u before its live range is cut."""
-    return math.log(1e-12), math.log((900.0 + 4.0 * p.b2 * math.log(1e3)) / (2.0 * p.wall_scale))
+    """bound_overlap's range in d = ln(v/v*), v* = b^2 - 1/2, before its
+    live range is cut: v from 1e-12 b^3 to 450 + 2 b^2 ln 1e3."""
+    v_star = p.b2 - 0.5
+    return (math.log(1e-12 * p.b2 ** 1.5 / v_star),
+            math.log((450.0 + 2.0 * p.b2 * math.log(1e3)) / v_star))
 
 
 def _tail(p, m, n, at_lo):
-    """bound_overlap's closed-form piece below u = 1e-12, from the
-    integrand in s there."""
+    """bound_overlap's closed-form piece below v = 1e-12 b^3, from the
+    integrand in d there."""
     q = 2.0 * p.b2 - m - n - 1.0
-    c = p.wall_scale * (m / (m - p.b2) + n / (n - p.b2) - 2.0)
-    return at_lo / q * (1.0 - c * 1e-12 / (q + 1.0))
+    c = m / (m - p.b2) + n / (n - p.b2) - 2.0
+    return at_lo / q * (1.0 - c * 1e-12 * p.b2 ** 1.5 / (q + 1.0))
 
 
 def _overlap_reference(p, m, n):
-    # scipy's QUADPACK in s = ln u on bound_overlap's range, plus its
-    # closed-form piece below u = 1e-12.  At epsabs=1e-14 its body of the
-    # b^2 = 39.52 top level was 1.3e-14 off the converged integral of the
-    # same double-precision psi (20-point Gauss-Legendre on 8000 panels),
-    # which bound_overlap's body is within 1.5e-15 of
-    psi_m = functools.partial(model.wavefunction, p, m)
-    psi_n = functools.partial(model.wavefunction, p, n)
-
-    def g(s):
-        u = math.exp(s)
-        return psi_m(1.0 / u - p.a) * psi_n(1.0 / u - p.a) / u
-
-    s_lo, s_hi = _full_range(p)
-    body, _ = scipy.integrate.quad(g, s_lo, s_hi, epsabs=1e-15, epsrel=0.0, limit=200)
-    return body + _tail(p, m, n, g(s_lo))
+    # scipy's QUADPACK in d on bound_overlap's range and integrand, plus its
+    # closed-form piece below v = 1e-12 b^3
+    integrand = checks._overlap_integrand(p.b2, m, n)[0]
+    g = lambda d: float(integrand(np.array([d]))[0])
+    d_lo, d_hi = _full_range(p)
+    body, _ = scipy.integrate.quad(g, d_lo, d_hi, epsabs=1e-15, epsrel=0.0, limit=200)
+    return body + _tail(p, m, n, g(d_lo))
 
 
 @pytest.mark.parametrize("b2, m, n", [
@@ -648,7 +649,7 @@ def _overlap_reference(p, m, n):
 ], ids=["b2=3.5+1e-9-top", "b2=3.5+1e-9-0-top", "b2=39.52-top", "b2=39.52-pair"])
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_bound_overlap_against_quadpack(b2, m, n):
-    # measured at most 3.8e-15 apart
+    # measured at most 2.5e-15 apart
     p = ModelParams(a=math.sqrt(b2))
     assert abs(checks.bound_overlap(p, m, n) - _overlap_reference(p, m, n)) <= 1e-14
 
@@ -678,69 +679,74 @@ LIVE_RANGE_CASES = _live_range_cases()
 
 @pytest.mark.parametrize("p, m, n", LIVE_RANGE_CASES)
 def test_overlap_majorant_bounds_integrand(p, m, n):
-    # phi bounds ln|psi_m psi_n / u| at every sampled node of the full range
-    # where that is a normal float (with equality for m = n = 0, up to
-    # rounding, which a subnormal product exceeds), its slope is its
+    # phi bounds ln|integrand| at every sampled node of the full range where
+    # the integrand is a normal float (with equality for m = n = 0, up to
+    # rounding, which a subnormal value exceeds), its slope is its
     # derivative, and the live range lies inside the full range, with the
     # majorant at most _LIVE_LEVEL at each cut that moved
-    states = model.bound_states(p, (m, n))
-    phi = checks._overlap_majorant(p, [level.log_norm for level in states.levels], m, n)
-    s_lo, s_hi = _full_range(p)
-    s = np.linspace(s_lo, s_hi, 2001)
-    u = np.exp(s)
-    psi_m, psi_n = states.psi(1.0 / u - p.a)
-    f = np.abs(psi_m * psi_n / u)
-    bound, slope = np.array([phi(t) for t in s.tolist()]).T
+    integrand, phi = checks._overlap_integrand(p.b2, m, n)
+    d_lo, d_hi = _full_range(p)
+    d = np.linspace(d_lo, d_hi, 2001)
+    f = np.abs(integrand(d))
+    bound, slope = np.array([phi(t) for t in d.tolist()]).T
     live = f >= np.finfo(float).tiny
     assert live.sum() > 100
     assert np.all(np.log(f[live]) <= bound[live] + 1e-9 * np.maximum(1.0, np.abs(bound[live])))
     h = 1e-5
-    numeric = [(phi(t + h)[0] - phi(t - h)[0]) / (2.0 * h) for t in s[::100].tolist()]
+    numeric = [(phi(t + h)[0] - phi(t - h)[0]) / (2.0 * h) for t in d[::100].tolist()]
     assert np.allclose(slope[::100], numeric, rtol=1e-6, atol=1e-6)
-    lo, hi = checks._live_range(phi, s_lo, s_hi)
-    assert s_lo <= lo < hi <= s_hi
+    lo, hi = checks._live_range(phi, d_lo, d_hi)
+    assert d_lo <= lo < hi <= d_hi
     level = math.log(checks._LIVE_LEVEL)
-    for cut, end in ((lo, s_lo), (hi, s_hi)):
+    for cut, end in ((lo, d_lo), (hi, d_hi)):
         if cut != end:
             assert phi(cut)[0] <= level
-    outside = (s < lo) | (s > hi)
+    outside = (d < lo) | (d > hi)
     assert np.all(f[outside] <= checks._LIVE_LEVEL)
 
     # and the mass of the integrand outside the live range is within the
     # bound the cuts guarantee
-    def magnitude(t):
-        u = np.exp(t)
-        psi_m, psi_n = states.psi(1.0 / u - p.a)
-        return np.abs(psi_m * psi_n / u)
-
+    magnitude = lambda t: np.abs(integrand(t))
     dropped = sum(oracle.integrate(magnitude, t0, t1, 1e-17)
-                  for t0, t1 in ((s_lo, lo), (hi, s_hi)) if t0 < t1)
+                  for t0, t1 in ((d_lo, lo), (hi, d_hi)) if t0 < t1)
     assert dropped <= checks._LIVE_LEVEL / checks._LIVE_SLOPE
+
+
+@pytest.mark.parametrize("p, m, n", LIVE_RANGE_CASES)
+def test_overlap_integrand_is_the_public_route(p, m, n):
+    # at sampled nodes of the live range, the integrand in d is
+    # psi_m(x) psi_n(x) / u of the public psi, x = 1/u - a, u = v/(l0^2 a^3),
+    # within the rounding of that route: the terms b^2 ln(2b^2) of ln C_n
+    # and b^2 ln s, b^2/s of the log prefactor, each rounded to eps, on the
+    # scale exp(phi) of the summed terms of the polynomials, which a value
+    # near a node of psi falls below.  Measured at most 5.7 of it.
+    integrand, phi = checks._overlap_integrand(p.b2, m, n)
+    d = np.linspace(*checks._live_range(phi, *_full_range(p)), 301)
+    v = (p.b2 - 0.5) * np.exp(d)
+    u = v / p.wall_scale
+    psi_m, psi_n = model.bound_states(p, (m, n)).psi(1.0 / u - p.a)
+    public = psi_m * psi_n / u
+    s = p.b2 / v
+    rounding = sys.float_info.epsilon * p.b2 * (math.log(2.0 * p.b2) + np.abs(np.log(s)) + 1.0 / s)
+    scale = np.exp([phi(t)[0] for t in d.tolist()])
+    assert np.all(np.abs(integrand(d) - public) <= 8.0 * rounding * scale)
 
 
 def _full_range_overlap(p, m, n, tol):
     """<psi_m, psi_n> as bound_overlap forms it, but over the full range at
     tolerance tol."""
-    states = model.bound_states(p, (m, n))
-    s_lo, s_hi = _full_range(p)
-
-    def integrand(s):
-        u = np.exp(s)
-        psi_m, psi_n = states.psi(1.0 / u - p.a)
-        return psi_m * psi_n / u
-
-    tail = _tail(p, m, n, integrand(np.array([s_lo]))[0])
-    return oracle.integrate(integrand, s_lo, s_hi, tol) + tail
+    integrand = checks._overlap_integrand(p.b2, m, n)[0]
+    d_lo, d_hi = _full_range(p)
+    tail = _tail(p, m, n, integrand(np.array([d_lo]))[0])
+    return oracle.integrate(integrand, d_lo, d_hi, tol) + tail
 
 
 @pytest.mark.parametrize("p, m, n", LIVE_RANGE_CASES)
 def test_bound_overlap_on_live_range_matches_full_range(p, m, n):
-    # within 1e-14, or within half the relative error b^2 ln(2b^2) eps that
-    # psi carries (model.PSI_LOG_TOL) where that is larger: the reference
-    # itself moves by up to 0.3 of it, 1.04e-14 for the top pair at
-    # b^2 = 36.75, when its first round takes 48 to 256 panels
-    bound = max(1e-14, 0.5 * p.b2 * math.log(2.0 * p.b2) * sys.float_info.epsilon)
-    assert abs(checks.bound_overlap(p, m, n) - _full_range_overlap(p, m, n, 1e-14)) <= bound
+    # measured at most 1.3e-15 apart; the reference itself moves by at most
+    # 2.3e-15 (the top pair at b^2 = 36.75) when its first round takes 48
+    # to 256 panels
+    assert abs(checks.bound_overlap(p, m, n) - _full_range_overlap(p, m, n, 1e-14)) <= 1e-14
 
 
 def _benchmark_bound_states(seed):
@@ -849,8 +855,8 @@ def test_residual_refuses_what_it_cannot_form(params_a2, triple):
 
 
 def test_residual_scaling_keeps_bits(params_a3):
-    # psi, psi' and psi'' are scaled by a power of two, which is exact: every
-    # residual is the one of the unscaled terms, bit for bit
+    # psi, a psi' and a^2 psi'' are scaled by a power of two, which is
+    # exact: every residual is the one of the unscaled terms, bit for bit
     p = params_a3
     xs = np.linspace(-2.9, 12.0, 60)
     c0_of = lambda e: p.b2 * p.b2 * (e / model.well_depth(p))
@@ -859,10 +865,13 @@ def test_residual_scaling_keeps_bits(params_a3):
         values = model.wavefunction_with_derivatives(p, n, xs)
         got = oracle.ode_residual(p, lambda _: values, e, xs)
         for x, v, d1, d2, r in zip(xs.tolist(), *(w.tolist() for w in values), got.tolist()):
+            # the equation in s = 1 + x/a, times a^2
             xa = x + p.a
+            s = xa / p.a
             br = p.b2 * (x / xa)
-            lhs = d2 + 2.0 / xa * d1 - (br * br - c0_of(e)) / xa / xa * v
-            scale = max(abs(d2), p.lambda0 * abs(d1), p.lambda0**2 * abs(v), 1e-300)
+            a1, a2 = p.a * d1, (p.a * p.a) * d2
+            lhs = a2 + 2.0 / s * a1 - (br * br - c0_of(e)) / s / s * v
+            scale = max(abs(a2), math.sqrt(p.b2) * abs(a1), p.b2 * abs(v), 1e-300)
             assert r == abs(lhs) / scale
 
 

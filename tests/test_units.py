@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdem import canonical, limits, model, oracle
+from pdem import canonical, checks, limits, model, oracle
 from pdem.errors import NonConvergence, PdemError
 from pdem.model import ModelParams
 
@@ -175,6 +175,10 @@ def check_dimensionless_core(p, e_excess):
         assert np.all(r_p[normal_p] <= RESIDUAL_TOL), (level.n, r_p[normal_p].max())
         assert np.all(r_u[normal] <= RESIDUAL_TOL), (level.n, r_u[normal].max())
 
+    # overlaps depend on b^2 alone: bit for bit those of the unit problem
+    for m, n in sorted({(0, 0), (0, top), (top, top)}):
+        assert checks.bound_overlap(p, m, n) == checks.bound_overlap(unit, m, n), (m, n)
+
     # continuum states at the same E / V_inf: psi_E is dimensionless.  Each
     # derivative is compared on the scale of its largest value over the
     # positions, within the tolerance of the Kummer sum there.
@@ -207,13 +211,11 @@ def check_dimensionless_core(p, e_excess):
             assert top < CEILING * (1.0 + tol), t
             if top > FLOOR:  # a value below the normal range may flush to 0
                 assert abs(mpmath.mpc(g) - r) <= max(tol * top, FLOOR), (t, g, r, tol)
-        try:
-            residual = oracle.ode_residual(
-                p, lambda s: model.continuum_wavefunction_with_derivatives(state, p, s), state.energy, t * p.a
-            )
-        except PdemError:  # where psi'' nears the ceiling, its coefficients can pass it
-            assert any(abs(r) > 1e-3 * CEILING for r in refs), t
-            continue
+        # the residual is formed in s, times a^2, so it is a float wherever
+        # psi_E and its derivatives are
+        residual = oracle.ode_residual(
+            p, lambda s: model.continuum_wavefunction_with_derivatives(state, p, s), state.energy, t * p.a
+        )
         if all(FLOOR < abs(r) <= CEILING for r in refs):  # as for the bound states
             assert residual <= CONTINUUM_RESIDUAL_TOL, t
 
@@ -225,6 +227,22 @@ def test_dimensionless_core_at_the_smallest_a():
     p = ModelParams(m0=1.0, omega=4.656276961528286e+256, hbar=4.1863939993042314e-51,
                     a=1.9129245984009342e-153)
     state = model.continuum_state(p, (2.0 + 0.25 / (p.b2 * p.b2)) * model.well_depth(p))
-    d2 = model.continuum_wavefunction_with_derivatives(state, p, 0.95 * p.a)[2]
-    assert 1.2e308 < abs(d2) < CEILING
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(state, p, t)
+    assert 1.2e308 < abs(psi(0.95 * p.a)[2]) < CEILING
+    # in x its potential term (b^4 x^2/(x+a)^2 - c0)/(x+a)^2 overflowed:
+    # formed in s, times a^2, the residual is rounding noise (measured 6.4e-14)
+    assert oracle.ode_residual(p, psi, state.energy, 0.95 * p.a) <= 1e-6
     check_dimensionless_core(p, 1.0)
+
+
+@pytest.mark.parametrize("m0, a", [(1e-26, 1e13), (1e-30, 1e15)])
+def test_overlap_at_huge_lambda0_squared_a_cubed(m0, a):
+    # b^2 = 1, where l0^2 a^3 = 1e13 and 1e15: a lower end of the range fixed
+    # in u = 1/(x+a) landed past the peak of the integrand (4.555e-7 instead
+    # of 1) or above the upper end (ValueError); in v it is that of the unit
+    # problem
+    p = ModelParams(m0=m0, a=a)
+    assert p.b2 == 1.0
+    value = checks.bound_overlap(p, 0, 0)
+    assert value == checks.bound_overlap(ModelParams(), 0, 0)
+    assert abs(value - 1.0) <= 1e-14

@@ -104,14 +104,13 @@ def wavefunction_distance(params, n, tol=1e-10):
 def continuum_magnitude(params_family, q_fixed, x):
     """|psi_E(x)| across a family of parameter sets at fixed continuum q.
 
-    Members must come in order of strictly increasing a; each energy is the
-    one implied by q for that member, which keeps mu = 1 + iq constant across
-    the sweep.  The magnitudes are expected to decrease toward zero."""
+    Members must come in order of strictly increasing a; each state is built
+    from q itself, at the energy it implies for that member, so mu = 1 + iq
+    is exactly the same across the sweep.  The magnitudes should fall to 0."""
     values = []
     a_values = []
     for params in params_family:
-        e = model.energy_for_wavenumber(params, q_fixed)
-        state = model.continuum_state(params, e)
+        state = model._wavenumber_state(params, q_fixed)
         values.append(abs(model.continuum_wavefunction(state, params, x)))
         a_values.append(params.a)
     return LimitSweep(parameter_values=a_values, metric_values=values)

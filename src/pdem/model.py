@@ -40,7 +40,7 @@ from .errors import BelowContinuum, DomainError, LevelOutOfRange, NonConvergence
 from .specfun import in_units
 
 # Distinguished return value of potential() at and behind the wall.  A named
-# +inf rather than an exception so oracle grids can probe the wall region.
+# +inf, not an exception, for callers of the public API: pdem asks only inside.
 WALL = float("inf")
 
 # Highest bound level evaluated, and one less than the most levels a loop over
@@ -393,11 +393,24 @@ def energy_for_wavenumber(params, q):
     q is independent of a, which makes it the natural handle for sweeps in
     the semiconfinement parameter at fixed mu = 1 + iq.
     """
+    return _wavenumber_state(params, q).energy
+
+
+def _wavenumber_state(params, q):
+    """The continuum state of parameter q itself at its energy, which
+    continuum_state would round q through (1.99988 for 2 at a = 1000)."""
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
     b4 = params.b2 * params.b2
     c0 = 0.25 * (q * q + 1.0) + b4  # E = V_inf c0 / (lambda0 a)^4
-    return in_units(c0 / b4, (well_depth(params),), f"the energy for q={q}")
+    energy_value = in_units(c0 / b4, (well_depth(params),), f"the energy for q={q}")
+    return _continuum(params, energy_value, c0, q)
+
+
+def _continuum(params, energy_value, c0, q):
+    """The ContinuousState of continuum parameter q > 0 at energy_value."""
+    gamma = complex(0.5 * (1.0 - 2.0 * params.b2), 0.5 * q)
+    return ContinuousState(energy_value, c0, q, gamma, mu=complex(1.0, q))
 
 
 def continuum_state(params, energy_value):
@@ -426,14 +439,7 @@ def continuum_state(params, energy_value):
             f"E={energy_value} sits in the band above the plateau where the "
             f"continuum parameter q^2 = {q_sq} is not positive"
         )
-    q = math.sqrt(q_sq)
-    return ContinuousState(
-        energy=energy_value,
-        c0=c0,
-        q=q,
-        gamma=complex(0.5 * (1.0 - 2.0 * params.b2), 0.5 * q),
-        mu=complex(1.0, q),
-    )
+    return _continuum(params, energy_value, c0, math.sqrt(q_sq))
 
 
 def _continuum_parts(params, x):

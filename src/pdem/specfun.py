@@ -10,7 +10,8 @@ Functions, SIAM 2007, ch. 4).  exp_scaled folds the exponent into a log-space
 prefactor.  One Bessel recurrence records every degree a caller asks for;
 a step too close to a pole of its coefficients is refused with PolePivot.
 kummer_1f1_scaled sums 1F1 and its first two z-derivatives at a scalar or an
-array of arguments in numpy chunks, a fixed handful of numpy calls each.
+array of arguments in numpy chunks, a fixed handful of numpy calls each; it
+refuses a non-positive integer upper parameter, whose series terminates.
 in_units applies physical units through binary mantissas and exponents.
 """
 
@@ -288,14 +289,12 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
 
 
 def _near_nonpositive_integer(v):
-    """Integer m <= 0 with |v - m| <= 1e-12, or None."""
+    """Whether v lies within 1e-12 of an integer m <= 0."""
     z = complex(v)
     if abs(z.imag) > _INTEGER_EPS:
-        return None
+        return False
     m = round(z.real)
-    if m <= 0 and abs(z.real - m) <= _INTEGER_EPS:
-        return m
-    return None
+    return m <= 0 and abs(z.real - m) <= _INTEGER_EPS
 
 
 def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
@@ -318,14 +317,17 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     is not finite before then, at the 1e5-term cap, or if the sum cancels
     below 1e-13 of its largest partial sum.  Of several rows or points
     refused, the one refused at the lowest term index is named, whatever the
-    chunk bounds.  For a non-positive integer a (within 1e-12) the series
-    ends at k = -a and is refused only past the cap or if not finite.
-    Raises PolePivot when b is a non-positive integer.
+    chunk bounds.  Raises PolePivot when b is a non-positive integer, and
+    DomainError when a is one (within 1e-12), as that series terminates; the
+    continuum's a = (1 - 2b^2 + iq)/2 never is, as q > 0.
     """
     a = complex(a_param)
     b = complex(b_param)
-    if _near_nonpositive_integer(b) is not None:
+    if _near_nonpositive_integer(b):
         raise PolePivot(f"1F1 lower parameter {b_param!r} is a non-positive integer")
+    if _near_nonpositive_integer(a):
+        raise DomainError(f"1F1 upper parameter {a_param!r} is a non-positive integer: "
+                          "its series terminates, and only non-terminating ones are summed")
     if isinstance(z, float) or np.ndim(z) == 0:
         scalar, listed = True, [float(z)]
     else:
@@ -339,14 +341,9 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
         at_zero = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))[:rows]
         summed = [v for v in listed if v != 0.0]
     params = (a_param, b_param)
-    terminal = _near_nonpositive_integer(a)
     sums = []  # a list of row sums per point summed
     for lo in range(0, len(summed), _KUMMER_BLOCK):
-        block = summed[lo:lo + _KUMMER_BLOCK]
-        if terminal is None:
-            sums += _kummer_converged(a, b, block, rows, params)
-        else:
-            sums += _kummer_terminating(a, b, block, -terminal, rows, params)
+        sums += _kummer_sums(a, b, summed[lo:lo + _KUMMER_BLOCK], rows, params)
     sums = iter(sums)
     exponents, mantissas = [], []
     for v in listed:
@@ -367,8 +364,7 @@ def _kummer_label(params, z, row=0):
     return ("", "d/dz ", "d^2/dz^2 ")[row] + "1F1({!r}; {!r}; {!r})".format(*params, float(z))
 
 
-# The partial sums before the first term: 1 in row 0, 0 in the derivative rows.
-_KUMMER_START = np.array([1.0, 0.0, 0.0], dtype=complex)
+_KUMMER_START = np.array([[1.0], [0.0], [0.0]], dtype=complex)  # the sums before t_1
 # Rows k and k + 1 of one array of complex term indices (k + 0j adds and
 # divides as k does), over an axis to broadcast against the points.
 _KUMMER_INDICES = np.lib.stride_tricks.as_strided(  # 16 bytes per complex128
@@ -376,95 +372,70 @@ _KUMMER_INDICES = np.lib.stride_tricks.as_strided(  # 16 bytes per complex128
 _KUMMER_RUN = b"\x01" * _KUMMER_CONSECUTIVE  # a run of small-term flags
 
 
-def _kummer_chunks(a, b, z, rows, limit):
-    """Yield (k, moduli, partial_sums) chunk by chunk over the range k of
-    term indices below limit of the series at every point of the list z of
-    floats, where the term of index k is t_{k+1}.  Send back a list of
-    indices into the points still summing to go on with those only.  The
-    sums have shape (rows * N, len(k) + 1) for the N points still summing:
-    row r of point j is r * N + j, where row 0 is the series of 1F1 and rows
-    1 and 2 its z-derivatives (see kummer_1f1_scaled).  Column 0 holds the running
-    total before the chunk; moduli stacks those of terms and sums.
-
-    A chunk holds _KUMMER_CHUNK_CELLS terms at most over all its points.  If
-    the last term in row 0 is not finite at any point, the chunk is cut after
-    the last of their first terms that are not, and no chunk follows it.
-    Once a product leaves the float range every later one stays out of it,
-    so only the last term needs a test, and nothing past the cut can change
-    a refusal.  cumprod and cumsum accumulate in order, every other operation
-    is elementwise, and a chunk's first ratio takes on the term before it one
-    point at a time, in numpy's scalar arithmetic, so each sum is bit for bit
-    the same whatever the chunk bounds and whichever points are summed
-    together."""
-    # one point's argument stays a float; several stand in a column against k
-    column = z[0] if len(z) == 1 else np.array(z)[:, None]
-    term = []  # each point's term at the chunk's start; none before t_1, for t_0 = 1
-    total = _KUMMER_START[:rows, None]  # each row's running total, point by point
-    start = 0
-    reach = max(map(abs, z))
-    reach += 10.0 * math.sqrt(reach) + 16.0  # past the peak of the terms, near k = |z|
-    size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
-    while start < limit:
-        stop = min(start + max(1, min(size, _KUMMER_CHUNK_CELLS // len(z))), limit)
-        k = _KUMMER_INDICES[..., :stop - start]
-        if start:
-            k = k + start  # exact, for integers
-        ratios = (a + k[0]) / (b + k[0]) * column / k[1]  # k + 1: the term the ratio ends at
-        for j, t in enumerate(term):
-            ratios[j, 0] *= t
-        n = ratios.shape[1]
-        terms = np.empty((rows, len(z), n + 1), dtype=complex)
-        row0 = np.multiply.accumulate(ratios, axis=1, out=terms[0, :, 1:])
-        term = row0[:, -1].tolist()
-        overflowed = not any(map(cmath.isfinite, term))
-        if overflowed:
-            n = int(np.isfinite(row0).argmin(axis=1).max()) + 1
-            k, terms, row0 = k[..., :n], terms[..., :n + 1], row0[:, :n]
-        if rows > 1:
-            weights = k.real / column  # k/z and (k+1)/z in one division
-            weights[0] *= weights[1]  # k(k+1)/z^2
-            np.multiply(weights[::-1], row0, out=terms[1:, :, 1:])
-        terms[:, :, 0] = total  # so that the sums add up in series order
-        sizes = np.empty((2, rows, len(z), n + 1))
-        np.abs(terms, out=sizes[0])
-        sums = np.add.accumulate(terms, axis=2, out=terms)
-        np.abs(sums, out=sizes[1])
-        total = sums[:, :, -1]
-        sizes, sums = sizes.reshape(2, -1, n + 1), sums.reshape(-1, n + 1)
-        points = yield range(start, start + n), sizes, sums
-        if overflowed:
-            return
-        if points is not None:
-            total = total[:, points]
-            z, term = [z[j] for j in points], [term[j] for j in points]
-            column = np.array(z)[:, None]
-        start += n
-        size = min(2 * size, _KUMMER_CHUNK_CAP)
+def _kummer_terms(a, b, column, term, start, stop, rows):
+    """(terms, term): the terms t_{k+1}, start <= k < stop, at each point z
+    of column, from column 1 of a (rows, points, stop - start + 1) array, and
+    each point's last term in row 0, which term gives before the chunk.  If
+    that is not finite at any point, the array is cut after the last of
+    their first terms that are not (a product out of the float range stays
+    out): every row still summing stops or is refused by its end."""
+    k = _KUMMER_INDICES[..., :stop - start]
+    if start:
+        k = k + start  # exact, for integers
+    ratios = (a + k[0]) / (b + k[0]) * column / k[1]  # k + 1: the term the ratio ends at
+    for j, t in enumerate(term):
+        ratios[j, 0] *= t
+    n = ratios.shape[1]
+    terms = np.empty((rows, len(ratios), n + 1), dtype=complex)
+    row0 = np.multiply.accumulate(ratios, axis=1, out=terms[0, :, 1:])
+    term = row0[:, -1].tolist()
+    if not any(map(cmath.isfinite, term)):
+        n = int(np.isfinite(row0).argmin(axis=1).max()) + 1
+        k, terms, row0 = k[..., :n], terms[..., :n + 1], row0[:, :n]
+    if rows > 1:
+        weights = k.real / column  # k/z and (k+1)/z in one division
+        weights[0] *= weights[1]  # k(k+1)/z^2
+        np.multiply(weights[::-1], row0, out=terms[1:, :, 1:])
+    return terms, term
 
 
 @np.errstate(all="ignore")  # overflow and NaN are refused
-def _kummer_converged(a, b, z, rows, params):
+def _kummer_sums(a, b, z, rows, params):
     """Each point's row sums, as a list of lists, under the stopping and
-    refusal rules of kummer_1f1_scaled, for the list z of floats.  A point leaves the
-    pass once all its rows have stopped; the bookkeeping runs per point and
-    row, on Python numbers, as one point's did: bytes.find meets a row's stop
-    in the chunk's small-term flags, led by those its last chunk ended with."""
+    refusal rules of kummer_1f1_scaled, for the list z of floats, in one loop
+    over chunks of at most _KUMMER_CHUNK_CELLS terms.  Row r of point j of
+    the N still summing is row r * N + j.  A point leaves once all its rows
+    have stopped; the bookkeeping runs per point and row, on Python numbers:
+    bytes.find meets a row's stop in the chunk's small-term flags, led by
+    those its last chunk ended with.  cumprod and cumsum run in order, all
+    else is elementwise, and a chunk's first ratio takes on the term before
+    it in numpy's scalar arithmetic, so each sum is bit for bit the same
+    whatever the chunk bounds and whichever points are summed together."""
     results = [None] * len(z)
     live = list(range(len(z)))  # the points still summing, as indices into z
     pending = [range(rows)] * len(z)  # their rows not yet stopped
     found = [[None] * rows for _ in live]  # their rows' sums, once stopped
     peak = [[1.0] + [0.0] * (rows - 1) for _ in live]  # |partial sum| before the first term
     run = [[0] * rows for _ in live]  # the small terms each row's last chunk ended with
-    chunks = _kummer_chunks(a, b, z, rows, _KUMMER_MAX_TERMS)
-    keep = None
-    while True:
-        try:
-            k, sizes, sums = chunks.send(keep)
-        except StopIteration:
-            raise NonConvergence(
-                f"{_kummer_label(params, z[0])} hit the {_KUMMER_MAX_TERMS}-term cap"
-            ) from None
-        width = len(k) + 1  # a row's columns: its total before the chunk, then its terms
+    # one point's argument stays a float; several stand in a column against k
+    column = z[0] if len(z) == 1 else np.array(z)[:, None]
+    term = []  # each point's term before the chunk: none before t_1, for t_0 = 1
+    total = _KUMMER_START[:rows]  # each row's running total, point by point
+    start = 0
+    reach = max(map(abs, z))
+    reach += 10.0 * math.sqrt(reach) + 16.0  # past the peak of the terms, near k = |z|
+    size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
+    while start < _KUMMER_MAX_TERMS:
+        stop = min(start + max(1, min(size, _KUMMER_CHUNK_CELLS // len(z))), _KUMMER_MAX_TERMS)
+        terms, term = _kummer_terms(a, b, column, term, start, stop, rows)
+        width = terms.shape[2]  # a row's columns: its total before the chunk, then its terms
+        terms[:, :, 0] = total  # so that the sums add up in series order
+        sizes = np.empty((2, rows, len(z), width))
+        np.abs(terms, out=sizes[0])
+        sums = np.add.accumulate(terms, axis=2, out=terms)
+        np.abs(sums, out=sizes[1])
+        total = sums[:, :, -1]
+        sizes, sums = sizes.reshape(2, -1, width), sums.reshape(-1, width)
         flags = (sizes[0] < _KUMMER_REL_EPS * sizes[1]).tobytes()
         tops = sizes.max(axis=2).tolist()  # each row's largest term and partial sum
         bads = [width] * len(sums)  # each row's first column with a modulus not finite
@@ -480,7 +451,7 @@ def _kummer_converged(a, b, z, rows, params):
                 at = line.find(_KUMMER_RUN)  # the column of the run's end, else the last
                 end = at + _KUMMER_CONSECUTIVE - run[j][row] if at >= 0 else width - 1
                 if bads[i] <= end:
-                    refusals.append((bads[i], row, f"overflowed after {k[0] + bads[i]} terms"))
+                    refusals.append((bads[i], row, f"overflowed after {start + bads[i]} terms"))
                 elif at < 0:
                     peak[j][row] = max(peak[j][row], tops[1][i])
                     run[j][row] = len(line) - len(line.rstrip(b"\x01"))
@@ -508,27 +479,11 @@ def _kummer_converged(a, b, z, rows, params):
         if not keep:
             return results
         if len(keep) < len(live):
-            live, pending, found, peak, run, z = (
-                [v[j] for j in keep] for v in (live, pending, found, peak, run, z)
+            live, pending, found, peak, run, z, term = (
+                [v[j] for j in keep] for v in (live, pending, found, peak, run, z, term)
             )
-        else:
-            keep = None
-
-
-@np.errstate(all="ignore")  # overflow and NaN are refused
-def _kummer_terminating(a, b, z, degree, rows, params):
-    """Each point's row sums, as a list of lists, of a series that ends at
-    term index degree, summed in full for the float array z, and refused
-    where a sum is not finite."""
-    if degree > _KUMMER_MAX_TERMS:
-        raise NonConvergence(
-            f"{_kummer_label(params, z[0])} terminates beyond the {_KUMMER_MAX_TERMS}-term cap"
-        )
-    total = _KUMMER_START[:rows].repeat(len(z))  # the sums for degree 0
-    for _, _, sums in _kummer_chunks(a, b, z, rows, degree):
-        total = sums[:, -1]
-    total = total.reshape(rows, len(z))
-    finite = np.isfinite(total).all(axis=0)
-    if not finite.all():
-        raise NonConvergence(f"{_kummer_label(params, z[finite.argmin()])} overflowed")
-    return total.T.tolist()
+            total = total[:, keep]
+            column = np.array(z)[:, None]
+        start += width - 1
+        size = min(2 * size, _KUMMER_CHUNK_CAP)
+    raise NonConvergence(f"{_kummer_label(params, z[0])} hit the {_KUMMER_MAX_TERMS}-term cap")

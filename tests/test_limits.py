@@ -207,3 +207,22 @@ def test_continuum_magnitude_large_a_exceeds_double_precision():
     # refuses rather than return noise (a 60-digit evaluation gives 0.1182)
     with pytest.raises(NonConvergence):
         limits.continuum_magnitude([ModelParams(a=8.0)], 2.0, 1.0)
+
+
+def test_continuum_magnitude_keeps_q_bit_for_bit(monkeypatch):
+    # at a = 1000 the energy of q = 2 gives back q = 1.9998779 through
+    # continuum_state; the sweep evaluates the state of q itself, at that
+    # energy, and at a = 1e5 it is not refused as below the well depth
+    states = []
+
+    def spy(state, params, x):
+        states.append(state)
+        return 0.0
+
+    monkeypatch.setattr(model, "continuum_wavefunction", spy)
+    family = [ModelParams(a=1000.0), ModelParams(a=1e5)]
+    limits.continuum_magnitude(family, 2.0, 1.0)
+    assert model.continuum_state(family[0], states[0].energy).q != 2.0
+    for p, state in zip(family, states):
+        assert (state.q, state.mu, state.gamma.imag) == (2.0, 1 + 2j, 1.0)
+        assert state.energy == model.energy_for_wavenumber(p, 2.0)

@@ -406,6 +406,23 @@ def test_continuum_state_examples():
     assert st.q == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("a", [0.7072, 0.75, 1.0, 2.0, 30.0])
+def test_continuum_threshold_keeps_gamma_off_the_real_axis(a):
+    # the first float above V_inf (1 + 1/(4 b^4)) with q^2 > 0 still gives
+    # Im gamma = q/2 far above the 1e-12 within which kummer_1f1_scaled
+    # refuses a terminating series, and mu = 1 + iq is no pole
+    p = ModelParams(a=a)
+    e = model.well_depth(p) * (1.0 + 0.25 / (p.b2 * p.b2))
+    while True:
+        try:
+            st = model.continuum_state(p, e)
+            break
+        except BelowContinuum:
+            e = math.nextafter(e, math.inf)
+    assert abs(st.gamma.imag) > 1e-12 and st.mu.imag > 1e-12
+    assert cmath.isfinite(specfun.kummer_1f1_scaled(st.gamma, st.mu, 0.01)[1])
+
+
 def test_continuum_rejections(params_a2):
     with pytest.raises(BelowContinuum):
         model.continuum_state(params_a2, model.well_depth(params_a2))

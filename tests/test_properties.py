@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdem import checks, limits, model, oracle, specfun
-from pdem.errors import NonConvergence, PolePivot
+from pdem.errors import DomainError, NonConvergence, PolePivot
 from pdem.model import ModelParams, WavefunctionForm
 
 constants = st.floats(0.5, 2.0)
@@ -244,9 +244,16 @@ def kummer_parameters(draw):
 def test_kummer_array_is_each_scalar_bit_for_bit(params, derivatives, zs, chunk_cap):
     # one pass over an array of z gives each point's exponent and mantissas
     # bit for bit as a scalar call does, whatever the chunk bounds, or
-    # refuses with a point's own refusal
+    # refuses with a point's own refusal; a terminating series is refused
+    # at the array and at each point alike
     a, b = params
     xs = np.array(zs)
+    m = round(a.real) if abs(a.imag) <= 1e-12 else 1
+    if m <= 0 and abs(a.real - m) <= 1e-12:  # a terminating series
+        for z in (xs, *xs.tolist()):
+            with pytest.raises(DomainError, match="its series terminates"):
+                specfun.kummer_1f1_scaled(a, b, z, derivatives)
+        return
 
     def compare(i, result, single):
         exponents, values = result

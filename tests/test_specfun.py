@@ -108,12 +108,14 @@ def test_laguerre_alpha_minus_one_identity():
 
 @pytest.mark.parametrize("alpha", [1.5, 6.0, 13.0])
 def test_laguerre_kummer_bridge(alpha):
-    # L_n^a(x) = (a+1)_n / n! * 1F1(-n; a+1; x)
+    # L_n^a(x) = (a+1)_n / n! * 1F1(-n; a+1; x), a terminating series that
+    # kummer_1f1_scaled refuses, so mpmath sums it (zeroprec: at exact zeros
+    # such as 1F1(-1; 2.5; 2.5) it would chase relative accuracy forever)
     for n in range(9):
         pref = math.prod(alpha + 1.0 + i for i in range(n)) / math.factorial(n)
         for x in np.linspace(0.0, 10.0, 21):
             lhs = _laguerre(n, alpha, float(x))
-            rhs = pref * _kummer(-n, alpha + 1.0, float(x)).real
+            rhs = pref * float(mpmath.hyp1f1(-n, alpha + 1.0, float(x), zeroprec=200))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -147,13 +149,14 @@ def test_bessel_dual_route_agreement(alpha):
 
 @pytest.mark.parametrize("alpha", [-20.3, -17.0, -9.5])
 def test_bessel_kummer_bridge(alpha):
-    # y_n(x; a) = (n+a+1)_n (x/2)^n 1F1(-n; -2n-a; 2/x), off the pole set
+    # y_n(x; a) = (n+a+1)_n (x/2)^n 1F1(-n; -2n-a; 2/x), off the pole set;
+    # mpmath sums the terminating series
     for n in range(9):
         pref = math.prod(n + alpha + 1.0 + i for i in range(n))
         for x in np.linspace(0.25, 2.0, 8):
             x = float(x)
             lhs = _bessel(n, alpha, x)
-            rhs = pref * (x / 2.0) ** n * _kummer(-n, -2.0 * n - alpha, 2.0 / x).real
+            rhs = pref * (x / 2.0) ** n * float(mpmath.hyp1f1(-n, -2.0 * n - alpha, 2.0 / x))
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -197,8 +200,18 @@ def test_bessel_derivatives_match_finite_differences():
 
 def test_kummer_trivial_and_terminating():
     assert _kummer(0.37, 5.5, 0.0) == 1.0
-    assert _kummer(-1, 2.0, 3.0) == pytest.approx(-0.5, abs=1e-15)
     assert _kummer(1.0, 1.0, 1.0).real == pytest.approx(math.e, rel=1e-15)
+    # a terminating series is refused, within 1e-12 of its integer too, at a
+    # scalar or an array, whatever the points, before anything is summed
+    for a in (0, -1, -1.0, complex(-3.0, 1e-13), -7 + 1e-13, -7 - 1e-13):
+        for z in (3.0, 0.0, np.array([0.0, 3.0]), np.array([])):
+            with pytest.raises(DomainError, match=re.escape(
+                f"1F1 upper parameter {a!r} is a non-positive integer: its series terminates"
+            )):
+                specfun.kummer_1f1_scaled(a, 2.0, z, derivatives=True)
+    # just off an integer, or at a positive one, the series is summed
+    for a in (-7 + 2e-12, complex(-3.0, 2e-12), 1.0):
+        assert cmath.isfinite(_kummer(a, 2.0, 3.0))
 
 
 def test_kummer_pole_pivot():
@@ -225,7 +238,7 @@ def test_kummer_complex_against_mpmath(z):
 
 
 def test_kummer_real_against_scipy():
-    for a, b, z in [(0.3, 1.7, 2.0), (2.5, 0.5, 7.0), (-4, 2.25, 3.0)]:
+    for a, b, z in [(0.3, 1.7, 2.0), (2.5, 0.5, 7.0), (-4.5, 2.25, 3.0)]:
         ref = float(sps.hyp1f1(a, b, z))
         assert _kummer(a, b, z).real == pytest.approx(ref, rel=1e-12)
 
@@ -253,20 +266,14 @@ def test_kummer_modulus_overflow_raises():
 
 def _kummer_scalar_loop(a_param, b_param, z):
     """1F1 summed term by term in a Python loop under the same rules, the
-    reference for kummer_1f1: (sum, largest |partial sum|, terms summed)."""
+    reference for kummer_1f1: (sum, largest |partial sum|, terms summed).
+    A terminating series (a within 1e-12 of an integer m <= 0) is refused."""
     a = complex(a_param)
     b = complex(b_param)
     z = float(z)
-    terminal = specfun._near_nonpositive_integer(a)
-    if terminal is not None:
-        total = complex(1.0)
-        term = complex(1.0)
-        peak = 1.0
-        for k in range(-terminal):
-            term *= (a + k) / (b + k) * z / (k + 1.0)
-            total += term
-            peak = max(peak, abs(total))
-        return total, peak, -terminal
+    m = round(a.real) if abs(a.imag) <= 1e-12 else 1
+    if m <= 0 and abs(a.real - m) <= 1e-12:
+        raise DomainError(f"{a_param!r} terminates")
     total = complex(1.0)
     term = complex(1.0)
     peak = 1.0
@@ -331,40 +338,42 @@ def _kummer_rows_reference(a, b, z, rows):
 
 
 def _refused(fn, *args, **kwargs):
+    """(fn's result, None), or (None, the class of its refusal)."""
     try:
-        return fn(*args, **kwargs), False
-    except NonConvergence:
-        return None, True
+        return fn(*args, **kwargs), None
+    except (NonConvergence, DomainError) as exc:
+        return None, type(exc)
 
 
 @pytest.mark.parametrize("chunk_cap", [None, 5])
 @pytest.mark.parametrize("derivatives", [False, True])
 def test_kummer_matches_the_scalar_loop(derivatives, chunk_cap, monkeypatch):
-    # Same refusals, and values within the rounding of the two routes: a
-    # random walk of last-bit differences over n + 1 terms, at the scale of the
-    # largest partial sum.  Chunks of 5 terms put every run of 8 small terms
-    # across a chunk boundary.
+    # Same refusals (a terminating series with DomainError), and values within
+    # the rounding of the two routes: a random walk of last-bit differences
+    # over n + 1 terms, at the scale of the largest partial sum.  Chunks of 5
+    # terms put every run of 8 small terms across a chunk boundary.
     if chunk_cap is not None:
         monkeypatch.setattr(specfun, "_KUMMER_CHUNK_CAP", chunk_cap)
     eps = np.finfo(float).eps
-    refusals = 0
+    refusals = []
     for a, b, z in _kummer_sweep():
         expected, old_refused = _refused(_kummer_rows_reference, a, b, z, 3 if derivatives else 1)
         got, new_refused = _refused(_kummer, a, b, z, derivatives=derivatives)
         assert new_refused == old_refused, (a, b, z)
-        refusals += new_refused
+        refusals.append(new_refused)
         if new_refused:
             continue
         for value, (ref, peak, terms) in zip(got if derivatives else (got,), expected):
             assert abs(value - ref) <= 16.0 * eps * math.sqrt(terms + 1) * peak, (a, b, z)
-    assert 0 < refusals < len(_kummer_sweep())
+    assert refusals.count(DomainError) == 9
+    assert 0 < refusals.count(NonConvergence) < len(refusals) - 9
 
 
 def _overflow_count(fn, *args):
     """The term count of fn's overflow refusal, or None for any other outcome."""
     try:
         fn(*args)
-    except NonConvergence as exc:
+    except (NonConvergence, DomainError) as exc:
         found = re.search(r"overflow(?:ed)? after (\d+) terms", str(exc))
         return int(found.group(1)) if found else None
     return None
@@ -387,20 +396,14 @@ def test_kummer_overflow_names_the_term_of_the_scalar_loop(chunk_cap, monkeypatc
 def test_kummer_overflow_stops_its_chunk(monkeypatch):
     # the first chunk would be 2048 terms; the sum overflows at term 286
     widths = []
-    chunks = specfun._kummer_chunks
+    chunk = specfun._kummer_terms
 
     def spy(*args):
-        points = None
-        gen = chunks(*args)
-        while True:
-            try:
-                k, term_size, sums = gen.send(points)
-            except StopIteration:
-                return
-            widths.append(len(k))
-            points = yield k, term_size, sums
+        terms, term = chunk(*args)
+        widths.append(terms.shape[2] - 1)
+        return terms, term
 
-    monkeypatch.setattr(specfun, "_kummer_chunks", spy)
+    monkeypatch.setattr(specfun, "_kummer_terms", spy)
     with pytest.raises(NonConvergence, match="overflowed after 286 terms"):
         _kummer(complex(-15.5, 1.5), complex(1.0, 3.0), 1600.0, derivatives=True)
     assert widths and max(widths) <= 286
@@ -421,7 +424,7 @@ def test_kummer_scaled_mantissas(derivatives):
     for a, b, z in _kummer_sweep():
         scaled, refused = _refused(specfun.kummer_1f1_scaled, a, b, z, derivatives=derivatives)
         got, _ = _refused(_kummer, a, b, z, derivatives=derivatives)
-        assert refused == (got is None), (a, b, z)
+        assert (refused is not None) == (got is None), (a, b, z)
         if refused:
             continue
         exponent, mantissas = scaled
@@ -446,14 +449,17 @@ def test_kummer_term_cap_raises(monkeypatch):
     with pytest.raises(NonConvergence, match="20-term cap"):
         _kummer(0.25, 1.75, 50.0)
     with pytest.raises(NonConvergence, match="20-term cap"):
-        _kummer(-30, 1.75, 50.0)
+        specfun.kummer_1f1_scaled(-30.5, 1.75, np.array([0.0, 50.0, 60.0]))
 
 
 def test_kummer_terminating_overflow_raises():
-    # the sum is not finite, which the scalar loop returns as it is
-    assert not cmath.isfinite(_kummer_scalar_loop(-400, 0.5, 1e6)[0])
-    with pytest.raises(NonConvergence):
+    # the terminating series of 400 terms overflows, but is refused as
+    # terminating before a term is summed; just off the integer it is summed
+    # and refused for the overflow
+    with pytest.raises(DomainError, match="terminates"):
         _kummer(-400, 0.5, 1e6)
+    with pytest.raises(NonConvergence, match="overflowed after"):
+        _kummer(-400.5, 0.5, 1e6)
 
 
 def test_kummer_derivative_rows_stay_at_the_scale_of_f():

@@ -25,7 +25,7 @@ from .errors import (
     PolePivot,
     ToleranceNotMet,
 )
-from .limits import LimitSweep, continuum_magnitude, energy_gap, scaled_bessel, wavefunction_distance
+from .limits import continuum_magnitude, energy_gap, scaled_bessel, wavefunction_distance
 from .model import (
     WALL,
     BoundStates,
@@ -42,13 +42,12 @@ from .model import (
     continuum_wavefunction_with_derivatives,
     effective_mass,
     energy,
-    energy_for_wavenumber,
-    kinetic_weight,
     max_level,
     normalization,
     potential,
     wavefunction,
     wavefunction_with_derivatives,
+    wavenumber_state,
     well_depth,
 )
 from .oracle import (

@@ -53,6 +53,9 @@ def _log_norm(params, n):
     )
 
 
+# Where (lambda0 x)^2 passes the float ceiling, the log prefactor is -inf and
+# the state 0.
+@np.errstate(over="ignore")
 def canonical_wavefunction(params, n, x):
     """Normalized psi_n(x) = (2^n n!)^(-1/2) (m0 w/pi hbar)^(1/4)
     exp(-lambda0^2 x^2/2) H_n(lambda0 x), at a scalar x (giving a float) or
@@ -65,6 +68,7 @@ def canonical_wavefunction(params, n, x):
     return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, h, exponent)
 
 
+@np.errstate(over="ignore")  # as canonical_wavefunction
 def canonical_wavefunction_derivative(params, n, x):
     """Analytic d psi_n / dx, using H_n' = 2 n H_{n-1}."""
     x = np.asarray(x, dtype=float)

@@ -248,13 +248,13 @@ def _limit_wavefunction(args, params_kw):
 
 def _limit_continuum(args, params_kw):
     a_values = _a_sweep(args, limits.CONTINUUM_A_SWEEP)
-    sweep = limits.continuum_magnitude(
+    magnitudes = limits.continuum_magnitude(
         [model.ModelParams(a=a, **params_kw) for a in a_values], args.q, args.x
     )
     _emit(
         "limit",
         {"kind": args.kind, "q": args.q, "x": args.x},
-        {"a": sweep.parameter_values, "magnitude": sweep.metric_values},
+        {"a": list(a_values), "magnitude": magnitudes},
         args,
     )
 

@@ -8,7 +8,6 @@ polynomials; it is exercised here directly.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,6 @@ A_SWEEP = (3.0, 5.0, 10.0, 20.0)  # a, energy and wavefunction limits
 # double precision (15 digits lost), and the evaluator refuses it.
 CONTINUUM_A_SWEEP = (2.0, 4.0)
 NU_LADDER = (1e4, 4e4, 1.6e5, 6.4e5)  # nu, Bessel-Hermite; each 4 times the last
-
-
-@dataclass(frozen=True)
-class LimitSweep:
-    """Metric values recorded along an increasing parameter sweep."""
-
-    parameter_values: list
-    metric_values: list
-
-    def __post_init__(self):
-        if len(self.parameter_values) != len(self.metric_values):
-            raise ValueError("parameter and metric lists must have equal length")
-        require_increasing(self.parameter_values)
 
 
 def require_increasing(values):
@@ -102,15 +88,15 @@ def wavefunction_distance(params, n, tol=1e-10):
 
 
 def continuum_magnitude(params_family, q_fixed, x):
-    """|psi_E(x)| across a family of parameter sets at fixed continuum q.
+    """The list of |psi_E(x)| across a family of parameter sets at fixed
+    continuum q.
 
-    Members must come in order of strictly increasing a; each state is built
-    from q itself, at the energy it implies for that member, so mu = 1 + iq
-    is exactly the same across the sweep.  The magnitudes should fall to 0."""
-    values = []
-    a_values = []
-    for params in params_family:
-        state = model._wavenumber_state(params, q_fixed)
-        values.append(abs(model.continuum_wavefunction(state, params, x)))
-        a_values.append(params.a)
-    return LimitSweep(parameter_values=a_values, metric_values=values)
+    Members must come in order of strictly increasing a (else ValueError);
+    each state is built from q itself, at the energy it implies for that
+    member, so mu = 1 + iq is exactly the same across the sweep.  The
+    magnitudes should fall to 0."""
+    require_increasing([params.a for params in params_family])
+    return [
+        abs(model.continuum_wavefunction(model.wavenumber_state(params, q_fixed), params, x))
+        for params in params_family
+    ]

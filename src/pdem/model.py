@@ -11,7 +11,7 @@ s = 1 + x/a, V_inf and the amplitude a^(-1/2):
     E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)],  hbar w = 2 V_inf / b^2,
     V = V_inf ((s-1)/s)^2,  M = m0 / s^2,  z = 2 b^2 / s,  psi_n = a^(-1/2) phi_n(s; b^2).
 Each quantity is computed in (b^2, s) and its units are applied last (a unit
-that can leave the float range, hbar w or hbar^2/m0, by specfun.in_units), so
+that can leave the float range, hbar w or V_inf, by specfun.in_units), so
 that nothing leaves the float range where the result does not, and a result
 that does is refused with DomainError.
 
@@ -100,11 +100,6 @@ class ModelParams:
     def lambda0(self):
         """Inverse length scale sqrt(m0 omega / hbar)."""
         return math.sqrt(self.m0 * self.omega / self.hbar)
-
-    @property
-    def b(self):
-        """Dimensionless confinement strength lambda0 * a."""
-        return self.lambda0 * self.a
 
     @cached_property
     def b2(self):
@@ -387,18 +382,14 @@ def wavefunction_with_derivatives(params, n, x):
     return tuple(specfun.shaped_like(x, v[0]) for v in rows)
 
 
-def energy_for_wavenumber(params, q):
-    """Energy whose continuum parameter equals q (inverts q^2 = 4c0 - 4b^4 - 1).
+def wavenumber_state(params, q):
+    """The continuum state of parameter q > 0 itself, at the energy
+    E = V_inf c0 / b^4 with q^2 = 4c0 - 4b^4 - 1.
 
     q is independent of a, which makes it the natural handle for sweeps in
-    the semiconfinement parameter at fixed mu = 1 + iq.
+    the semiconfinement parameter at fixed mu = 1 + iq.  continuum_state at
+    that energy would round q through it (1.99988 for 2 at a = 1000).
     """
-    return _wavenumber_state(params, q).energy
-
-
-def _wavenumber_state(params, q):
-    """The continuum state of parameter q itself at its energy, which
-    continuum_state would round q through (1.99988 for 2 at a = 1000)."""
     if not q > 0.0:
         raise DomainError(f"continuum parameter q must be positive, got {q}")
     b4 = params.b2 * params.b2
@@ -545,19 +536,6 @@ def alpha0(params, x):
     alpha0 = psi_0'/psi_0 = (-b^2/s + b^2/s^2) / a, s = 1 + x/a."""
     _, s = _inside(params, x)
     return specfun.shaped_like(x, _finite((-params.b2 / s + params.b2 / s**2) / params.a, "alpha0"))
-
-
-@np.errstate(over="ignore")  # a value past the float ceiling is refused
-def kinetic_weight(params, x):
-    """Flux coefficient hbar^2 / (2 M(x)) = (hbar^2 / m0) s^2 / 2 of the
-    kinetic operator, s = 1 + x/a.
-
-    (This is the position-dependent function the factorization operators
-    scale by; it is unrelated to the dimensionless separation constant that
-    shares its letter in some treatments.)
-    """
-    _, s = _inside(params, x)
-    return in_units(s * s / 2.0, (params.hbar, params.hbar), "the kinetic weight", per=(params.m0,))
 
 
 @np.errstate(over="ignore")  # a value past the float ceiling is refused

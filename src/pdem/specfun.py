@@ -4,8 +4,9 @@ application of units used by the well model.
 Hermite, generalized Laguerre and Bessel polynomials come from their
 three-term recurrences, run elementwise over a numpy array of arguments,
 carrying a mantissa and a per-element base-2 exponent renormalized every few
-steps with np.frexp/np.ldexp, which are exact, so no intermediate overflows
-however high the degree (Gil, Segura and Temme, Numerical Methods for Special
+steps (every step at arguments where a few could overflow) with
+np.frexp/np.ldexp, which are exact, so no intermediate overflows however
+high the degree (Gil, Segura and Temme, Numerical Methods for Special
 Functions, SIAM 2007, ch. 4).  exp_scaled folds the exponent into a log-space
 prefactor.  One Bessel recurrence records every degree a caller asks for;
 a step too close to a pole of its coefficients is refused with PolePivot.
@@ -33,11 +34,8 @@ from .errors import DomainError, NonConvergence, PolePivot
 # nu > 2n+1 at alpha = -nu, keep every factor a step passes above 3 in size.
 _BESSEL_POLE_MARGIN = 1e-3
 
-# Recurrence steps between renormalizations.  After one, the running values
-# are below 1 in magnitude, so the next _RESCALE_EVERY steps overflow only if
-# their growth factors |A_k| + |B_k| average above 2^(1023/8), about 1e38
-# (growth per step is about |alpha| times the argument for Bessel, twice the
-# argument for Hermite, and the argument over k for Laguerre).
+# Recurrence steps between renormalizations where a seed and that many steps
+# cannot overflow (_cadence; elsewhere every step renormalizes).
 _RESCALE_EVERY = 8
 
 _KUMMER_MAX_TERMS = 100_000
@@ -95,36 +93,45 @@ def exp_scaled_complex(log_prefactor, factor, exponent=0):
     return cmath.exp(log_prefactor + cmath.log(factor))
 
 
-def in_units(value, factors, what, per=()):
-    """value times the product of the positive floats factors over those in
-    per, at a scalar (giving a float) or an array.  Only binary mantissas
-    are multiplied and exponents added, so no intermediate leaves the float
-    range where the result does not, and the result rounds as the plain
-    product does where that stays normal.  DomainError, naming what, where
-    a value is not finite or the product overflows (below the normal range
-    it comes out subnormal or 0)."""
+def in_units(value, factors, what):
+    """The float value times the product of the positive floats factors.
+    Only binary mantissas are multiplied and exponents added, so no
+    intermediate leaves the float range where the result does not, and the
+    result rounds as the plain product does where that stays normal.
+    DomainError, naming what, where a value is not finite or the product
+    overflows (below the normal range it comes out subnormal or 0)."""
     mantissa, exponent = 1.0, 0
     for f in factors:
         m, e = math.frexp(f)
         mantissa, exponent = mantissa * m, exponent + e
-    for f in per:
-        m, e = math.frexp(f)
-        mantissa, exponent = mantissa / m, exponent - e
-    if isinstance(value, float) or np.ndim(value) == 0:
-        m, e = math.frexp(value)
-        try:
-            result = math.ldexp(m * mantissa, e + exponent)
-        except OverflowError:
-            result = math.inf
-        finite = math.isfinite(result)
-    else:
-        m, e = np.frexp(value)
-        with np.errstate(over="ignore"):
-            result = np.ldexp(m * mantissa, e + exponent)
-        finite = np.isfinite(result).all()
-    if not finite:
+    m, e = math.frexp(value)
+    try:
+        result = math.ldexp(m * mantissa, e + exponent)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
         raise DomainError(f"{what} leaves the float range")
     return result
+
+
+def _cadence(growth, what):
+    """Recurrence steps between renormalizations, from growth, a bound on the
+    factor by which a seed or one step of a recurrence can grow its running
+    values, which a renormalization leaves below 1 in magnitude.
+
+    _RESCALE_EVERY where a seed and that many steps cannot leave the float
+    range together, about growth < 2^(1023/9) or 1e34, else 1: every step and
+    the seeds are renormalized.  DomainError, naming what, where one step
+    can."""
+    bits = math.log2(growth) if growth > 1.0 else 0.0  # NaN arguments come out NaN
+    if bits >= 1023.0:
+        raise DomainError(f"{what} leaves the float range (a step grows it by up to {growth:.3g})")
+    return _RESCALE_EVERY if (_RESCALE_EVERY + 1) * bits < 1023.0 else 1
+
+
+def _largest(x):
+    """max |x| over the array x, 0 for an empty one."""
+    return float(np.abs(x).max(initial=0.0))
 
 
 def _rescaled(exponent, lead, prev, *rest):
@@ -146,15 +153,19 @@ def hermite_scaled(n, x):
     n-1 and n as mantissas sharing one base-2 exponent, elementwise
     (H_{-1} = 0).
 
-    Three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1} from H_0 = 1."""
+    Three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1} from H_0 = 1, whose
+    steps grow the values by at most 2 max|x| + 2n."""
     if n < 0:
         raise DomainError(f"hermite degree must be non-negative, got {n}")
     x, exponent = _start(x)
-    two_x = 2.0 * x
     hm1, h = np.zeros_like(x), np.ones_like(x)
+    if n == 0:
+        return exponent, hm1, h
+    every = _cadence(2.0 * _largest(x) + 2.0 * n, "the Hermite recurrence")
+    two_x = 2.0 * x
     for k in range(n):
         hm1, h = h, two_x * h - 2.0 * k * hm1
-        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+        if k % every == every - 1:
             exponent, h, hm1 = _rescaled(exponent, h, hm1)
     return exponent, hm1, h
 
@@ -170,16 +181,52 @@ def laguerre_scaled(n, alpha, x):
     mantissa and base-2 exponent, elementwise.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}, which is
-    total in alpha (no parameter poles), from L_{-1} = 0 and L_0 = 1."""
+    total in alpha (no parameter poles), from L_{-1} = 0 and L_0 = 1.  Its
+    steps grow the values, before the division by k+1 too, by at most
+    3n + 1 + 2|alpha| + max|x|."""
     if n < 0:
         raise DomainError(f"laguerre degree must be non-negative, got {n}")
     x, exponent = _start(x)
+    every = _cadence(3.0 * n + 1.0 + 2.0 * abs(alpha) + _largest(x), "the Laguerre recurrence") if n else 1
     lm1, l = np.zeros_like(x), np.ones_like(x)
     for k in range(n):
         lm1, l = l, ((2.0 * k + 1.0 + alpha - x) * l - (k + alpha) * lm1) / (k + 1.0)
-        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+        if k % every == every - 1:
             exponent, l, lm1 = _rescaled(exponent, l, lm1)
     return exponent, l
+
+
+def _nearest(offset, step, last):
+    """min |offset + step k| over the integers 1 <= k <= last."""
+    k = min(max(round(-offset / step), 1), last)
+    return abs(offset + step * k)
+
+
+def _bessel_cadence(alpha, top, x_max, derivatives):
+    """_cadence of the y_n recurrence of bessel_poly_rows up to degree top,
+    at arguments of at most x_max in size.
+
+    Over its steps 1 <= k < top, with d = 2k+alpha, every factor d, d+1 and
+    d+2 is at most wide in size, k+alpha+1 and d at least near1 and near2
+    (or the step is refused with PolePivot), so |A_k| + |B_k|, and the
+    2|q_k| the derivative rows add, are bounded from these; so is the seed
+    y_1 = 1 + (2+alpha) x/2.  DomainError where a coefficient, or a product
+    that forms A_k, may leave the float range: |alpha| above about 6.7e153
+    (scaled_bessel), or arguments near 1e308 / alpha^2."""
+    growth = 1.0 + 0.5 * abs(2.0 + alpha) * x_max
+    last = top - 1
+    if last >= 1:
+        wide = max(abs(2.0 + alpha), abs(2.0 * last + alpha)) + 2.0
+        if not 2.0 * wide * wide < math.inf or wide * (wide * wide * x_max + 2.0 * abs(alpha)) == math.inf:
+            raise DomainError(f"the Bessel recurrence coefficients at alpha={alpha!r} "
+                              f"and arguments up to {x_max:.6g} leave the float range")
+        near1 = max(_nearest(alpha + 1.0, 1.0, last), _BESSEL_POLE_MARGIN)
+        near2 = max(_nearest(alpha, 2.0, last), _BESSEL_POLE_MARGIN)
+        step = wide / (2.0 * near1) * (2.0 * abs(alpha) / near2 + wide * x_max) + last * wide / (near1 * near2)
+        if derivatives:
+            step += wide * wide / near1
+        growth = max(growth, step)
+    return _cadence(growth, "the Bessel recurrence")
 
 
 def bessel_poly_rows(degrees, alpha, x, derivatives=False):
@@ -202,7 +249,9 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
         y'_{n+1}  = q_n y_n + A_n y'_n + B_n y'_{n-1},
         y''_{n+1} = 2 q_n y'_n + A_n y''_n + B_n y''_{n-1}.
     Raises PolePivot when a step the highest degree needs has a factor k+a+1
-    or 2k+a of its denominator within _BESSEL_POLE_MARGIN of zero.
+    or 2k+a of its denominator within _BESSEL_POLE_MARGIN of zero, and
+    DomainError where its coefficients may leave the float range
+    (_bessel_cadence, which also sets how often the values are renormalized).
     """
     for n in degrees:
         if n < 0:
@@ -225,6 +274,8 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     # the recurrence runs on 1-d arrays, which numpy keeps as arrays (a 0-d
     # operand would come back as a scalar, which out= cannot take)
     x, exponent = x.reshape(-1), exponent.reshape(-1)
+    top = max(rows, default=1)
+    every = _bessel_cadence(alpha, top, _largest(x), derivatives)
 
     zero = np.zeros_like(x)
     if 0 in rows:
@@ -234,6 +285,10 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
         y = 1.0 + 0.5 * (2.0 + alpha) * x
         dym1 = d2ym1 = d2y = zero
         dy = np.full_like(x, 0.5 * (2.0 + alpha)) if derivatives else None
+        if every == 1 and derivatives:  # the seeds too
+            exponent, y, ym1, dy = _rescaled(exponent, y, ym1, dy)
+        elif every == 1:
+            exponent, y, ym1 = _rescaled(exponent, y, ym1)
         if 1 in rows:
             record(1, exponent, y, dy, d2y)
     # Each step writes into scratch arrays (out=): A_k, a product, and the
@@ -244,7 +299,7 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
     if derivatives:  # their own arrays, as they are written in place
         dym1, d2ym1, d2y = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
         dspare, d2spare = np.empty_like(x), np.empty_like(x)
-    for k in range(1, max(rows, default=1)):
+    for k in range(1, top):
         if min(abs(k + alpha + 1.0), abs(2.0 * k + alpha)) < _BESSEL_POLE_MARGIN:
             raise PolePivot(
                 f"Bessel recurrence step k={k} at alpha={alpha!r} lies within "
@@ -277,11 +332,11 @@ def bessel_poly_rows(degrees, alpha, x, derivatives=False):
             np.add(d2spare, term, out=d2spare)
             dym1, dy, dspare = dy, dspare, dym1
             d2ym1, d2y, d2spare = d2y, d2spare, d2ym1
-            if k % _RESCALE_EVERY == 0:
+            if k % every == 0:
                 exponent, y, ym1, dy, dym1, d2y, d2ym1 = _rescaled(
                     exponent, y, ym1, dy, dym1, d2y, d2ym1
                 )
-        elif k % _RESCALE_EVERY == 0:
+        elif k % every == 0:
             exponent, y, ym1 = _rescaled(exponent, y, ym1)
         if k + 1 in rows:
             record(k + 1, exponent, y, dy, d2y)

@@ -228,21 +228,19 @@ def test_criterion_10_wavefunction_limit():
 )
 def test_criterion_11_continuum_vanishing_as_stated():
     try:
-        sweep = limits.continuum_magnitude(
+        vals = limits.continuum_magnitude(
             [ModelParams(a=a) for a in (2.0, 4.0, 8.0)], 2.0, 1.0
         )
     except NonConvergence as exc:
         report(11, False, f"a=8 member not computable in double precision: {exc}")
         raise AssertionError("sweep member not computable") from exc
-    vals = sweep.metric_values
     ok = all(v2 < v1 for v1, v2 in zip(vals, vals[1:])) and vals[-1] <= 0.1 * vals[0]
     report(11, ok, "sweep " + ", ".join(f"{v:.3f}" for v in vals))
     assert ok
 
 
 def test_criterion_11_companion_decreasing_members():
-    sweep = limits.continuum_magnitude([ModelParams(a=2.0), ModelParams(a=4.0)], 2.0, 1.0)
-    v2, v4 = sweep.metric_values
+    v2, v4 = limits.continuum_magnitude([ModelParams(a=2.0), ModelParams(a=4.0)], 2.0, 1.0)
     ok = v4 < v2 and abs(v2 - 0.4114357152) < 1e-6 and abs(v4 - 0.2254856023) < 1e-6
     report(11, ok, f"companion: |psi_E(1)| = {v2:.6f}, {v4:.6f} "
            "(match 60-digit values, decreasing)")

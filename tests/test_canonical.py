@@ -46,6 +46,19 @@ def test_high_level_against_mpmath():
     assert abs(val - ref) <= 1e-10 * abs(ref)
 
 
+def test_far_out_states_are_zero():
+    # eight steps of H_k at 1e40, and three at 1e80 or 1e160, overflow unless
+    # each step renormalizes; (lambda0 x)^2 at 1e160 leaves the float range,
+    # and the Gaussian factor is 0
+    assert canonical.canonical_wavefunction(UNIT, 8, 1e40) == 0.0
+    assert canonical.canonical_wavefunction_derivative(UNIT, 3, 1e80) == 0.0
+    assert canonical.canonical_wavefunction(UNIT, 3, 1e160) == 0.0
+    xs = np.array([-1e160, -1e40, 0.5, 1e40, 1e160])
+    for n in (3, 8):
+        assert canonical.canonical_wavefunction(UNIT, n, xs)[[0, 1, 3, 4]].tolist() == [0.0] * 4
+        assert canonical.canonical_wavefunction_derivative(UNIT, n, xs)[[0, 1, 3, 4]].tolist() == [0.0] * 4
+
+
 def test_normalization_by_quadrature():
     L = 10.0 / UNIT.lambda0
     for n in range(4):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -430,6 +431,24 @@ def test_limit_bessel_hermite_overflow_exits_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("nu", ["1.3e154", "1e200"])
+def test_limit_bessel_hermite_coefficient_overflow_exits_2(nu):
+    # the recurrence coefficients at alpha = -nu leave the float range; the
+    # table printed 0.0 at 1.3e154, and at 1e200 NaN leaked a RuntimeWarning
+    proc = run_cli("limit", "--kind", "bessel-hermite", "--nu", nu)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_wavefunction_far_out_with_canonical():
+    proc = run_cli("wavefunction", "--a", "4", "--n", "8", "--n", "15", "--x-min", "1e34",
+                   "--x-max", "1e40", "--points", "3", "--canonical")
+    assert proc.returncode == 0
+    _, header, rows = parse_csv(proc.stdout)
+    assert len(rows) == 3 and len(header) == 7
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_limit_bessel_hermite_degree_cap_exits_2(capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,6 @@ def test_params_validation():
         ModelParams(a=1.0 / math.sqrt(2.0))  # bound is strict
     p = ModelParams(a=2.0)
     assert p.lambda0 == 1.0
-    assert p.b == 2.0
     assert p.b2 == 4.0
 
 
@@ -335,6 +335,39 @@ def test_wavefunction_far_tail_decay(params_a2):
         assert v2 / v1 == pytest.approx(expected, rel=0.05)
 
 
+def _mp_psi(a, n, x):
+    """psi_n(x) at unit constants in 60-digit mpmath, from the Laguerre form
+    C_n s^(n-b^2) e^(-b^2/s) (-1)^n n!/(2b^2)^n L_n^(2b^2-2n-1)(2b^2/s)."""
+    with mpmath.workdps(60):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        b2, s = a * a, 1 + x / a
+        log_c = b2 * mpmath.log(2 * b2) + (mpmath.log(2 * b2 - 2 * n - 1) - mpmath.log(2 * b2 * a)
+                                           - mpmath.loggamma(n + 1) - mpmath.loggamma(2 * b2 - n)) / 2
+        log_pref = log_c + (n - b2) * mpmath.log(s) - b2 / s + mpmath.loggamma(n + 1) - n * mpmath.log(2 * b2)
+        return float((-1) ** n * mpmath.exp(log_pref) * mpmath.laguerre(n, 2 * b2 - 2 * n - 1, 2 * b2 / s))
+
+
+def test_wavefunction_far_out_against_mpmath():
+    # a step of the Bessel recurrence grows y_n by about s = 1 + x/a, so from
+    # x near 1.3e35 at a = 4 eight of them and a seed overflow unless every
+    # step renormalizes
+    p = ModelParams(a=4.0)
+    for n in (9, 15):
+        for x in (1e36, 1e100):
+            ref = _mp_psi(4.0, n, x)
+            for form in WavefunctionForm:
+                got = model.wavefunction(p, n, x, form)
+                assert got == ref or abs(got - ref) <= 1e-12 * abs(ref), (n, x, form)
+    states = model.bound_states(p, (8, 15))
+    xs = np.array([1e34, 1e36, 1e40, 1e200])
+    for rows in (states.psi(xs), *states.psi_with_derivatives(xs)):
+        assert np.isfinite(rows).all()
+    # from about 1e305 at a = 4 the products that form a step leave the
+    # float range, and the recurrence is refused rather than run
+    with pytest.raises(DomainError):
+        model.wavefunction(p, 15, 1e307)
+
+
 def test_orthonormality_small_case(params_a1):
     assert checks.bound_overlap(params_a1, 0, 0) == pytest.approx(1.0, abs=1e-9)
 
@@ -522,8 +555,8 @@ def test_continuum_with_extreme_constants(constants):
     assert st.q == pytest.approx(math.sqrt(3.0), rel=1e-14)
     # the energy of a wavenumber is the unit-constant one in units of V_inf
     for q in (0.5, 2.0, 30.0):
-        got = model.energy_for_wavenumber(p, q) / model.well_depth(p)
-        ref = model.energy_for_wavenumber(unit, q) / model.well_depth(unit)
+        got = model.wavenumber_state(p, q).energy / model.well_depth(p)
+        ref = model.wavenumber_state(unit, q).energy / model.well_depth(unit)
         assert got == pytest.approx(ref, rel=1e-14), q
     unit_state = model.continuum_state(unit, 2.0 * model.well_depth(unit))
     psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
@@ -615,11 +648,6 @@ def test_alpha0_values():
         model.alpha0(ModelParams(a=1.0), -1.0)
 
 
-def test_kinetic_weight(params_a2):
-    # hbar^2 / (2 M); M(2) = 1/4 for a=2
-    assert model.kinetic_weight(params_a2, 2.0) == pytest.approx(2.0, rel=1e-15)
-
-
 def test_lowering_annihilates_ground_state(params_a2):
     xs = np.linspace(-1.9, 14.0, 50)
     psi, dpsi, _ = model.wavefunction_with_derivatives(params_a2, 0, xs)
@@ -631,9 +659,9 @@ def test_lowering_annihilates_ground_state(params_a2):
 def test_lowering_on_constant(params_a2):
     c = 0.7
     xs = np.array([-1.5, 1.1, 6.0])
-    expected = -np.sqrt(
-        model.kinetic_weight(params_a2, xs) / (params_a2.hbar * params_a2.omega)
-    ) * model.alpha0(params_a2, xs) * c
+    # sqrt(hbar^2 / (2 M) / hbar w) = (x + a) / (sqrt(2) lambda0 a)
+    s = 1.0 + xs / params_a2.a
+    expected = -np.sqrt(s * s / (2.0 * params_a2.lambda0**2)) * model.alpha0(params_a2, xs) * c
     lowered = model.apply_lowering(params_a2, xs, np.full(3, c), np.zeros(3))
     assert lowered == pytest.approx(expected, rel=1e-15)
     scalar = model.apply_lowering(params_a2, 1.1, c, 0.0)
@@ -657,7 +685,7 @@ def test_hamiltonian_factorization(params_a2, n):
         if psi == 0.0:
             continue
         a0 = model.alpha0(p, x)
-        s = math.sqrt(model.kinetic_weight(p, x) / hw)
+        s = (x + p.a) / (math.sqrt(2.0) * p.lambda0 * p.a)  # sqrt(hbar^2 / (2 M) / hbar w)
         ds = s / (x + p.a)
         g = s * (dpsi - a0 * psi)
         dg = ds * (dpsi - a0 * psi) + s * (d2psi - _alpha0_prime(p, x) * psi - a0 * dpsi)

@@ -196,6 +196,49 @@ def test_bessel_derivatives_match_finite_differences():
         assert d2y == pytest.approx(fd2, rel=1e-4, abs=1e-3)
 
 
+def _mp_value(exponent, mantissa):
+    """mantissa * 2**exponent in mpmath, where the float would overflow."""
+    return mpmath.mpf(float(mantissa)) * mpmath.mpf(2) ** int(exponent)
+
+
+def test_recurrences_at_huge_arguments_against_mpmath():
+    # a seed and eight steps, each growing the values by about the argument,
+    # leave the float range from arguments near 1e34; there every step
+    # renormalizes, the seeds too
+    with mpmath.workdps(40):
+        for x in (1e40, -1e150, 1e300):
+            exponent, _, h = specfun.hermite_scaled(9, np.array([x]))
+            assert float(_mp_value(exponent[0], h[0]) / mpmath.hermite(9, x)) == pytest.approx(1.0, rel=1e-14)
+        for x in (1e40, 1e200):
+            exponent, lag = specfun.laguerre_scaled(12, 3.5, np.array([x]))
+            ref = mpmath.laguerre(12, 3.5, x)
+            assert float(_mp_value(exponent[0], lag[0]) / ref) == pytest.approx(1.0, rel=1e-14)
+        alpha, degrees, xs = -32.0, (3, 15), np.array([1e34, 1e100])
+        exponent, *rows = specfun.bessel_poly_rows(degrees, alpha, xs, derivatives=True)
+        for i, n in enumerate(degrees):
+            for j, x in enumerate(xs):
+                # y_n = 2F0(-n, n+alpha+1;; -x/2), whose r-th derivative is
+                # (-1/2)^r (-n)_r (n+alpha+1)_r 2F0(-n+r, n+alpha+1+r;; -x/2)
+                for r, row in enumerate(rows):
+                    ref = (mpmath.mpf(-0.5) ** r * mpmath.rf(-n, r) * mpmath.rf(n + alpha + 1, r)
+                           * mpmath.hyp2f0(-n + r, n + alpha + 1 + r, -mpmath.mpf(x) / 2))
+                    got = _mp_value(exponent[i, j], row[i, j])
+                    assert float(got / ref) == pytest.approx(1.0, rel=1e-13), (n, x, r)
+
+
+def test_recurrences_refuse_a_step_past_the_float_range():
+    # one step grows the values by up to 2|x| + 2n, or 3n + 1 + 2|alpha| + |x|;
+    # past the float ceiling it is refused, not run into inf or NaN
+    with pytest.raises(DomainError, match="Hermite recurrence"):
+        specfun.hermite_scaled(3, np.array([0.5, 1.7e308]))
+    with pytest.raises(DomainError, match="Laguerre recurrence"):
+        specfun.laguerre_scaled(3, 0.5, np.array([1.7e308]))
+    with pytest.raises(DomainError, match="Bessel recurrence"):
+        specfun.bessel_poly_rows((3,), -32.0, np.array([1e306]))
+    # no step, nothing refused
+    assert specfun.hermite(0, 1.7e308) == 1.0
+
+
 # ---------------------------------------------------------------- kummer 1F1
 
 def test_kummer_trivial_and_terminating():

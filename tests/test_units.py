@@ -133,8 +133,6 @@ def check_dimensionless_core(p, e_excess):
     expect_scaled(lambda: model.potential(p, x), model.potential(unit, xi), energy, "V")
     expect_scaled(lambda: model.effective_mass(p, x), model.effective_mass(unit, xi),
                   mpmath.mpf(p.m0), "M")
-    expect_scaled(lambda: model.kinetic_weight(p, x), model.kinetic_weight(unit, xi),
-                  energy * a * a, "kinetic weight")
     expect_scaled(lambda: model.alpha0(p, x), model.alpha0(unit, xi), 1 / a, "alpha0")
 
     # bound states and their derivatives: psi_n(x) = a^(-1/2) phi_n(x/a)

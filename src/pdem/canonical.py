@@ -70,12 +70,15 @@ def canonical_wavefunction(params, n, x):
 
 @np.errstate(over="ignore")  # as canonical_wavefunction
 def canonical_wavefunction_derivative(params, n, x):
-    """Analytic d psi_n / dx, using H_n' = 2 n H_{n-1}."""
+    """Analytic d psi_n / dx, using H_n' = 2 n H_{n-1}.  Where the log
+    prefactor is -inf, lambda0^2 x may overflow too, and the factor is taken
+    as 0 so that the derivative is 0 like the state."""
     x = np.asarray(x, dtype=float)
     lam0 = params.lambda0
     exponent, hm1, h = specfun.hermite_scaled(n, lam0 * x)
-    g = lam0 * (2.0 * n * hm1) - lam0**2 * x * h
-    return specfun.exp_scaled(_log_norm(params, n) - 0.5 * (lam0 * x) ** 2, g, exponent)
+    log_pref = _log_norm(params, n) - 0.5 * (lam0 * x) ** 2
+    g = np.where(log_pref == -math.inf, 0.0, lam0 * (2.0 * n * hm1) - lam0**2 * x * h)
+    return specfun.exp_scaled(log_pref, g, exponent)
 
 
 def apply_raising(params, x, psi, dpsi):

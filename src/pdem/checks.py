@@ -13,11 +13,8 @@ import numpy as np
 from . import canonical, limits, model, oracle, specfun
 from .errors import NonConvergence
 
-# Defaults of pdem verify: the a values of the checks run per a, and the
-# rows of the graded grid and relative tolerance of the eigensolver check.
+# Default of pdem verify: the a values of the checks run per a.
 A_VALUES = (1.0, 2.0)
-GRID_POINTS = 4001
-EIGEN_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -353,17 +350,17 @@ def check_factorization():
     )
 
 
-def check_eigensolver(grid_points, tol):
+def check_eigensolver():
     """FD eigenvalues of levels 0 and 1 at a = 2 against the closed-form
-    spectrum, on grid_points rows of the graded u-grid
+    spectrum, on 4001 rows of the graded u-grid
     (oracle.build_graded_hamiltonian)."""
     p = model.ModelParams(a=2.0)
-    lams = oracle.lowest_eigenvalues(oracle.build_graded_hamiltonian(p, grid_points), 2)
+    lams = oracle.lowest_eigenvalues(oracle.build_graded_hamiltonian(p, 4001), 2)
     exact = [model.energy(p, n).energy for n in (0, 1)]
     worst = max(abs(lam - e) / abs(e) for lam, e in zip(lams, exact))
     return CheckResult(
-        "eigensolver", worst <= tol, f"{worst:.3e}", f"{tol:.0e}",
-        f"finite-difference levels [0, 1] vs closed form, a=2.0, {grid_points} rows, "
+        "eigensolver", worst <= 1e-5, f"{worst:.3e}", "1e-05",
+        "finite-difference levels [0, 1] vs closed form, a=2.0, 4001 rows, "
         "graded grid in u = 1/(x+a)",
     )
 
@@ -444,39 +441,32 @@ def check_continuum_vanishing():
 
 
 # Every check by name, as (run, in the default battery); the default battery
-# runs in this order.  run takes the a_values, grid_points and eigen_tol of
-# run_checks by keyword: a_values reach the four checks run per a, grid_points
-# and eigen_tol the eigensolver, and every other check runs at fixed settings.
+# runs in this order.  run takes the a_values of run_checks, which reach the
+# four checks run per a; every other check runs at fixed settings.
 CHECKS = {
-    "level-counts": (lambda **_: check_level_counts(), True),
-    "ground-state": (lambda **_: check_ground_state(), True),
-    "spectrum-shape": (lambda a_values, **_: check_spectrum_shape(a_values), True),
-    "orthonormality": (lambda a_values, **_: check_orthonormality(a_values), True),
-    "dual-form": (lambda a_values, **_: check_dual_form(a_values), True),
-    "ode-residual": (lambda a_values, **_: check_ode_residual(a_values), True),
-    "continuum-residual": (lambda **_: check_continuum_residual(), True),
-    "factorization": (lambda **_: check_factorization(), True),
-    "eigensolver": (
-        lambda grid_points, eigen_tol, **_: check_eigensolver(grid_points, eigen_tol),
-        True,
-    ),
-    "bessel-hermite": (lambda **_: check_bessel_hermite(), True),
-    "convergence": (lambda **_: check_convergence(), False),
-    "wavefunction-limit": (lambda **_: check_wavefunction_limit(), False),
-    "continuum-vanishing": (lambda **_: check_continuum_vanishing(), False),
+    "level-counts": (lambda _: check_level_counts(), True),
+    "ground-state": (lambda _: check_ground_state(), True),
+    "spectrum-shape": (check_spectrum_shape, True),
+    "orthonormality": (check_orthonormality, True),
+    "dual-form": (check_dual_form, True),
+    "ode-residual": (check_ode_residual, True),
+    "continuum-residual": (lambda _: check_continuum_residual(), True),
+    "factorization": (lambda _: check_factorization(), True),
+    "eigensolver": (lambda _: check_eigensolver(), True),
+    "bessel-hermite": (lambda _: check_bessel_hermite(), True),
+    "convergence": (lambda _: check_convergence(), False),
+    "wavefunction-limit": (lambda _: check_wavefunction_limit(), False),
+    "continuum-vanishing": (lambda _: check_continuum_vanishing(), False),
 }
 
 DEFAULT_CHECKS = tuple(name for name, (_, default) in CHECKS.items() if default)
 
 
-def run_checks(names=None, a_values=A_VALUES, grid_points=GRID_POINTS, eigen_tol=EIGEN_TOL):
+def run_checks(names=None, a_values=A_VALUES):
     """Run the named checks (default set if names is None); returns results."""
     if names is None:
         names = DEFAULT_CHECKS
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
-    return [
-        CHECKS[n][0](a_values=a_values, grid_points=grid_points, eigen_tol=eigen_tol)
-        for n in names
-    ]
+    return [CHECKS[n][0](a_values) for n in names]

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, checks, limits, model, oracle, specfun
+from . import __version__, canonical, checks, limits, model, specfun
 from .errors import PdemError
 
 _WALL_TOKEN = "inf"
@@ -26,8 +26,9 @@ _WALL_TOKEN = "inf"
 POINTS_CAP = 1_000_000
 
 
-def _add_common(parser):
-    parser.add_argument("--a", type=float, default=2.0, help="semiconfinement length (wall at x=-a)")
+def _add_common(parser, with_a=True):
+    if with_a:
+        parser.add_argument("--a", type=float, default=2.0, help="semiconfinement length (wall at x=-a)")
     parser.add_argument("--m0", type=float, default=1.0, help="mass constant")
     parser.add_argument("--omega", type=float, default=1.0, help="angular frequency")
     parser.add_argument("--hbar", type=float, default=1.0, help="action constant")
@@ -185,12 +186,8 @@ def cmd_verify(args):
     a_values = tuple(args.a_list) if args.a_list else checks.A_VALUES
     for a in a_values:  # each a runs checks over all its levels
         model.bound_levels(model.ModelParams(a=a))
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise PdemError(f"--tol must be finite and positive, got {args.tol}")
     names = tuple(args.check) if args.check else None
-    results = checks.run_checks(
-        names, a_values=a_values, grid_points=args.grid_points, eigen_tol=args.tol
-    )
+    results = checks.run_checks(names, a_values=a_values)
     failed = [r for r in results if not r.passed]
     lines = [r.line() for r in results] + [f"{len(results) - len(failed)}/{len(results)} checks passed"]
     _write("\n".join(lines) + "\n")
@@ -199,7 +196,7 @@ def cmd_verify(args):
 
 def _limit_bessel_hermite(args, params_kw):
     nus = args.nu or limits.NU_LADDER
-    n = args.n[0] if args.n else 2
+    n = 2 if args.n is None else args.n
     # scaled_bessel runs first: it refuses a degree above its cap before any
     # recurrence, the Hermite one included, runs.  Overflow is refused below.
     with np.errstate(over="ignore"):
@@ -224,7 +221,7 @@ def _a_sweep(args, default):
 
 
 def _limit_energy(args, params_kw):
-    n = args.n[0] if args.n else 1
+    n = 1 if args.n is None else args.n
     rows = {"a": [], "energy": [], "canonical_energy": [], "gap": []}
     for a in _a_sweep(args, limits.A_SWEEP):
         p = model.ModelParams(a=a, **params_kw)
@@ -237,12 +234,9 @@ def _limit_energy(args, params_kw):
 
 
 def _limit_wavefunction(args, params_kw):
-    n = args.n[0] if args.n else 0
+    n = 0 if args.n is None else args.n
     a_values = _a_sweep(args, limits.A_SWEEP)
-    ds = [
-        limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n, tol=args.tol)
-        for a in a_values
-    ]
+    ds = [limits.wavefunction_distance(model.ModelParams(a=a, **params_kw), n) for a in a_values]
     _emit("limit", {"kind": args.kind, "n": n}, {"a": list(a_values), "l2_distance": ds}, args)
 
 
@@ -310,24 +304,19 @@ def build_parser():
                     help=f"semiconfinement length (repeatable; default {checks.A_VALUES})")
     vp.add_argument("--check", action="append",
                     help=f"check name (repeatable); available: {', '.join(checks.CHECKS)}")
-    vp.add_argument("--grid-points", type=int, default=checks.GRID_POINTS,
-                    help="rows of the graded u-grid of the eigensolver check "
-                         f"(3 to {oracle.GRID_CAP}; least error near 1.3e5, then rounding rules)")
-    vp.add_argument("--tol", type=float, default=checks.EIGEN_TOL,
-                    help="relative tolerance for the eigensolver check")
     vp.set_defaults(func=cmd_verify)
 
-    lp = sub.add_parser("limit", help="limit-relation sweep tables")
-    _add_common(lp)
+    # no abbreviations, so that --a, which no kind reads, is refused rather
+    # than taken for --a-value
+    lp = sub.add_parser("limit", help="limit-relation sweep tables", allow_abbrev=False)
+    _add_common(lp, with_a=False)
     lp.add_argument("--kind", choices=tuple(LIMITS), default="bessel-hermite")
-    lp.add_argument("--n", type=int, action="append", help="level or polynomial degree")
+    lp.add_argument("--n", type=int, help="level or polynomial degree")
     lp.add_argument("--nu", type=float, action="append", help="scaling parameter (repeatable)")
     lp.add_argument("--q", type=float, default=2.0, help="continuum wavenumber parameter")
     lp.add_argument("--x", type=float, default=0.0, help="evaluation position")
     lp.add_argument("--a-value", type=float, action="append", dest="a_list",
                     help="sweep value of a (repeatable)")
-    lp.add_argument("--tol", type=float, default=1e-10,
-                    help="quadrature tolerance for distance sweeps")
     lp.set_defaults(func=cmd_limit)
 
     return parser

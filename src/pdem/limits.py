@@ -38,16 +38,24 @@ def scaled_bessel(n, x, nu):
     that exponent in log space, so no huge-times-tiny product ever forms.
     A degree above model.LEVEL_CAP, the cap on bound levels, is refused
     before any recurrence runs; nu > 2n+1 keeps every recurrence step clear
-    of the poles specfun refuses.
+    of the poles specfun refuses.  So is nu above 1e14: the recurrence's
+    rounding error, 1 to 26 times eps sqrt(2 nu) relative to max(1, |H_n|)
+    (against 80-digit arithmetic, n up to 10, |x| <= 2), outgrows there the
+    limit's own distance to H_n, about sqrt(2/nu).
     """
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
     if n > model.LEVEL_CAP:
         raise DomainError(f"degree {n} exceeds the cap of {model.LEVEL_CAP}")
-    if not 2.0 * n + 1.0 < nu < math.inf:
+    if not 2.0 * n + 1.0 < nu:
         raise DomainError(
-            f"need a finite nu > 2n+1 = {2 * n + 1} to stay inside the orthogonality "
+            f"need nu > 2n+1 = {2 * n + 1} to stay inside the orthogonality "
             f"window and clear of recurrence poles, got nu={nu}"
+        )
+    if nu > 1e14:
+        raise DomainError(
+            f"nu={nu} is above 1e14, where the rounding error of the recurrence, "
+            "about eps sqrt(2 nu), outgrows the distance to H_n, about sqrt(2/nu)"
         )
     x = np.asarray(x, dtype=float)
     z = (2.0 / nu) * (1.0 + math.sqrt(2.0 / nu) * x)
@@ -65,7 +73,7 @@ def energy_gap(params, n):
     return specfun.in_units(gap, (params.hbar, params.omega), f"the gap of level {n}")
 
 
-def wavefunction_distance(params, n, tol=1e-10):
+def wavefunction_distance(params, n):
     """Sign-minimized L2 distance between the well state n and the canonical
     Hermite-function state n.
 
@@ -73,7 +81,7 @@ def wavefunction_distance(params, n, tol=1e-10):
     minimized over a global sign flip: one quadrature over the rows
     (well - can)^2 and (well + can)^2 gives both squared distances.
     Integration runs from just inside the wall to a + 12/lambda0, where both
-    states have decayed."""
+    states have decayed, to a tolerance of 1e-10."""
     states = model.bound_states(params, (n,))
     ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
     lo = -params.a + 1e-3 * params.a
@@ -84,7 +92,7 @@ def wavefunction_distance(params, n, tol=1e-10):
         can = canonical.canonical_wavefunction(ref, n, x)
         return np.stack(((well - can) ** 2, (well + can) ** 2))
 
-    return math.sqrt(max(float(oracle.integrate(squares, lo, hi, tol).min()), 0.0))
+    return math.sqrt(max(float(oracle.integrate(squares, lo, hi, 1e-10).min()), 0.0))
 
 
 def continuum_magnitude(params_family, q_fixed, x):

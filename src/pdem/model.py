@@ -346,6 +346,10 @@ class BoundStates:
         Logarithmic differentiation of the prefactor plus the differentiated
         polynomial recurrence, in s = 1 + x/a, whose factors 1/a and 1/a^2
         join the log prefactor; exact up to round-off, no finite differences.
+        The underflow floor is one decision per position for all three, by
+        the largest of |psi|, a |psi'| and a^2 |psi''| (the s-derivatives):
+        near the wall psi can lie below it while psi'' does not, and
+        flushing psi alone would leave a triple that breaks the equation.
         Raises DomainError where a value leaves the float range.
         """
         s, log_pref, (exponent, y, dy, d2y) = self._parts(x, True)
@@ -357,8 +361,10 @@ class BoundStates:
         d2y = d2y / (b2 * b2)
         d1 = dl * y + dy
         d2 = (d2l + dl * dl) * y + 2.0 * dl * dy + d2y
+        largest = np.maximum(np.abs(y), np.maximum(np.abs(d1), np.abs(d2)))
+        flush = specfun.exp_scaled(log_pref, largest, exponent) == 0.0
         return tuple(
-            _finite(specfun.exp_scaled(log_pref - k * ln_a, f, exponent), what)
+            _finite(specfun.exp_scaled(log_pref - k * ln_a, f, exponent, flush), what)
             for k, f, what in ((0, y, "psi"), (1, d1, "psi'"), (2, d2, "psi''"))
         )
 

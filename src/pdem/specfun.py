@@ -67,9 +67,10 @@ def shaped_like(x, values):
     return float(values) if np.ndim(x) == 0 else values
 
 
-def exp_scaled(log_prefactor, factor, exponent=0):
+def exp_scaled(log_prefactor, factor, exponent=0, flush=None):
     """factor * 2**exponent * exp(log_prefactor), elementwise, with the
-    underflow floor applied.
+    underflow floor applied, or, where given, 0 where the boolean array
+    flush is True instead.
 
     The exponent joins the log prefactor before anything is exponentiated, so
     the mantissa and exponent of a rescaled recurrence never have to be formed
@@ -77,7 +78,7 @@ def exp_scaled(log_prefactor, factor, exponent=0):
     with np.errstate(divide="ignore", under="ignore"):  # log(0) = -inf is floored
         m = log_prefactor + np.log(np.abs(factor)) + exponent * _LN2
         value = np.copysign(np.exp(m), factor)
-    return shaped_like(m, np.where(m < _LOG_FLOOR, 0.0, value))
+    return shaped_like(m, np.where(m < _LOG_FLOOR if flush is None else flush, 0.0, value))
 
 
 def exp_scaled_complex(log_prefactor, factor, exponent=0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -57,6 +58,17 @@ def test_far_out_states_are_zero():
     for n in (3, 8):
         assert canonical.canonical_wavefunction(UNIT, n, xs)[[0, 1, 3, 4]].tolist() == [0.0] * 4
         assert canonical.canonical_wavefunction_derivative(UNIT, n, xs)[[0, 1, 3, 4]].tolist() == [0.0] * 4
+
+
+def test_derivative_where_lambda0_squared_x_overflows():
+    # lambda0^2 x = 2e308 overflows where the log prefactor is already -inf;
+    # their sum was NaN, with a RuntimeWarning
+    params = CanonicalParams(m0=25.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert canonical.canonical_wavefunction_derivative(params, 3, 8e306) == 0.0
+        values = canonical.canonical_wavefunction_derivative(params, 3, np.array([-8e306, 0.3]))
+    assert values[0] == 0.0 and math.isfinite(values[1]) and values[1] != 0.0
 
 
 def test_normalization_by_quadrature():

@@ -183,12 +183,10 @@ def test_limit_continuum_huge_a_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["profile", "--points", "1000001"],
     ["wavefunction", "--points", str(10**15)],
-    ["verify", "--check", "eigensolver", "--grid-points", "1000001"],
-    ["verify", "--check", "eigensolver", "--grid-points", str(10**15)],
-], ids=["profile", "wavefunction", "verify", "verify-huge"])
+], ids=["profile", "wavefunction"])
 def test_grid_size_caps_exit_2(argv, capsys):
     # refused before any grid is built: numpy's MemoryError would escape
-    # the handler, and a huge eigensolver grid would take hours
+    # the handler
     start = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -522,10 +520,16 @@ def test_verify_default_passes():
     assert [l.split()[1].rstrip(":") for l in lines[:-1]] == list(checks.DEFAULT_CHECKS)
 
 
-def test_verify_coarse_grid_fails():
-    proc = run_cli("verify", "--grid-points", "50")
+def test_verify_failing_check_exits_1(monkeypatch):
+    failing = checks.CheckResult("always-fails", False, "1", "0")
+    monkeypatch.setitem(checks.CHECKS, "always-fails", (lambda _: failing, False))
+    proc = run_cli("verify", "--check", "level-counts", "--check", "always-fails")
     assert proc.returncode == 1
-    assert any(l.startswith("FAIL eigensolver") for l in proc.stdout.splitlines())
+    assert proc.stdout.splitlines() == [
+        checks.check_level_counts().line(),
+        "FAIL always-fails: measured=1 bound=0",
+        "1/2 checks passed",
+    ]
 
 
 def test_verify_check_filter():
@@ -542,23 +546,35 @@ def test_verify_unknown_check():
     assert "unknown checks: ['nope']" in proc.stderr
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_limit_non_finite_tolerance_exits_2(tol, capsys):
-    # the quadrature used to accept it and print its one-panel estimate
-    argv = ["limit", "--kind", "wavefunction", "--n", "1", "--a-value", "3", "--tol", tol]
-    assert cli.main(argv) == 2
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "eigensolver", "--tol", "1"],
+    ["verify", "--check", "eigensolver", "--grid-points", "50"],
+    ["limit", "--kind", "wavefunction", "--n", "1", "--a-value", "3", "--tol", "1e-3"],
+    ["limit", "--kind", "energy", "--a", "7"],  # not taken for --a-value
+    ["limit", "--kind", "energy", "--a=7"],
+], ids=["verify-tol", "verify-grid-points", "limit-tol", "limit-a", "limit-a-equals"])
+def test_options_no_command_reads_exit_2(argv, capsys):
+    # each check is a fixed claim, and no --kind of limit reads a single a
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_verify_non_finite_tolerance_exits_2(tol, capsys):
-    # refused before any check runs, instead of a FAIL line with bound=nan
-    assert cli.main(["verify", "--check", "eigensolver", "--tol", tol]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+def test_limit_reads_the_n_it_is_given():
+    proc = run_cli("limit", "--kind", "energy", "--n", "5", "--a-value", "3")
+    assert proc.returncode == 0, proc.stderr
+    meta, header, rows = parse_csv(proc.stdout)
+    assert meta["n"] == "5"
+    assert float(rows[0][header.index("energy")]) == model.energy(model.ModelParams(a=3.0), 5).energy
+
+
+@pytest.mark.parametrize("nu,code", [("1e14", 0), ("1.0000000000000002e14", 2), ("1e40", 2)])
+def test_limit_bessel_hermite_nu_bound(nu, code):
+    # at nu = 1e40 the printed limit was -1.7e17, for H_6(-1.1) = 161.8
+    proc = run_cli("limit", "--kind", "bessel-hermite", "--n", "6", "--x", "-1.1", "--nu", nu)
+    assert proc.returncode == code, proc.stderr
 
 
 @pytest.mark.parametrize("flag", ["--m0", "--omega", "--hbar"])

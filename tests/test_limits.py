@@ -44,6 +44,18 @@ def test_scaled_bessel_refuses_coefficients_past_the_float_range(nu):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             limits.scaled_bessel(2, 0.0, nu)
+        with pytest.raises(DomainError, match="float range"):
+            specfun.bessel_poly_rows((2,), -nu, 2.0 / nu)
+
+
+@pytest.mark.parametrize("nu", [1.0000000000000002e14, 1e16, 1e40])
+def test_scaled_bessel_refuses_nu_past_its_precision(nu):
+    # past 1e14 the recurrence's rounding, about eps sqrt(2 nu), outgrows the
+    # limit's distance to H_n, sqrt(2/nu): n = 6, x = -1.1, nu = 1e40 gave
+    # 1.7e17 for H_6(-1.1) = 161.8
+    with pytest.raises(DomainError, match="1e14"):
+        limits.scaled_bessel(6, -1.1, nu)
+    assert abs(limits.scaled_bessel(6, -1.1, 1e14) - specfun.hermite(6, -1.1)) <= 1e-3
 
 
 def test_scaled_bessel_domain():

@@ -116,6 +116,24 @@ def test_derivatives_underflow_instead_of_overflowing():
     assert model.wavefunction_with_derivatives(p, 0, -0.999 * p.a) == (0.0, 0.0, 0.0)
 
 
+def test_derivative_triple_shares_one_underflow_decision():
+    # level 69 at a = 15: psi lies below the normal floor where a^2 psi'' does
+    # not; psi flushed alone, the equation's residual there was 1
+    p = ModelParams(a=15.0)
+    x = -12.648099056603773
+    psi, d1, d2 = model.wavefunction_with_derivatives(p, 69, x)
+    assert psi != 0.0 and d1 != 0.0 and d2 != 0.0
+    psi_of = lambda t: model.wavefunction_with_derivatives(p, 69, t)
+    assert oracle.ode_residual(p, psi_of, model.energy(p, 69).energy, x) <= 1e-11
+    assert model.wavefunction(p, 69, x) == 0.0  # psi alone keeps its own floor
+
+
+@pytest.mark.parametrize("a", [15.0, 40.0])
+def test_ode_residual_check_passes_at_large_a(a):
+    result = checks.check_ode_residual((a,))
+    assert result.passed, result.line()
+
+
 # ---------------------------------------------------------------- profiles
 
 def test_effective_mass(params_a2):

@@ -11,8 +11,10 @@ Functions, SIAM 2007, ch. 4).  exp_scaled folds the exponent into a log-space
 prefactor.  One Bessel recurrence records every degree a caller asks for;
 a step too close to a pole of its coefficients is refused with PolePivot.
 kummer_1f1_scaled sums 1F1 and its first two z-derivatives at a scalar or an
-array of arguments in numpy chunks, a fixed handful of numpy calls each; it
-refuses a non-positive integer upper parameter, whose series terminates.
+array of arguments in one loop over numpy chunks, about fifteen numpy calls
+and a few Python steps per row each, so a scalar call with derivatives
+costs some 27-56 us (z from 1 to 400); it refuses a non-positive integer
+upper parameter, whose series terminates.
 in_units applies physical units through binary mantissas and exponents.
 """
 
@@ -373,9 +375,19 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     is not finite before then, at the 1e5-term cap, or if the sum cancels
     below 1e-13 of its largest partial sum.  Of several rows or points
     refused, the one refused at the lowest term index is named, whatever the
-    chunk bounds.  Raises PolePivot when b is a non-positive integer, and
-    DomainError when a is one (within 1e-12), as that series terminates; the
-    continuum's a = (1 - 2b^2 + iq)/2 never is, as q > 0.
+    chunk bounds.  Where |z| is so small (below about 7e-154) that those
+    weights overflow before the d^2/dz^2 row can stop, the derivative rows
+    come from d^r/dz^r 1F1(a; b; z) = (a)_r/(b)_r 1F1(a+r; b+r; z) instead,
+    each series summed alone.  Raises PolePivot when b is a non-positive
+    integer, and DomainError when a is one (within 1e-12), as that series
+    terminates; the continuum's a = (1 - 2b^2 + iq)/2 never is, as q > 0.
+
+    Scalar and array calls run the same loop over chunks (_kummer_sums):
+    about fifteen numpy calls per chunk, whatever its length, and a few
+    Python steps per row of each point, with no per-point bookkeeping
+    around the loop.  So a scalar call with derivatives costs some 27 us at
+    z = 1 and 56 us at z = 400 (README gives the measurement), most of it
+    numpy's fixed cost per call and then the work per term.
     """
     a = complex(a_param)
     b = complex(b_param)
@@ -384,35 +396,63 @@ def kummer_1f1_scaled(a_param, b_param, z, derivatives=False):
     if _near_nonpositive_integer(a):
         raise DomainError(f"1F1 upper parameter {a_param!r} is a non-positive integer: "
                           "its series terminates, and only non-terminating ones are summed")
-    if isinstance(z, float) or np.ndim(z) == 0:
-        scalar, listed = True, [float(z)]
-    else:
-        points = np.asarray(z, dtype=float)
-        if points.ndim != 1:
-            raise DomainError(f"1F1 takes a scalar or 1-d array argument, got shape {points.shape}")
-        scalar, listed = False, points.tolist()
     rows = 3 if derivatives else 1
-    summed = listed
-    if 0.0 in listed:  # 1F1 and its derivatives at z = 0 in closed form
-        at_zero = (complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0)))[:rows]
-        summed = [v for v in listed if v != 0.0]
     params = (a_param, b_param)
-    sums = []  # a list of row sums per point summed
-    for lo in range(0, len(summed), _KUMMER_BLOCK):
-        sums += _kummer_sums(a, b, summed[lo:lo + _KUMMER_BLOCK], rows, params)
-    sums = iter(sums)
-    exponents, mantissas = [], []
-    for v in listed:
-        point = next(sums) if v != 0.0 else at_zero
-        exponent = math.frexp(max([abs(c) for s in point for c in (s.real, s.imag)]))[1]
-        exponents.append(exponent)
+    if isinstance(z, float) or np.ndim(z) == 0:
+        z = float(z)
+        if z == 0.0:
+            sums = _kummer_at_zero(a, b)[:rows]
+        elif rows == 3 and _weights_overflow(z):
+            sums = _kummer_shifted(a, b, [z], params)
+        else:
+            sums = _kummer_sums(a, b, [z], rows, params)
+        exponent = math.frexp(max([abs(p) for s in sums for p in (s.real, s.imag)]))[1]
         # part by part: 2**exponent alone may overflow
-        mantissas.append([complex(math.ldexp(s.real, -exponent), math.ldexp(s.imag, -exponent)) for s in point])
-    if scalar:
-        values = mantissas[0]
-        return exponents[0], tuple(values) if derivatives else values[0]
-    values = np.array(mantissas, dtype=complex).reshape(len(listed), rows).T
-    return np.array(exponents, dtype=np.int64), tuple(values) if derivatives else values[0]
+        values = [complex(math.ldexp(s.real, -exponent), math.ldexp(s.imag, -exponent)) for s in sums]
+        return exponent, tuple(values) if derivatives else values[0]
+    points = np.asarray(z, dtype=float)
+    if points.ndim != 1:
+        raise DomainError(f"1F1 takes a scalar or 1-d array argument, got shape {points.shape}")
+    listed = points.tolist()
+    sums = np.empty((rows, len(listed)), dtype=complex)  # row r of point j at [r, j]
+    zero, tiny, summed = [], [], []  # the points at z = 0, as _weights_overflow, and the rest
+    for j, v in enumerate(listed):
+        (zero if v == 0.0 else tiny if rows == 3 and _weights_overflow(v) else summed).append(j)
+    sums[:, zero] = np.array(_kummer_at_zero(a, b)[:rows])[:, None]
+    for lo in range(0, len(summed), _KUMMER_BLOCK):
+        block = summed[lo:lo + _KUMMER_BLOCK]
+        sums[:, block] = np.reshape(_kummer_sums(a, b, [listed[j] for j in block], rows, params), (rows, -1))
+    if tiny:
+        sums[:, tiny] = np.reshape(_kummer_shifted(a, b, [listed[j] for j in tiny], params), (3, -1))
+    parts = sums.view(float).reshape(rows, len(listed), 2)  # the real and imaginary parts
+    shifts = np.frexp(np.abs(parts).max(axis=(0, 2), initial=0.0))[1]
+    values = np.ldexp(parts, -shifts[:, None]).reshape(rows, 2 * len(listed)).view(complex)
+    return shifts.astype(np.int64), tuple(values) if derivatives else values[0]
+
+
+def _kummer_at_zero(a, b):
+    """1F1 and its two z-derivatives at z = 0: 1, a/b and a(a+1)/(b(b+1))."""
+    return complex(1.0), a / b, a * (a + 1.0) / (b * (b + 1.0))
+
+
+def _weights_overflow(v):
+    """Whether the weight k(k+1)/z^2 of the d^2/dz^2 row overflows by the
+    term that row can stop at first: its terms t_1 (weight 0) and t_2 (its
+    whole sum so far) are never small, so its first run of small terms ends
+    at t_(_KUMMER_CONSECUTIVE + 2) at the earliest.  The pass refuses every
+    such z, where that row meets an infinite weight before it stops."""
+    k = _KUMMER_CONSECUTIVE + 1.0
+    return math.isinf((k / v) * ((k + 1.0) / v))
+
+
+def _kummer_shifted(a, b, z, params):
+    """The row sums of _kummer_sums with derivatives, for the list z, from
+    d^r/dz^r 1F1(a; b; z) = (a)_r/(b)_r 1F1(a+r; b+r; z), each series
+    summed alone (and named as itself if refused)."""
+    sums = _kummer_sums(a, b, z, 1, params)
+    for r, factor in enumerate(_kummer_at_zero(a, b)[1:], 1):
+        sums += [factor * s for s in _kummer_sums(a + r, b + r, z, 1, (a + r, b + r))]
+    return sums
 
 
 def _kummer_label(params, z, row=0):
@@ -457,24 +497,29 @@ def _kummer_terms(a, b, column, term, start, stop, rows):
 
 @np.errstate(all="ignore")  # overflow and NaN are refused
 def _kummer_sums(a, b, z, rows, params):
-    """Each point's row sums, as a list of lists, under the stopping and
-    refusal rules of kummer_1f1_scaled, for the list z of floats, in one loop
-    over chunks of at most _KUMMER_CHUNK_CELLS terms.  Row r of point j of
-    the N still summing is row r * N + j.  A point leaves once all its rows
-    have stopped; the bookkeeping runs per point and row, on Python numbers:
-    bytes.find meets a row's stop in the chunk's small-term flags, led by
-    those its last chunk ended with.  cumprod and cumsum run in order, all
-    else is elementwise, and a chunk's first ratio takes on the term before
-    it in numpy's scalar arithmetic, so each sum is bit for bit the same
-    whatever the chunk bounds and whichever points are summed together."""
-    results = [None] * len(z)
-    live = list(range(len(z)))  # the points still summing, as indices into z
-    pending = [range(rows)] * len(z)  # their rows not yet stopped
-    found = [[None] * rows for _ in live]  # their rows' sums, once stopped
-    peak = [[1.0] + [0.0] * (rows - 1) for _ in live]  # |partial sum| before the first term
-    run = [[0] * rows for _ in live]  # the small terms each row's last chunk ended with
+    """The row sums of each point of the list z of floats, as one flat list
+    in which row r of point j is item r * len(z) + j, under the stopping and
+    refusal rules of kummer_1f1_scaled, in one loop over chunks of at most
+    _KUMMER_CHUNK_CELLS terms.  A chunk's rows are ordered the same way over
+    the points still summing, and so is the state kept per row, in flat
+    lists of Python numbers; a point leaves once all its rows have stopped.
+    bytes.find meets a row's stop in the chunk's small-term flags, and
+    bytes.startswith one that completes a run its last chunk ended with.
+    cumprod and cumsum run in order, all else is elementwise, and a chunk's
+    first ratio takes on the term before it in numpy's scalar arithmetic, so
+    each sum is bit for bit the same whatever the chunk bounds and whichever
+    points are summed together."""
+    count = len(z)
+    # per row still summing: its sum once stopped, its largest |partial sum|
+    # before the chunk, and the number of small terms its last chunk ended with
+    found = [None] * (rows * count)
+    peaks = [1.0] * count + [0.0] * (len(found) - count)  # |t_0| = 1 in row 0
+    runs = [0] * len(found)
+    left = len(found)  # the rows still summing
+    # once a point has left early: the rest, as indices into z, and all the sums
+    points = results = None
     # one point's argument stays a float; several stand in a column against k
-    column = z[0] if len(z) == 1 else np.array(z)[:, None]
+    column = z[0] if count == 1 else np.array(z)[:, None]
     term = []  # each point's term before the chunk: none before t_1, for t_0 = 1
     total = _KUMMER_START[:rows]  # each row's running total, point by point
     start = 0
@@ -482,62 +527,74 @@ def _kummer_sums(a, b, z, rows, params):
     reach += 10.0 * math.sqrt(reach) + 16.0  # past the peak of the terms, near k = |z|
     size = int(reach) if reach < _KUMMER_CHUNK_CAP else _KUMMER_CHUNK_CAP  # inf, NaN too
     while start < _KUMMER_MAX_TERMS:
-        stop = min(start + max(1, min(size, _KUMMER_CHUNK_CELLS // len(z))), _KUMMER_MAX_TERMS)
+        n = len(z)
+        stop = min(start + max(1, min(size, _KUMMER_CHUNK_CELLS // n)), _KUMMER_MAX_TERMS)
         terms, term = _kummer_terms(a, b, column, term, start, stop, rows)
         width = terms.shape[2]  # a row's columns: its total before the chunk, then its terms
         terms[:, :, 0] = total  # so that the sums add up in series order
-        sizes = np.empty((2, rows, len(z), width))
+        sizes = np.empty((2, rows, n, width))
         np.abs(terms, out=sizes[0])
         sums = np.add.accumulate(terms, axis=2, out=terms)
         np.abs(sums, out=sizes[1])
         total = sums[:, :, -1]
         sizes, sums = sizes.reshape(2, -1, width), sums.reshape(-1, width)
         flags = (sizes[0] < _KUMMER_REL_EPS * sizes[1]).tobytes()
-        tops = sizes.max(axis=2).tolist()  # each row's largest term and partial sum
-        bads = [width] * len(sums)  # each row's first column with a modulus not finite
-        if not math.isfinite(sum(tops[0]) + sum(tops[1])):  # NaN and inf carry through
+        # each row's largest term and partial sum in the chunk
+        largest, tops = np.maximum.reduce(sizes, axis=2).tolist()
+        bads = None  # each row's first column with a modulus not finite, if any has one
+        if not math.isfinite(sum(largest) + sum(tops)):  # NaN and inf carry through
             finite = np.isfinite(sizes[1] - sizes[0])
             bads = np.where(finite.all(axis=1), width, finite.argmin(axis=1)).tolist()
-        keep = []
-        for j, rows_left in enumerate(pending):
-            still, refusals = [], []
-            for row in rows_left:
-                i = row * len(live) + j
-                line = _KUMMER_RUN[:run[j][row]] + flags[i * width + 1:(i + 1) * width]
-                at = line.find(_KUMMER_RUN)  # the column of the run's end, else the last
-                end = at + _KUMMER_CONSECUTIVE - run[j][row] if at >= 0 else width - 1
-                if bads[i] <= end:
-                    refusals.append((bads[i], row, f"overflowed after {start + bads[i]} terms"))
-                elif at < 0:
-                    peak[j][row] = max(peak[j][row], tops[1][i])
-                    run[j][row] = len(line) - len(line.rstrip(b"\x01"))
-                    still.append(row)
-                else:
-                    result = sizes.item(1, i, end)
-                    top = max(tops[1][i], peak[j][row])  # at least the peak up to the end
-                    if not result >= 1e-13 * top:  # then that peak itself decides
-                        top = max(peak[j][row], sizes[1, i, :end + 1].max())
-                    if result >= 1e-13 * top:
-                        found[j][row] = sums.item(i, end)
-                    else:  # the sum cancelled down to round-off noise; no digits left
-                        refusals.append((end, row, (
-                            f"lost all precision to cancellation (peak {top:.3e}, "
-                            f"result {result:.3e})"
-                        )))
-            if refusals:
-                _, row, why = min(refusals)
-                raise NonConvergence(f"{_kummer_label(params, z[j], row)} {why}")
-            if still:
-                keep.append(j)
-                pending[j] = still
+        refusals = []  # (point, column, row, why)
+        for i, value in enumerate(found):
+            if value is not None:
+                continue
+            lo = i * width + 1  # the flags of the row's terms
+            hi = lo + width - 1
+            run = runs[i]
+            if run and flags.startswith(_KUMMER_RUN[run:], lo, hi):
+                end = _KUMMER_CONSECUTIVE - run  # the column the run ends at
             else:
-                results[live[j]] = found[j]
-        if not keep:
-            return results
-        if len(keep) < len(live):
-            live, pending, found, peak, run, z, term = (
-                [v[j] for j in keep] for v in (live, pending, found, peak, run, z, term)
+                end = flags.find(_KUMMER_RUN, lo, hi)
+                end = end + _KUMMER_CONSECUTIVE - lo if end >= 0 else None
+            if bads and bads[i] <= (width - 1 if end is None else end):
+                refusals.append((i % n, bads[i], i // n, f"overflowed after {start + bads[i]} terms"))
+            elif end is None:  # no run ends in this chunk
+                peaks[i] = max(peaks[i], tops[i])
+                zero = flags.rfind(b"\x00", lo, hi)  # the small terms the row ends with
+                runs[i] = hi - 1 - zero if zero >= 0 else run + hi - lo
+            else:
+                result = sizes.item(1, i, end)
+                top = max(tops[i], peaks[i])  # at least the peak up to the end
+                if not result >= 1e-13 * top:  # then that peak itself decides
+                    top = max(peaks[i], sizes[1, i, :end + 1].max())
+                if result >= 1e-13 * top:
+                    found[i] = sums.item(i, end)
+                    left -= 1
+                else:  # the sum cancelled down to round-off noise; no digits left
+                    refusals.append((i % n, end, i // n, (
+                        f"lost all precision to cancellation (peak {top:.3e}, "
+                        f"result {result:.3e})"
+                    )))
+        if refusals:
+            j, _, row, why = min(refusals)
+            raise NonConvergence(f"{_kummer_label(params, z[j], row)} {why}")
+        if not left and results is None:
+            return found  # every point at once, so in the order given
+        alive = [found[j::n].count(None) > 0 for j in range(n)]
+        if not all(alive):  # the points with every row's sum leave
+            if results is None:
+                points, results = list(range(n)), [None] * len(found)
+            for j in range(n):
+                if not alive[j]:
+                    results[points[j]::count] = found[j::n]
+            if not left:
+                return results
+            keep = [j for j in range(n) if alive[j]]
+            found, peaks, runs = (
+                [v[r * n + j] for r in range(rows) for j in keep] for v in (found, peaks, runs)
             )
+            points, z, term = ([v[j] for j in keep] for v in (points, z, term))
             total = total[:, keep]
             column = np.array(z)[:, None]
         start += width - 1

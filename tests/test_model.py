@@ -547,6 +547,31 @@ def test_continuum_derivatives_where_the_shifted_series_overflows():
     assert oracle.ode_residual(p, psi, e, x) <= 1e-6
 
 
+def test_continuum_derivatives_far_out():
+    # z = 2b^2/s falls below 1e-153 from x = 1e155 on at a = 3, where the
+    # weight k(k+1)/z^2 of the Kummer pass's d^2/dz^2 row overflows: the
+    # derivatives come from the shifted series there and stay finite
+    p = ModelParams(a=3.0)
+    st = model.continuum_state(p, 1.7 * model.well_depth(p))
+    for x in (1e150, 1e155, 1e200, 1e300):
+        values = model.continuum_wavefunction_with_derivatives(st, p, x)
+        assert all(cmath.isfinite(v) for v in values), x
+        assert values[0] == model.continuum_wavefunction(st, p, x)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="The Kummer sum at z = 179.6 passes the cancellation guard (1e-13 of its peak partial "
+    "sum) with too few digits left for psi'': ROADMAP item 3 triggers a higher-precision retry "
+    "on the digits the result needs.",
+)
+def test_continuum_residual_where_the_cancellation_guard_lets_too_few_digits_through():
+    p = ModelParams(a=13.973114)  # b^2 = 195.25
+    st = model.continuum_state(p, 1.7365 * model.well_depth(p))
+    psi = lambda t: model.continuum_wavefunction_with_derivatives(st, p, t)
+    assert oracle.ode_residual(p, psi, st.energy, 1.1742 * p.a) <= 1e-6
+
+
 def test_continuum_derivatives_refused_where_they_leave_the_float_range():
     # at E = 1e305 the chain-rule factor dw ~ q / (x+a) is about 1e155 near
     # the wall, so psi'' is out of range however 1F1 is scaled

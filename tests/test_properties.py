@@ -237,15 +237,23 @@ def kummer_parameters(draw):
     return complex(draw(st.floats(-40.0, 12.0)), draw(st.floats(-12.0, 12.0))), b
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def kummer_arguments(*bands):
+    """Lists of z for kummer_1f1_scaled: 0 and [-60, 900], and the bands given."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(-60.0, 900.0), *bands), min_size=1, max_size=12)
+
+
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(params=kummer_parameters(), derivatives=st.booleans(),
-       zs=st.lists(st.one_of(st.just(0.0), st.floats(-60.0, 900.0)), min_size=1, max_size=12),
+       zs=st.one_of(kummer_arguments(), kummer_arguments(st.floats(900.0, 8000.0)),
+                    kummer_arguments(st.floats(-1e-153, 1e-153))),
        chunk_cap=st.sampled_from((None, 5, 64)))
 def test_kummer_array_is_each_scalar_bit_for_bit(params, derivatives, zs, chunk_cap):
     # one pass over an array of z gives each point's exponent and mantissas
     # bit for bit as a scalar call does, whatever the chunk bounds, or
     # refuses with a point's own refusal; a terminating series is refused
-    # at the array and at each point alike
+    # at the array and at each point alike.  z reaches past 900, where most
+    # sums overflow, and below 1e-153, where the derivative rows come from
+    # the shifted series
     a, b = params
     xs = np.array(zs)
     m = round(a.real) if abs(a.imag) <= 1e-12 else 1

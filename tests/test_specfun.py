@@ -525,6 +525,26 @@ def test_kummer_derivatives_at_zero():
     assert (f, df, d2f) == (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
 
 
+@pytest.mark.parametrize("z", [1e-300, 1e-160, -1e-160, 7.1e-154, 1e-150])
+def test_kummer_derivatives_at_tiny_z(z):
+    # below about 7.08e-154 the weight k(k+1)/z^2 of the d^2/dz^2 row
+    # overflows before that row can stop, and the derivative rows come from
+    # the shifted series; at 7.1e-154 and 1e-150 the pass sums them itself.
+    # The parameters are the continuum's at a = 3, E = 1.7 V_inf.
+    p = model.ModelParams(a=3.0)
+    st = model.continuum_state(p, 1.7 * model.well_depth(p))
+    mpmath.mp.dps = 30
+    ma, mb = mpmath.mpc(st.gamma), mpmath.mpc(st.mu)
+    values = _kummer(st.gamma, st.mu, z, derivatives=True)
+    for j, value in enumerate(values):
+        ref = complex(mpmath.rf(ma, j) / mpmath.rf(mb, j) * mpmath.hyp1f1(ma + j, mb + j, z))
+        assert abs(value - ref) <= 1e-12 * abs(ref), j
+    assert values[0] == _kummer(st.gamma, st.mu, z)
+    exponent, single = specfun.kummer_1f1_scaled(st.gamma, st.mu, z, derivatives=True)
+    exponents, array = specfun.kummer_1f1_scaled(st.gamma, st.mu, np.array([3.0, z, 0.0]), derivatives=True)
+    assert exponents[1] == exponent and [v[1] for v in array] == list(single)
+
+
 @pytest.mark.parametrize("z", [0.5, 3.0, 12.0, 40.0])
 def test_kummer_derivatives_against_mpmath(z):
     mpmath.mp.dps = 30

@@ -6,6 +6,7 @@ factorization cross-checks.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,24 @@ class CanonicalParams:
         return math.sqrt(self.m0 * self.omega / self.hbar)
 
 
-def canonical_energy(params, n):
-    """Equidistant spectrum E_n = hbar w (n + 1/2), with the unit hbar w
-    applied last (specfun.in_units).  Raises DomainError where E_n leaves
-    the float range."""
+def _require_level(n):
+    """Raise LevelOutOfRange unless n is an integer (specfun.require_integer),
+    and DomainError unless it is non-negative and n + 1/2 is a float."""
+    specfun.require_integer(n)
     if n < 0:
         raise DomainError(f"level must be non-negative, got {n}")
-    return specfun.in_units(n + 0.5, (params.hbar, params.omega), f"the energy of level {n}")
+    if n > sys.float_info.max:
+        raise DomainError(f"the energy of level {n} leaves the float range")
+
+
+def canonical_energy(params, n):
+    """Equidistant spectrum E_n = hbar w (n + 1/2) of a level n (a float) or
+    of each of an array of levels (an array), with the unit hbar w applied
+    last (specfun.level_in_units).  Raises as _require_level does, and
+    DomainError where E_n leaves the float range."""
+    return specfun.level_in_units(
+        n, _require_level, (params.hbar, params.omega), ("the energy",), lambda k: (k + 0.5,)
+    )[0]
 
 
 def _log_norm(params, n):

@@ -207,14 +207,14 @@ def check_spectrum_shape(a_values):
     detail = "gaps positive and decreasing; all levels at or below the depth"
     for a in a_values:
         p = model.ModelParams(a=a)
-        energies = [model.energy(p, n).energy for n in model.bound_levels(p)]
+        energies = model.level_energy(p, np.arange(len(model.bound_levels(p))))
         v_inf = model.well_depth(p)
-        gaps = [b - c for b, c in zip(energies[1:], energies)]
-        if any(g <= 0.0 for g in gaps):
+        gaps = np.diff(energies)
+        if (gaps <= 0.0).any():
             return CheckResult("spectrum-shape", False, f"a={a}: non-positive gap", ">0", detail)
-        if any(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:])):
+        if (gaps[1:] >= gaps[:-1]).any():
             return CheckResult("spectrum-shape", False, f"a={a}: gaps not decreasing", "", detail)
-        if any(e > v_inf + 1e-12 for e in energies):
+        if (energies > v_inf + 1e-12).any():
             return CheckResult("spectrum-shape", False, f"a={a}: level above depth", "<= V_inf", detail)
     return CheckResult("spectrum-shape", True, "ok", "", detail)
 

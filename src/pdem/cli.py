@@ -122,19 +122,10 @@ def _sample_grid(args, params):
 
 def cmd_spectrum(args):
     params = _params(args)
-    ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
-    ns, e_well, e_can, gaps = [], [], [], []
-    for n in model.bound_levels(params):
-        ns.append(n)
-        e_well.append(model.energy(params, n).energy)
-        e_can.append(canonical.canonical_energy(ref, n))
-        gaps.append(limits.energy_gap(params, n))
-    _emit(
-        "spectrum",
-        _meta_params(params),
-        {"n": ns, "energy": e_well, "canonical_energy": e_can, "gap": gaps},
-        args,
-    )
+    levels = np.arange(len(model.bound_levels(params)))
+    energies, ladder, gaps = model.ladder(params, levels).tolist()
+    columns = {"n": levels.tolist(), "energy": energies, "canonical_energy": ladder, "gap": gaps}
+    _emit("spectrum", _meta_params(params), columns, args)
     return 0
 
 
@@ -278,6 +269,7 @@ def build_parser():
         "position-dependent effective mass",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # {command name: its own parser}, for parse_args
 
     sp = sub.add_parser("spectrum", help="bound-level table with canonical comparison")
     _add_common(sp)
@@ -322,9 +314,25 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def parse_args(argv):
+    """The namespace of argv, parsed once, by the parser of the command it
+    names: the top-level parser hands that parser everything after the name
+    and adds only command.  The top-level parser itself parses an argv that
+    names no command (none, an unknown one, or top-level -h), and one that
+    leaves arguments over, so that its usage message and exit code report
+    them as before."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -66,11 +66,10 @@ def scaled_bessel(n, x, nu):
 
 def energy_gap(params, n):
     """Exact closed-form gap E_n - E_n^well = hbar w n(n+1) / (2 b^2), that
-    is hbar^2 n(n+1) / (2 m0 a^2), with the unit hbar w applied last.
+    is hbar^2 n(n+1) / (2 m0 a^2), with the unit hbar w applied last, of a
+    bound level n (a float) or of each of an array of them (an array).
     Raises DomainError where the gap leaves the float range."""
-    model.require_level(params, n)
-    gap = n * (n + 1.0) / (2.0 * params.b2)
-    return specfun.in_units(gap, (params.hbar, params.omega), f"the gap of level {n}")
+    return model.ladder(params, n, slice(2, 3))[0]
 
 
 def wavefunction_distance(params, n):

@@ -27,7 +27,6 @@ arithmetic, so each element is bit for bit its scalar value.
 
 import cmath
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -178,9 +177,12 @@ def potential(params, x):
 
     Vanishes at x = 0 and tends to V_inf = well_depth(params), r = 1, as
     x -> +inf.  r stays in the float range where the squares of M x^2 leave
-    it, and V_inf r where V does; DomainError where V overflows.
+    it, and V_inf r where V does; DomainError where V overflows or a
+    position is NaN.
     """
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("a position is not a number")
     inside = x > -params.a
     r = np.divide(x, params.a + x, out=np.ones_like(x), where=inside & (x < math.inf))
     v = _finite(well_depth(params) * r * r, "the potential")
@@ -212,12 +214,9 @@ def bound_levels(params):
 
 
 def require_level(params, n):
-    """Raise LevelOutOfRange unless n is an integer in 0..max_level(params),
-    and DomainError for a level above LEVEL_CAP."""
-    try:
-        operator.index(n)  # ints and numpy integers; floats are refused
-    except TypeError:
-        raise LevelOutOfRange(f"level n={n!r} is not an integer") from None
+    """Raise LevelOutOfRange unless n is an integer (specfun.require_integer)
+    in 0..max_level(params), and DomainError for a level above LEVEL_CAP."""
+    specfun.require_integer(n)
     if n < 0 or n > max_level(params):
         raise LevelOutOfRange(
             f"level n={n} outside 0..{max_level(params)} for a={params.a}"
@@ -253,16 +252,41 @@ def require_psi_precision(b2):
                           f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
 
 
-def energy(params, n):
-    """Bound level n: E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)], b^2 = (lambda0 a)^2.
+def ladder_brackets(params, n):
+    """(E_n, hbar w (n + 1/2), E_n's gap to it) in units of hbar w, for a
+    level or an array of levels n: the oscillator's n + 1/2 less the gap
+    n(n+1)/(2 b^2), b^2 = (lambda0 a)^2, that the confinement takes off."""
+    ladder = n + 0.5
+    gap = n * (n + 1.0) / (2.0 * params.b2)
+    return ladder - gap, ladder, gap
+
+
+def ladder(params, n, rows=slice(None)):
+    """The rows of ladder_brackets selected by rows, in units of hbar w,
+    applied last, for a bound level n (a list of floats) or each of an array
+    of them (an array with a row per bracket, in one pass over the levels).
+    Raises as require_level does, and DomainError where a value leaves the
+    float range, for an array at the level and bracket where a loop over
+    the levels would (see specfun.level_in_units)."""
+    return specfun.level_in_units(
+        n, lambda k: require_level(params, k), (params.hbar, params.omega),
+        ("the energy", "the energy", "the gap")[rows], lambda k: ladder_brackets(params, k)[rows],
+    )
+
+
+def level_energy(params, n):
+    """E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)], b^2 = (lambda0 a)^2, of a
+    bound level n (a float) or of each of an array of them (an array).
 
     The bracket is computed in units of hbar w, which is applied last.
     Raises DomainError where E_n leaves the float range.
     """
-    require_level(params, n)
-    e = in_units((n + 0.5) - n * (n + 1.0) / (2.0 * params.b2), (params.hbar, params.omega),
-                 f"the energy of level {n}")
-    return DiscreteState(n=n, energy=e, log_norm=normalization(params, n))
+    return ladder(params, n, slice(1))[0]
+
+
+def energy(params, n):
+    """Bound level n with its energy (level_energy) and normalization."""
+    return DiscreteState(n=n, energy=level_energy(params, n), log_norm=normalization(params, n))
 
 
 def _log_prefactor(params, log_norm, x, s):
@@ -372,7 +396,11 @@ class BoundStates:
 def bound_states(params, levels):
     """The bound levels of params, ready to evaluate together (raises
     LevelOutOfRange); levels may come in any order and may repeat."""
-    return BoundStates(params, tuple(energy(params, n) for n in levels))
+    levels = tuple(levels)
+    energies = level_energy(params, levels).tolist()
+    return BoundStates(params, tuple(
+        DiscreteState(n=n, energy=e, log_norm=normalization(params, n)) for n, e in zip(levels, energies)
+    ))
 
 
 def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
@@ -544,7 +572,8 @@ def alpha0(params, x):
     return specfun.shaped_like(x, _finite((-params.b2 / s + params.b2 / s**2) / params.a, "alpha0"))
 
 
-@np.errstate(over="ignore")  # a value past the float ceiling is refused
+# a value past the float ceiling, or inf times 0 at x = inf, is refused
+@np.errstate(over="ignore", invalid="ignore")
 def apply_lowering(params, x, psi, dpsi):
     """Factorization lowering operator sqrt(rho/hbar w) (d/dx - alpha0) on a
     function with values psi and derivatives dpsi at x, a scalar (giving a

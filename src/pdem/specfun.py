@@ -15,16 +15,19 @@ array of arguments in one loop over numpy chunks, about fifteen numpy calls
 and a few Python steps per row each, so a scalar call with derivatives
 costs some 27-56 us (z from 1 to 400); it refuses a non-positive integer
 upper parameter, whose series terminates.
-in_units applies physical units through binary mantissas and exponents.
+in_units applies physical units through binary mantissas and exponents, to
+a float or an array of them, and level_in_units to a quantity of one level
+or of an array of levels.
 """
 
 import cmath
 import math
+import operator
 import sys
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PolePivot
+from .errors import DomainError, LevelOutOfRange, NonConvergence, PdemError, PolePivot
 
 # The y_n recurrence refuses a step whose pole factor k+alpha+1 or 2k+alpha
 # comes within this margin of zero.  The margin must be generous: the rounding
@@ -97,24 +100,79 @@ def exp_scaled_complex(log_prefactor, factor, exponent=0):
 
 
 def in_units(value, factors, what):
-    """The float value times the product of the positive floats factors.
-    Only binary mantissas are multiplied and exponents added, so no
-    intermediate leaves the float range where the result does not, and the
-    result rounds as the plain product does where that stays normal.
-    DomainError, naming what, where a value is not finite or the product
-    overflows (below the normal range it comes out subnormal or 0)."""
+    """value times the product of the positive floats factors, where value
+    is a float (giving a float) or an array of floats (giving an array of
+    its shape).  Only binary mantissas are multiplied and exponents added
+    (np.frexp and np.ldexp are exact), so no intermediate leaves the float
+    range where the result does not, the result rounds as the plain product
+    does where that stays normal, and each element is bit for bit its scalar
+    value.  DomainError, naming what, where a value is not finite or a
+    product overflows (below the normal range it comes out subnormal or 0)."""
     mantissa, exponent = 1.0, 0
     for f in factors:
         m, e = math.frexp(f)
         mantissa, exponent = mantissa * m, exponent + e
-    m, e = math.frexp(value)
-    try:
-        result = math.ldexp(m * mantissa, e + exponent)
-    except OverflowError:
-        result = math.inf
-    if not math.isfinite(result):
+    m, e = np.frexp(value)
+    with np.errstate(over="ignore"):
+        result = np.ldexp(m * mantissa, e + exponent)
+    if not np.isfinite(result).all():
         raise DomainError(f"{what} leaves the float range")
-    return result
+    return shaped_like(value, result)
+
+
+def level_in_units(n, require, factors, whats, brackets):
+    """The brackets of a level n, which require(n) checks, in the units
+    factors (in_units), as a list of floats, or those of each of an array of
+    levels, as an array with a row per bracket.  brackets(n) gives them
+    all, for a level or an array of levels, and whats names each, as in
+    "the energy".
+
+    An array is refused as a loop of scalar calls over it would be: at its
+    first level refused, and at that level its first bracket refused, with
+    that error.  Its levels are evaluated at once where they are integers,
+    require accepts the least and the greatest of them (each require of the
+    package is a range check) and every value stays in the float range;
+    level by level otherwise."""
+    levels = np.asarray(n)
+    if levels.ndim == 0:
+        require(n)
+        return [in_units(v, factors, f"{what} of level {n}") for what, v in zip(whats, brackets(n))]
+    ends = _integer_ends(n, levels)
+    if ends:
+        try:
+            for end in ends:
+                require(end)
+            return in_units(np.array(brackets(levels)), factors, "a level's quantity")
+        except PdemError:
+            pass
+    rows = [level_in_units(k, require, factors, whats, brackets) for k in n]
+    return np.array(rows, dtype=float).reshape(-1, len(whats)).T
+
+
+def _integer_ends(n, levels):
+    """(least, greatest) of the levels n, given as the array levels too,
+    where every one of them is an integer (an integer array, or a sequence
+    of integers none of which is a bool); else ()."""
+    if not levels.size or levels.dtype.kind not in "iu":
+        return ()
+    if isinstance(n, np.ndarray):
+        return levels.min(), levels.max()
+    if any(isinstance(k, bool) for k in n):
+        return ()
+    return min(n), max(n)  # a short sequence, as bound_states is given: no numpy reductions
+
+
+def require_integer(n):
+    """Raise LevelOutOfRange unless the level n is an integer: a Python or
+    numpy integer, not a bool or a float."""
+    try:
+        operator.index(n)  # ints and numpy integers; floats are refused
+    except TypeError:
+        pass
+    else:
+        if not isinstance(n, bool):
+            return
+    raise LevelOutOfRange(f"level n={n!r} is not an integer")
 
 
 def _cadence(growth, what):
@@ -133,7 +191,7 @@ def _cadence(growth, what):
 
 
 def _largest(x):
-    """max |x| over the array x, 0 for an empty one."""
+    """max |x| over the array x, 0 for an empty one, NaN where x has one."""
     return float(np.abs(x).max(initial=0.0))
 
 
@@ -157,14 +215,18 @@ def hermite_scaled(n, x):
     (H_{-1} = 0).
 
     Three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1} from H_0 = 1, whose
-    steps grow the values by at most 2 max|x| + 2n."""
+    steps grow the values by at most 2 max|x| + 2n.  DomainError where an
+    argument is NaN."""
     if n < 0:
         raise DomainError(f"hermite degree must be non-negative, got {n}")
     x, exponent = _start(x)
+    largest = _largest(x)
+    if math.isnan(largest):
+        raise DomainError(f"H_{n} at an argument that is not a number")
     hm1, h = np.zeros_like(x), np.ones_like(x)
     if n == 0:
         return exponent, hm1, h
-    every = _cadence(2.0 * _largest(x) + 2.0 * n, "the Hermite recurrence")
+    every = _cadence(2.0 * largest + 2.0 * n, "the Hermite recurrence")
     two_x = 2.0 * x
     for k in range(n):
         hm1, h = h, two_x * h - 2.0 * k * hm1
@@ -174,7 +236,8 @@ def hermite_scaled(n, x):
 
 
 def hermite(n, x):
-    """Physicists' Hermite polynomial H_n(x)."""
+    """Physicists' Hermite polynomial H_n(x), at a scalar x (giving a float)
+    or elementwise on an array; DomainError at a NaN argument."""
     exponent, _, h = hermite_scaled(n, x)
     return shaped_like(x, np.ldexp(h, exponent))
 

@@ -7,6 +7,7 @@ import pytest
 
 from pdem import canonical, oracle
 from pdem.canonical import CanonicalParams
+from pdem.errors import DomainError, LevelOutOfRange
 
 UNIT = CanonicalParams()
 
@@ -164,3 +165,34 @@ def test_hamiltonian_factorization(n):
     d_lowered = (lam0**2 * psi + lam0**2 * xs * dpsi + d2psi) / rt
     h_psi = canonical.apply_raising(UNIT, xs, lowered, d_lowered) + 0.5 * psi
     assert np.all(np.abs(h_psi - e_n * psi) <= 1e-8 * np.maximum(np.abs(e_n * psi), 1e-12))
+
+
+@pytest.mark.parametrize("n,error", [
+    (2.5, LevelOutOfRange), (2.0, LevelOutOfRange), (True, LevelOutOfRange),
+    (-1, DomainError), (10**400, DomainError),
+    ([0, 2.5], LevelOutOfRange), ([0, True], LevelOutOfRange),
+    (np.array([0, -1]), DomainError), ([1, 10**400], DomainError), (np.array([0.0, 1.0]), LevelOutOfRange),
+])
+def test_energy_level_checks(n, error):
+    # a level is a non-negative integer whose energy a float can hold; an
+    # array has each of its elements checked
+    with pytest.raises(error):
+        canonical.canonical_energy(UNIT, n)
+
+
+def test_energy_of_an_array_is_its_scalar_values():
+    params = CanonicalParams(omega=1.8e154, hbar=0.7)
+    levels = np.arange(40)
+    assert canonical.canonical_energy(params, levels).tolist() == [
+        canonical.canonical_energy(params, n) for n in levels.tolist()
+    ]
+    with pytest.raises(DomainError, match="the energy of level 1 leaves"):
+        canonical.canonical_energy(CanonicalParams(omega=1.5e154, hbar=1.5e154), levels)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])])
+@pytest.mark.parametrize("n", [0, 2])
+def test_nan_position_is_refused(n, x):
+    for fn in (canonical.canonical_wavefunction, canonical.canonical_wavefunction_derivative):
+        with pytest.raises(DomainError):
+            fn(UNIT, n, x)

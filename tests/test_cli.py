@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from pdem import checks, cli, model
+from pdem.errors import PdemError
 
 PDEM = [sys.executable, "-m", "pdem.cli"]
 
@@ -612,3 +615,93 @@ def test_verify_invalid_a_exits_2():
     proc = run_cli("verify", "--a", "0.5")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _parsed(parse, argv):
+    """vars() of parse(argv)'s namespace, or the exit code, stdout and
+    stderr of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["spectrum", "--a", "3", "--a=2.5", "--format", "json", "--m0", "-1"],
+    ["profile", "--x-min=-2", "--x-max", "6", "--points", "3", "--points", "5"],
+    ["profile", "--x-min", "-2", "--out", "t.csv"],
+    ["wavefunction", "--n", "0", "--n", "3", "--canonical", "--x-min=-1e-3"],
+    ["verify"], ["verify", "--a", "2", "--a", "-3", "--check", "spectrum-shape", "--check", "nope"],
+    ["limit", "--kind", "energy", "--a-value", "3", "--a-value", "5", "--n", "-1"],
+    ["limit", "--nu", "1e4", "--nu=4e4", "--x", "-1.5"],
+    # refused: by the top-level parser, or by a command's own parser
+    [], ["-h"], ["--help"], ["nosuch"], ["spectrum", "--bogus"], ["spectrum", "--a"],
+    ["spectrum", "--a", "2", "--bogus"], ["spectrum", "extra"], ["spectrum", "-h"],
+    ["spectrum", "--", "x"], ["limit", "--a", "2"], ["limit", "--kind", "nope"],
+    ["verify", "--check"], ["profile", "--points", "1.5"],
+])
+def test_each_command_is_parsed_as_by_the_top_level_parser(argv):
+    # cli.parse_args hands a command's arguments to its own parser: the same
+    # namespace, or the same exit code and bytes on stdout and stderr
+    assert _parsed(cli.parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+def _scalar_spectrum(argv):
+    """(exit code, csv rows or stderr) of pdem spectrum argv as a loop of
+    scalar calls over the levels gives it."""
+    from pdem import canonical, limits
+
+    args = cli.build_parser().parse_args(["spectrum", *argv])
+    try:
+        params = cli._params(args)
+        ref = canonical.CanonicalParams(m0=params.m0, omega=params.omega, hbar=params.hbar)
+        rows = []
+        for n in model.bound_levels(params):
+            values = (model.energy(params, n).energy, canonical.canonical_energy(ref, n),
+                      limits.energy_gap(params, n))
+            rows.append(",".join([str(n), *map(repr, values)]))
+    except (ValueError, PdemError) as exc:
+        return 2, f"error: {exc}\n"
+    return 0, rows
+
+
+EDGE_SPECTRA = [  # the float-range edges that tier1.yml runs
+    ["--m0", "1", "--a", "1", "--omega", "1.8e154", "--hbar", "1.8e154"],
+    ["--m0", "8.420664923106498e+120", "--omega", "7.477119218683197e-185",
+     "--hbar", "1.2198418612478675e+192", "--a", "1.0133263956864385e+128"],
+    ["--a", "1e8"], ["--a", "120"], ["--hbar", "1e-300", "--a", "1e-149"],
+    ["--omega", "1e200", "--hbar", "1e200"],
+    # refused at level 0, and at a level above it, where the canonical
+    # column, the largest, leaves the float range first
+    ["--a", "1", "--omega", "1.8e154", "--hbar", "3e154"],
+    ["--a", "2.9298381536315397", "--omega", "4.892598942952575e+153", "--hbar", "3.876515782453009e+153"],
+]
+
+
+def _seeded_spectra(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m0, omega, hbar = (float(v) for v in 10.0 ** rng.uniform(-300, 300, 3))
+        b2 = float(rng.uniform(0.6, 40.0))
+        ratio = hbar / m0 / omega
+        a = math.sqrt(b2 * ratio) if 0.0 < ratio < math.inf else 2.0
+        yield ["--m0", repr(m0), "--omega", repr(omega), "--hbar", repr(hbar), "--a", repr(a)]
+    for _ in range(count):  # hbar w near the float ceiling
+        omega = float(10.0 ** rng.uniform(152, 154.5))
+        yield ["--a", repr(float(rng.uniform(0.8, 3.0))), "--omega", repr(omega),
+               "--hbar", repr(omega * float(10.0 ** rng.uniform(-1, 1)))]
+
+
+@pytest.mark.parametrize("argv", EDGE_SPECTRA + list(_seeded_spectra(7, 40)))
+def test_spectrum_is_the_loop_of_scalar_calls(argv):
+    # one pass over the ladder prints what a loop of scalar calls gives, bit
+    # for bit, and refuses the level and quantity that loop refuses first
+    proc = run_cli("spectrum", *argv)
+    code, expected = _scalar_spectrum(argv)
+    assert proc.returncode == code
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", expected)
+    else:
+        assert proc.stdout.splitlines()[-len(expected):] == expected

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -746,3 +747,47 @@ def test_lowering_excited_state_not_proportional(params_a2):
     ratios = model.apply_lowering(params_a2, xs, psi1, dpsi1)[keep] / psi0[keep]
     spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
     assert spread > 0.5
+
+
+def test_bool_level_is_refused(params_a2):
+    with pytest.raises(LevelOutOfRange):
+        model.energy(params_a2, True)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.3, 6.3, 30.0])
+def test_ladder_of_an_array_is_its_scalar_values(a):
+    # one pass over an array of levels gives each level's scalar values, bit
+    # for bit: E_n, the oscillator's level and the gap
+    p = ModelParams(a=a, m0=1.3, omega=0.7, hbar=1.1)
+    levels = np.arange(model.max_level(p) + 1)
+    rows = model.ladder(p, levels)
+    assert rows.tolist() == [list(col) for col in zip(*(model.ladder(p, n) for n in levels.tolist()))]
+    assert model.level_energy(p, levels).tolist() == [model.energy(p, n).energy for n in levels.tolist()]
+    assert limits.energy_gap(p, levels[::-1]).tolist() == [limits.energy_gap(p, n) for n in levels[::-1].tolist()]
+
+
+def test_bound_states_refuse_in_level_order():
+    # E_0 leaves the float range and level 5 is not bound: the first of
+    # the two in the order asked for is refused, as a loop over them would
+    p = ModelParams(a=1.0, omega=1.8e154, hbar=3e154)
+    with pytest.raises(DomainError, match="the energy of level 0"):
+        model.bound_states(p, (0, 5))
+    with pytest.raises(LevelOutOfRange, match="level n=5"):
+        model.bound_states(p, (5, 0))
+    with pytest.raises(LevelOutOfRange, match="level n=1.5"):
+        model.bound_states(ModelParams(a=3.0), [2, 1.5])
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+def test_nan_position_is_refused(x):
+    p = ModelParams()
+    for fn in (model.potential, model.effective_mass):
+        with pytest.raises(DomainError):
+            fn(p, x)
+
+
+def test_lowering_at_infinity_refuses_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            model.apply_lowering(ModelParams(a=3.0), math.inf, 0.0, 0.0)

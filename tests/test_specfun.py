@@ -746,3 +746,27 @@ def test_log_gamma_domain(monkeypatch):
         model.bound_states(p, model.bound_levels(p)).psi(0.5, model.WavefunctionForm.LAGUERRE)
     canonical.canonical_wavefunction(canonical.CanonicalParams(), 3, 0.5)
     assert arguments and min(arguments) >= 1.0
+
+
+def test_hermite_refuses_nan():
+    for x in (math.nan, np.array([1.0, math.nan])):
+        for n in (0, 3):
+            with pytest.raises(DomainError):
+                specfun.hermite(n, x)
+
+
+def test_in_units_of_an_array_is_its_scalar_values():
+    # mantissas and exponents are exact, so each element is bit for bit the
+    # float it gives alone, subnormal results and the ceiling included
+    rng = np.random.default_rng(11)
+    values = np.concatenate([10.0 ** rng.uniform(-320, 300, 200), [0.0, 5e-324, 1.0]])
+    for factors in ((1.0, 1.0), (1.8e154, 1.8e154 / 2.0), (3e-200, 7e-120), (0.7,)):
+        try:
+            scalars = [specfun.in_units(v, factors, "v") for v in values.tolist()]
+        except DomainError:
+            with pytest.raises(DomainError):
+                specfun.in_units(values, factors, "v")
+            continue
+        assert specfun.in_units(values, factors, "v").tolist() == scalars
+    with pytest.raises(DomainError, match="the q leaves"):
+        specfun.in_units(np.array([1.0, math.inf]), (1.0,), "the q")

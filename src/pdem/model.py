@@ -181,11 +181,13 @@ def potential(params, x):
     position is NaN.
     """
     x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise DomainError("a position is not a number")
     inside = x > -params.a
     r = np.divide(x, params.a + x, out=np.ones_like(x), where=inside & (x < math.inf))
     v = _finite(well_depth(params) * r * r, "the potential")
+    if inside.all():
+        return specfun.shaped_like(x, v)
+    if np.isnan(x).any():  # neither inside nor at or behind the wall
+        raise DomainError("a position is not a number")
     return specfun.shaped_like(x, np.where(inside, v, WALL))
 
 

@@ -43,7 +43,6 @@ from .model import (
     effective_mass,
     energy,
     max_level,
-    normalization,
     potential,
     wavefunction,
     wavefunction_with_derivatives,

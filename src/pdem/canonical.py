@@ -71,9 +71,8 @@ def _log_norm(params, n):
 def canonical_wavefunction(params, n, x):
     """Normalized psi_n(x) = (2^n n!)^(-1/2) (m0 w/pi hbar)^(1/4)
     exp(-lambda0^2 x^2/2) H_n(lambda0 x), at a scalar x (giving a float) or
-    elementwise on an array."""
-    if n < 0:
-        raise DomainError(f"level must be non-negative, got {n}")
+    elementwise on an array.  Raises as _require_level does."""
+    _require_level(n)
     x = np.asarray(x, dtype=float)
     lam0 = params.lambda0
     exponent, _, h = specfun.hermite_scaled(n, lam0 * x)
@@ -84,7 +83,9 @@ def canonical_wavefunction(params, n, x):
 def canonical_wavefunction_derivative(params, n, x):
     """Analytic d psi_n / dx, using H_n' = 2 n H_{n-1}.  Where the log
     prefactor is -inf, lambda0^2 x may overflow too, and the factor is taken
-    as 0 so that the derivative is 0 like the state."""
+    as 0 so that the derivative is 0 like the state.  Raises as
+    _require_level does."""
+    _require_level(n)
     x = np.asarray(x, dtype=float)
     lam0 = params.lambda0
     exponent, hm1, h = specfun.hermite_scaled(n, lam0 * x)

@@ -112,41 +112,33 @@ def _overlap_integrand(b2, m, n):
     d = ln(v/v*), on a 1-d array of nodes, and a concave bound phi on its
     log, d -> (phi, dphi/dd), for _live_range.
 
-    With s = b^2/v and t = s/b^2 = 1/v, psi_m psi_n dx is, in d,
-        exp(ln C_m + ln C_n + ln b^2 - 2b^2 ln b^2) v^(2b^2-1) e^(-2v) y_m(1/v) y_n(1/v),
-    y_n = y_n(.; -2b^2), with ln C_n the normalization of the unit problem
-    (a = m0 = hbar = 1, omega = b^2), whose a-dependence cancels against
-    ln(l0^2 a^3).  Its log at v* (the peak of v^(2b^2-1) e^(-2v)) without
-    the polynomials, K = ln C_m + ln C_n + ln b^2 - 2b^2 ln b^2
-    + 2v* (ln v* - 1), is summed once, so that each node adds only
-    (2b^2-1) d - 2(v - v*) = 2v* (d - expm1(d)), which is O(1) where the
-    integrand lives, and the base-2 exponents of the two Bessel rows.  A
-    node costs an exponential for its argument 1/v, one recurrence for both
-    levels, an expm1 and the one exponential of its summed log.
+    With x + a = l0^2 a^3 / v, psi_m psi_n dx = phi_m phi_n dd, the product
+    of the levels' Morse states (model.morse_phi), whose constants are
+    formed once here.  A node costs an exponential for 1/v = e^(-d)/v*, one
+    recurrence for both levels, an expm1 for v - v* = v* expm1(d) and the
+    exponential of the summed log rows and exponents of the Bessel rows.
     Raises DomainError where b^2 is past model.PSI_LOG_TOL.
 
-    Every factor of (n - 2b^2 - 1)_k has modulus at most 2b^2, so
-    |y_n(1/v)| <= (1 + b^2/v)^n, and the log of the integrand is at most
-    phi = K + 2v* (d - expm1(d)) + (m+n) ln(1 + b^2/v).  phi is concave in d
-    (its second derivative is v ((m+n) b^2/(v+b^2)^2 - 2), and m + n < 2b^2).
+    With K the sum of the constants and model.morse_phi's bound on |y_n|,
+    the log of the integrand is at most
+    phi = K + 2v* (d - expm1(d)) + (m+n) ln(1 + b^2/v), concave in d (its
+    second derivative is v ((m+n) b^2/(v+b^2)^2 - 2), and m + n < 2b^2).
     """
-    model.require_psi_precision(b2)
-    unit = model.ModelParams(omega=b2)
+    levels = (m, n)
+    constants = model.morse_constants(b2, levels)
+    log_k = float(constants[0] + constants[1])
     v_star = b2 - 0.5
-    k = m + n
-    peak = 2.0 * v_star * (math.log(v_star) - 1.0) - 2.0 * b2 * math.log(b2) + math.log(b2)
-    log_k = model.normalization(unit, m) + model.normalization(unit, n) + peak
-    alpha = -2.0 * b2
 
     def integrand(d):
-        exponent, y, _, _ = specfun.bessel_poly_rows((m, n), alpha, np.exp(-d) / v_star)  # at 1/v
-        log_f = (log_k + _LN2 * (exponent[0] + exponent[1])) + 2.0 * v_star * (d - np.expm1(d))
-        return np.exp(log_f) * y[0] * y[1]
+        log_rows, (exponent, y, _, _) = model.morse_phi(
+            b2, levels, constants, d, v_star * np.expm1(d), np.exp(-d) / v_star
+        )
+        return np.exp(log_rows[0] + log_rows[1] + _LN2 * (exponent[0] + exponent[1])) * y[0] * y[1]
 
     def phi(d):
         v = v_star * math.exp(d)
-        return (log_k + 2.0 * v_star * (d - math.expm1(d)) + k * math.log1p(b2 / v),
-                2.0 * (v_star - v) - k * b2 / (v + b2))
+        return (log_k + 2.0 * v_star * (d - math.expm1(d)) + (m + n) * math.log1p(b2 / v),
+                2.0 * (v_star - v) - (m + n) * b2 / (v + b2))
 
     return integrand, phi
 

@@ -9,26 +9,28 @@ above it the continuum waves built from 1F1.
 The closed forms depend on the constants only through b^2 = (lambda0 a)^2,
 s = 1 + x/a, V_inf and the amplitude a^(-1/2):
     E_n = hbar w [(n + 1/2) - n(n+1) / (2 b^2)],  hbar w = 2 V_inf / b^2,
-    V = V_inf ((s-1)/s)^2,  M = m0 / s^2,  z = 2 b^2 / s,  psi_n = a^(-1/2) phi_n(s; b^2).
+    V = V_inf ((s-1)/s)^2,  M = m0 / s^2,  z = 2 b^2 / s,  psi_n = phi_n / sqrt(a s).
 Each quantity is computed in (b^2, s) and its units are applied last (a unit
 that can leave the float range, hbar w or V_inf, by specfun.in_units), so
 that nothing leaves the float range where the result does not, and a result
 that does is refused with DomainError.
 
-Wavefunction prefactors are assembled in log space and exponentiated once
-(for a >= 3 the wall factor exp(-b^2/s) and s^(-b^2) leave the float range
-early).  Bound states take an array of positions and any set of levels
-(bound_states): the Bessel form from one recurrence for them all, the
-Laguerre form from one per level.  Continuum states take one position or an
-array: one pass over the Kummer series serves them all, and the exponent of
-its mantissas folds into the prefactor position by position, in Python
-arithmetic, so each element is bit for bit its scalar value.
+Bound states are written once, as the Morse states phi_n of b^2 alone
+(morse_phi), which psi_n and checks.bound_overlap evaluate.  Prefactors are
+assembled in log space and exponentiated once (for a >= 3 the wall factor
+exp(-b^2/s) and s^(-b^2) leave the float range early).  Bound states take an
+array of positions and any set of levels (bound_states): the Bessel form
+from one recurrence for them all, the Laguerre form from one per level.
+Continuum states take one position or an array: one pass over the Kummer
+series serves them all, and the exponent of its mantissas folds into the
+prefactor position by position, in Python arithmetic, so each element is
+bit for bit its scalar value.
 """
 
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -48,10 +50,10 @@ WALL = float("inf")
 # a = 1e8) would be unbounded work.
 LEVEL_CAP = 10_000
 
-# ln C_n and the log prefactor of psi_n sum terms of size b^2 ln(2b^2) that
-# cancel, so psi carries a relative error of about b^2 ln(2b^2) eps, which
-# BoundStates keeps within PSI_LOG_TOL: a < 199.75 at unit constants, where
-# <0|0> - 1 is -1.1e-11 at a = 120 and would be -3.1e-10 at a = 300.
+# morse_constants sums terms of size b^2 ln(2b^2) that cancel, so psi carries
+# a relative error of about b^2 ln(2b^2) eps, which it keeps within
+# PSI_LOG_TOL: a < 199.75 at unit constants, where <0|0> - 1 is -1.1e-11 at
+# a = 120 and would be -3.1e-10 at a = 300.
 PSI_LOG_TOL = 1e-10
 
 
@@ -113,7 +115,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DiscreteState:
-    """Bound level n with its energy and log-space normalization.
+    """Bound level n with its energy.
 
     Every level is normalizable (power-law decay with exponent
     n - lambda0^2 a^2 < -1/2).  E_n - V_inf = -(b^2-n)(b^2-n-1)/(2b^2) hbar w,
@@ -124,7 +126,6 @@ class DiscreteState:
 
     n: int
     energy: float
-    log_norm: float
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,14 @@ class WavefunctionForm(Enum):
 
 def _inside(params, x):
     """(x, s): x as a float array of positions, each strictly inside the wall
-    (else DomainError), and s = (x + a)/a = 1 + x/a there."""
+    (else DomainError, naming the first that is not), and s = (x + a)/a =
+    1 + x/a there."""
     x = np.asarray(x, dtype=float)
     outside = ~(x > -params.a)
     if outside.any():
-        raise DomainError(f"position {x[outside].flat[0]} is at or behind the wall x = {-params.a}")
+        bad = x[outside].flat[0]
+        where = "is not a number" if np.isnan(bad) else f"is at or behind the wall x = {-params.a}"
+        raise DomainError(f"position {bad} {where}")
     return x, (x + params.a) / params.a
 
 
@@ -227,33 +231,6 @@ def require_level(params, n):
         raise DomainError(f"level {n} exceeds the cap of {LEVEL_CAP}")
 
 
-def normalization(params, n):
-    """ln of the bound-state normalization constant, assembled in log space.
-
-    The closed form is a^(-1/2) (2b^2)^(b^2) sqrt[(2b^2-2n-1) / (2b^2 n! G(2b^2-n))],
-    whose a^(-1/2) joins the 2b^2 in the logarithm as 2 l0^2 a^3; the gamma
-    factor overflows native floats already for moderate a, so only logs are
-    ever formed.  The constant is taken positive (the overall sign of a bound
-    state is conventional).  Its terms grow like b^2 ln(2b^2) (PSI_LOG_TOL).
-    """
-    require_level(params, n)
-    b2 = params.b2
-    return b2 * math.log(2.0 * b2) + 0.5 * (
-        math.log(2.0 * b2 - 2.0 * n - 1.0)
-        - math.log(2.0 * params.wall_scale)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(2.0 * b2 - n)
-    )
-
-
-def require_psi_precision(b2):
-    """Raise DomainError where bound states at b2 would carry a relative
-    error b^2 ln(2b^2) eps above PSI_LOG_TOL (see there)."""
-    if b2 * math.log(2.0 * b2) * sys.float_info.epsilon > PSI_LOG_TOL:
-        raise DomainError(f"bound states at b^2 = {b2:.6g} would lose more than "
-                          f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
-
-
 def ladder_brackets(params, n):
     """(E_n, hbar w (n + 1/2), E_n's gap to it) in units of hbar w, for a
     level or an array of levels n: the oscillator's n + 1/2 less the gap
@@ -287,13 +264,42 @@ def level_energy(params, n):
 
 
 def energy(params, n):
-    """Bound level n with its energy (level_energy) and normalization."""
-    return DiscreteState(n=n, energy=level_energy(params, n), log_norm=normalization(params, n))
+    """Bound level n with its energy (level_energy)."""
+    return DiscreteState(n=n, energy=level_energy(params, n))
 
 
-def _log_prefactor(params, log_norm, x, s):
-    """ln of C_n s^(-b^2) exp(-b^2/s), s = 1 + x/a, for ln C_n = log_norm."""
-    return log_norm - params.b2 * np.log1p(x / params.a) - params.b2 / s
+def morse_constants(b2, levels):
+    """The constant K_n of ln phi_n (morse_phi) of each bound level n in
+    levels at b^2, as a float array: with v* = b^2 - 1/2 and the
+    normalization c_n = (2b^2)^(b^2) sqrt[(2b^2-2n-1) / (2b^2 n! G(2b^2-n))]
+    of psi_n at a = 1,
+        K_n = ln c_n + (1/2 - b^2) ln b^2 + v* (ln v* - 1)
+            = v* (ln 2v* - 1) + [ln(2b^2-2n-1) - ln n! - ln G(2b^2-n)] / 2,
+    in logs only (the gamma factor overflows for moderate b^2), with c_n
+    taken positive (the sign of a bound state is conventional).  DomainError
+    where b^2 ln(2b^2) eps exceeds PSI_LOG_TOL (see there)."""
+    if b2 * math.log(2.0 * b2) * sys.float_info.epsilon > PSI_LOG_TOL:
+        raise DomainError(f"bound states at b^2 = {b2:.6g} would lose more than "
+                          f"{PSI_LOG_TOL:g} relative accuracy to cancelling terms of ln psi")
+    v_star = b2 - 0.5
+    lead = v_star * (math.log(2.0 * v_star) - 1.0)
+    return np.array([lead + 0.5 * (math.log(2.0 * b2 - 2.0 * n - 1.0) - math.lgamma(n + 1.0)
+                                   - math.lgamma(2.0 * b2 - n)) for n in levels])
+
+
+def morse_phi(b2, levels, constants, d, excess, t=None, derivatives=False):
+    """(log rows, Bessel rows) of the Morse states phi_n = sqrt(a s) psi_n of
+    levels at b^2, constants = morse_constants(b2, levels), in d = ln(v/v*),
+    v = b^2/s, v* = b^2 - 1/2:
+        phi_n = exp(K_n + v* d - (v - v*)) y_n(1/v; -2b^2).
+    The caller forms d, excess = v - v* and t = 1/v, arrays of one shape, as
+    rounds best from its own variable.  The log rows, ln phi_n - ln y_n,
+    have shape (len(levels), *d.shape): centred at the peak v* of
+    v^(b^2-1/2) e^(-v), a point adds only v* d - (v - v*), O(1) where the
+    states live.  The Bessel rows are specfun.bessel_poly_rows at t, or
+    None without t; |y_n(1/v)| <= (1 + b^2/v)^n."""
+    log_rows = constants.reshape((-1,) + (1,) * d.ndim) + ((b2 - 0.5) * d - excess)
+    return log_rows, None if t is None else specfun.bessel_poly_rows(levels, -2.0 * b2, t, derivatives)
 
 
 def _finite(values, what):
@@ -308,30 +314,32 @@ class BoundStates:
     """Bound levels of one parameter set, evaluated together on arrays of
     positions.
 
-    Every level is the Bessel polynomial y_n(t; -2b^2) at the same
-    t = s/b^2, s = 1 + x/a, so one recurrence up to the highest level gives
-    them all.  psi and psi_with_derivatives take a scalar or an array of
-    positions, all strictly inside the wall, and return arrays of shape
-    (len(levels), *x.shape), row i for levels[i]; each row is bit for bit
-    what bound_states(params, (levels[i],)) gives.  Raises DomainError where
-    b^2 ln(2b^2) eps exceeds PSI_LOG_TOL (see there).
+    Every level is the Morse state phi_n (morse_phi) at the same
+    d = ln(b^2/v*) - ln s, s = 1 + x/a, with its Bessel polynomial
+    y_n(t; -2b^2) at the same t = s/b^2, so one recurrence up to the highest
+    level gives them all.  psi and psi_with_derivatives take a scalar or an
+    array of positions, all strictly inside the wall, and return arrays of
+    shape (len(levels), *x.shape), row i for levels[i]; each row is bit for
+    bit what bound_states(params, (levels[i],)) gives.
     """
 
     params: ModelParams
     levels: tuple  # a DiscreteState per requested level, in request order
+    constants: np.ndarray = field(compare=False)  # morse_constants of the levels
 
-    def __post_init__(self):
-        require_psi_precision(self.params.b2)
-
-    def _parts(self, x, derivatives):
-        """(s, log prefactor rows, Bessel rows) at the positions x."""
+    def _parts(self, x, bessel=True, derivatives=False):
+        """(s, ln s, log prefactor rows, Bessel rows or None) at the positions
+        x: psi_n = phi_n / sqrt(a s), with v - v* = 1/2 - b^2 x/(x+a), which
+        stays finite where (1/2 - v* x/a)/s overflows."""
         x, s = _inside(self.params, x)
         p = self.params
-        log_norm = np.reshape([level.log_norm for level in self.levels], (-1,) + (1,) * x.ndim)
-        rows = specfun.bessel_poly_rows(
-            [level.n for level in self.levels], -2.0 * p.b2, s / p.b2, derivatives
+        b2, xa = p.b2, x / p.a
+        ln_s = np.log1p(xa)
+        log_rows, rows = morse_phi(
+            b2, [level.n for level in self.levels], self.constants, -math.log1p(-0.5 / b2) - ln_s,
+            0.5 - b2 * (xa / s), s / b2 if bessel else None, derivatives,
         )
-        return s, _log_prefactor(p, log_norm, x, s), rows
+        return s, ln_s, log_rows - 0.5 * (math.log(p.a) + ln_s), rows
 
     @np.errstate(over="ignore")  # a value past the float ceiling is refused
     def psi(self, x, form=WavefunctionForm.BESSEL):
@@ -347,20 +355,18 @@ class BoundStates:
         identical values.
         """
         if form is WavefunctionForm.BESSEL:
-            _, log_pref, (exponent, y, _, _) = self._parts(x, False)
+            _, _, log_pref, (exponent, y, _, _) = self._parts(x)
             return _finite(specfun.exp_scaled(log_pref, y, exponent), "psi")
         if form is not WavefunctionForm.LAGUERRE:
             raise ValueError(f"unknown wavefunction form {form!r}")
-        x, s = _inside(self.params, x)
-        p = self.params
-        z = 2.0 * p.b2 / s
-        psi = np.empty((len(self.levels), *x.shape))
+        s, ln_s, log_rows, _ = self._parts(x, bessel=False)
+        b2 = self.params.b2
+        z = 2.0 * b2 / s
+        psi = np.empty_like(log_rows)
         for i, level in enumerate(self.levels):
             n = level.n
-            exponent, lag = specfun.laguerre_scaled(n, 2.0 * p.b2 - 2.0 * n - 1.0, z)
-            log_pref = _log_prefactor(p, level.log_norm, x, s) + (
-                math.lgamma(n + 1.0) - n * math.log(2.0 * p.b2) + n * np.log1p(x / p.a)
-            )
+            exponent, lag = specfun.laguerre_scaled(n, 2.0 * b2 - 2.0 * n - 1.0, z)
+            log_pref = log_rows[i] + (math.lgamma(n + 1.0) - n * math.log(2.0 * b2) + n * ln_s)
             psi[i] = specfun.exp_scaled(log_pref, lag if n % 2 == 0 else -lag, exponent)
         return _finite(psi, "psi")
 
@@ -378,7 +384,7 @@ class BoundStates:
         flushing psi alone would leave a triple that breaks the equation.
         Raises DomainError where a value leaves the float range.
         """
-        s, log_pref, (exponent, y, dy, d2y) = self._parts(x, True)
+        s, _, log_pref, (exponent, y, dy, d2y) = self._parts(x, derivatives=True)
         b2 = self.params.b2
         ln_a = math.log(self.params.a)
         dl = -b2 / s + b2 / s**2           # d/ds of the log prefactor
@@ -396,13 +402,13 @@ class BoundStates:
 
 
 def bound_states(params, levels):
-    """The bound levels of params, ready to evaluate together (raises
-    LevelOutOfRange); levels may come in any order and may repeat."""
+    """The bound levels of params, ready to evaluate together; levels may
+    come in any order and may repeat.  Raises as level_energy and
+    morse_constants do."""
     levels = tuple(levels)
     energies = level_energy(params, levels).tolist()
-    return BoundStates(params, tuple(
-        DiscreteState(n=n, energy=e, log_norm=normalization(params, n)) for n, e in zip(levels, energies)
-    ))
+    return BoundStates(params, tuple(DiscreteState(n=n, energy=e) for n, e in zip(levels, energies)),
+                       morse_constants(params.b2, levels))
 
 
 def wavefunction(params, n, x, form=WavefunctionForm.BESSEL):
@@ -477,7 +483,7 @@ def _continuum_parts(params, x):
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if not x > -params.a:
-            raise DomainError(f"position {x} is at or behind the wall x = {-params.a}")
+            _inside(params, x)  # raises its DomainError
         return x, 2.0 * (params.wall_scale / (x + params.a))
     x = _inside(params, x)[0]
     return x, 2.0 * (params.wall_scale / (x.reshape(-1) + params.a))

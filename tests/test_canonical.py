@@ -190,6 +190,23 @@ def test_energy_of_an_array_is_its_scalar_values():
         canonical.canonical_energy(CanonicalParams(omega=1.5e154, hbar=1.5e154), levels)
 
 
+@pytest.mark.parametrize("n,error", [
+    (2.5, LevelOutOfRange), (True, LevelOutOfRange), (-1, DomainError),
+])
+def test_wavefunction_level_checks(n, error):
+    # the states check their level as the energy does: a non-integer level
+    # escaped from the Hermite recurrence as a raw TypeError, and True was
+    # taken for level 1
+    for fn in (canonical.canonical_wavefunction, canonical.canonical_wavefunction_derivative):
+        with pytest.raises(error):
+            fn(UNIT, n, 0.3)
+
+
+def test_wavefunction_takes_a_numpy_integer_level():
+    for fn in (canonical.canonical_wavefunction, canonical.canonical_wavefunction_derivative):
+        assert fn(UNIT, np.int64(2), 0.3) == fn(UNIT, 2, 0.3)
+
+
 @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])])
 @pytest.mark.parametrize("n", [0, 2])
 def test_nan_position_is_refused(n, x):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -226,11 +227,10 @@ def test_energies(params_a2):
 
 @pytest.mark.parametrize("level_fn", [
     model.energy,
-    model.normalization,
     lambda p, n: model.wavefunction(p, n, 0.5),
     limits.energy_gap,
     limits.wavefunction_distance,
-], ids=["energy", "normalization", "wavefunction", "energy_gap", "wavefunction_distance"])
+], ids=["energy", "wavefunction", "energy_gap", "wavefunction_distance"])
 def test_level_must_be_an_integer(params_a2, level_fn):
     for n in (1.5, 1.0, np.float64(2.0)):
         with pytest.raises(LevelOutOfRange):
@@ -240,9 +240,8 @@ def test_level_must_be_an_integer(params_a2, level_fn):
 
 def test_discrete_state_fields(params_a2):
     st = model.energy(params_a2, 1)
-    assert [f.name for f in dataclasses.fields(st)] == ["n", "energy", "log_norm"]
+    assert [f.name for f in dataclasses.fields(st)] == ["n", "energy"]
     assert st.n == 1
-    assert st.log_norm == model.normalization(params_a2, 1)
     assert st.energy <= model.well_depth(params_a2)
 
 
@@ -266,10 +265,16 @@ def test_ground_state_matches_canonical():
 
 # ---------------------------------------------------------------- normalization
 
+def _log_c(b2, n):
+    """ln c_n, the normalization of psi_n at a = 1, from the constant K_n of
+    model.morse_constants: K_n - (1/2 - b^2) ln b^2 - v* (ln v* - 1)."""
+    v_star = b2 - 0.5
+    return (model.morse_constants(b2, (n,))[0] - (0.5 - b2) * math.log(b2)
+            - v_star * (math.log(v_star) - 1.0))
+
+
 def test_normalization_closed_form_a1(params_a1):
-    assert math.exp(model.normalization(params_a1, 0)) == pytest.approx(
-        math.sqrt(2.0), rel=1e-14
-    )
+    assert math.exp(_log_c(params_a1.b2, 0)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -280,8 +285,7 @@ def test_normalization_by_quadrature(params_a2, n):
 def test_normalization_log_space_large_a():
     # Gamma(2 b^2 - n) overflows a float at a = 20 but the log form is finite
     p = ModelParams(a=20.0)
-    val = model.normalization(p, 0)
-    assert math.isfinite(val)
+    assert math.isfinite(model.morse_constants(p.b2, (0,))[0])
     with pytest.raises(OverflowError):
         math.exp(math.lgamma(2.0 * p.b2))  # the quantity the log form avoids
 
@@ -289,7 +293,8 @@ def test_normalization_log_space_large_a():
 # ---------------------------------------------------------------- wavefunctions
 
 def test_wavefunction_value_at_origin(params_a2):
-    expected = math.exp(model.normalization(params_a2, 0)) * math.exp(-4.0)
+    # C_0 e^(-b^2/s) y_0 at s = 1, with C_0 = c_0 / sqrt(a)
+    expected = math.exp(_log_c(params_a2.b2, 0) - 0.5 * math.log(params_a2.a)) * math.exp(-4.0)
     assert model.wavefunction(params_a2, 0, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
@@ -385,6 +390,38 @@ def test_wavefunction_far_out_against_mpmath():
     # float range, and the recurrence is refused rather than run
     with pytest.raises(DomainError):
         model.wavefunction(p, 15, 1e307)
+
+
+@pytest.mark.parametrize("a", [1.07, 2.63, 6.3])
+def test_psi_against_mpmath(a):
+    # both forms against 60 digits at levels 0, top//2 and top, on a
+    # log-spaced x + a grid wherever |psi| is at least 1e-3 of its peak there,
+    # relative to b^2 ln(2b^2) eps, the rounding of the cancelling terms of
+    # ln psi.  Measured at most 16.6 of it with ln C_n and the log prefactor
+    # formed in s, and 17.3 with the Morse core, both for the Bessel form at
+    # a = 2.63, n = 6 (the top level, near threshold) far out, where the
+    # recurrence rounds most; the Laguerre form 8.1 and 11.8, at a = 1.07
+    # near the wall, where 1/s amplifies the rounding of s itself.  The bound
+    # is the former worst case and a fifth more for last-digit rounding.
+    p = ModelParams(a=a)
+    top = model.max_level(p)
+    unit = p.b2 * math.log(2.0 * p.b2) * sys.float_info.epsilon
+    xs = a * np.geomspace(1e-3, 1e9, 241) - a
+    for n in sorted({0, top // 2, top}):
+        ref = np.array([_mp_psi(a, n, x) for x in xs.tolist()])
+        keep = np.abs(ref) >= 1e-3 * np.abs(ref).max()
+        assert not keep[-1]  # the grid covers where the state lives
+        for form in WavefunctionForm:
+            got = model.wavefunction(p, n, xs[keep], form)
+            assert np.all(np.abs(got - ref[keep]) <= 20.0 * unit * np.abs(ref[keep])), (n, form)
+
+
+def test_psi_at_huge_positions_underflows():
+    # v - v* = 1/2 - b^2 x/(x+a): formed as (1/2 - v* x/a)/s it overflows
+    # at x/a > 1.8e308/v*, where psi is 0 and the recurrence still runs
+    p = ModelParams(m0=100.0)
+    for x in (1e306, 1e307):
+        assert model.wavefunction(p, 0, x) == 0.0
 
 
 def test_orthonormality_small_case(params_a1):
@@ -780,9 +817,18 @@ def test_bound_states_refuse_in_level_order():
 
 @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
 def test_nan_position_is_refused(x):
-    p = ModelParams()
-    for fn in (model.potential, model.effective_mass):
-        with pytest.raises(DomainError):
+    # named as what it is, not as a position at or behind the wall
+    p = ModelParams(a=2.0)
+    state = model.continuum_state(p, 3.0)
+    for fn in (
+        model.potential, model.effective_mass, model.alpha0,
+        lambda p, x: model.wavefunction(p, 1, x),
+        lambda p, x: model.wavefunction(p, 1, x, WavefunctionForm.LAGUERRE),
+        lambda p, x: model.wavefunction_with_derivatives(p, 1, x),
+        lambda p, x: model.continuum_wavefunction(state, p, x),
+        lambda p, x: model.continuum_wavefunction_with_derivatives(state, p, x),
+    ):
+        with pytest.raises(DomainError, match="not a number"):
             fn(p, x)
 
 

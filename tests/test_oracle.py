@@ -714,10 +714,13 @@ def test_overlap_majorant_bounds_integrand(p, m, n):
 def test_overlap_integrand_is_the_public_route(p, m, n):
     # at sampled nodes of the live range, the integrand in d is
     # psi_m(x) psi_n(x) / u of the public psi, x = 1/u - a, u = v/(l0^2 a^3),
-    # within the rounding of that route: the terms b^2 ln(2b^2) of ln C_n
-    # and b^2 ln s, b^2/s of the log prefactor, each rounded to eps, on the
-    # scale exp(phi) of the summed terms of the polynomials, which a value
-    # near a node of psi falls below.  Measured at most 5.7 of it.
+    # within the rounding of that route: the terms b^2 ln(2b^2) of the
+    # constants K_n and b^2 ln s, b^2/s of the log prefactor, each rounded to
+    # eps, on the scale exp(phi) of the summed terms of the polynomials,
+    # which a value near a node of psi falls below.  Measured at most 5.65
+    # of it with ln C_n and the log prefactor formed in s, and 6.95 with the
+    # Morse core, at nodes by the wall end of the range (b^2 = 1.82 and
+    # 1.15, levels 0), where 1/s amplifies the rounding of s itself.
     integrand, phi = checks._overlap_integrand(p.b2, m, n)
     d = np.linspace(*checks._live_range(phi, *_full_range(p)), 301)
     v = (p.b2 - 0.5) * np.exp(d)
